@@ -24,7 +24,7 @@ from .genie import (
     TopicCacheDB,
     encapsulate,
 )
-from .simnet import Fabric, Link, NodeId, SimNode
+from .simnet import Fabric, Link, SimNode
 from .workload import (
     DetectorNode,
     DeviceProfile,

@@ -173,18 +173,12 @@ class TopicCacheDB:
         m = self._maps[name]
         if digest not in m.entries:
             m.entries[digest] = CachedValue(None, now, now)
+            # transparency mode drops pending entries: re-park at the back
+            m.pending_created.pop(digest, None)
             m.pending_created[digest] = now
         m.waiters.setdefault(digest, []).append(header)
         m.pending_by_key[header.key] = digest
         self._evict(m)
-
-    def find_pending(self, key: tuple[str, int]) -> tuple[str, str] | None:
-        """(topic name, digest) of a pending request with this header key."""
-        for name, m in self._maps.items():
-            digest = m.pending_by_key.get(key)
-            if digest is not None:
-                return name, digest
-        return None
 
     def fill(
         self, name: str, digest: str, result: Message | None, now: float, only: Header | None = None
@@ -211,10 +205,21 @@ class TopicCacheDB:
 
     def purge_expired(self, now: float, ttl_ms: float) -> int:
         """Drop pending requests older than the TTL; an entry still empty
-        after its waiters expire is removed so a later repeat re-requests."""
+        after its waiters expire is removed so a later repeat re-requests.
+
+        Callers pass a nondecreasing ``now`` (``GenieNode`` passes the fabric
+        clock).  Digests are parked at that clock and a re-park moves them
+        to the back, so the insertion order of ``pending_created`` is
+        creation order and the walk stops at the first live entry: the
+        cost is O(expired + topics), not O(pending).
+        """
         removed = 0
         for m in self._maps.values():
-            stale = [d for d, t0 in m.pending_created.items() if now - t0 > ttl_ms]
+            stale = []
+            for digest, t0 in m.pending_created.items():
+                if now - t0 <= ttl_ms:
+                    break
+                stale.append(digest)
             for digest in stale:
                 for w in m.waiters.pop(digest, []):
                     m.pending_by_key.pop(w.key, None)

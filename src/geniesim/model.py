@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
@@ -140,17 +140,20 @@ class ImageRef:
 
     content_id: str
     size_bytes: int = 0
+    _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class PointCloudRef:
     content_id: str
     size_bytes: int = 0
+    _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class ObjectList:
     objects: tuple[DetectedObject, ...]
+    _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 Payload = Union[ImageRef, PointCloudRef, ObjectList]
@@ -230,12 +233,22 @@ def content_key(message: Message, topic_name: str | None = None) -> str:
     sorted by (label, location) first, so object order does not matter,
     and map-appended objects are excluded so an augmented answer digests
     the same as the plain one.
+
+    Payloads are immutable, so the digest is memoized with its topic name
+    in the payload's own ``_digest`` slot, which no identity check sees.  A
+    table keyed by payload equality would not do: ``0.0`` and ``-0.0``
+    locations compare equal but digest differently.
     """
     name = topic_name if topic_name is not None else message.topic.name
     payload = message.payload
+    memo = payload._digest
+    if memo is not None and memo[0] == name:
+        return memo[1]
     if isinstance(payload, (ImageRef, PointCloudRef)):
         body = f"{kind_of(payload).value}|{payload.content_id}"
     else:
         objs = sorted(core_objects(payload), key=DetectedObject.sort_key)
         body = "\x1e".join([PayloadKind.OBJECTS.value] + [_object_token(o) for o in objs])
-    return hashlib.sha256(f"{name}\x1f{body}".encode()).hexdigest()
+    digest = hashlib.sha256(f"{name}\x1f{body}".encode()).hexdigest()
+    object.__setattr__(payload, "_digest", (name, digest))
+    return digest

@@ -219,9 +219,6 @@ class ObjectMapStore:
             d2 += (p - nearest) ** 2
         return d2
 
-    def shareable(self, payload: ObjectList) -> ObjectList:
-        return share_filter(payload, self.confidence_threshold)
-
     # -- export ---------------------------------------------------------------
 
     def snapshot(self) -> dict:

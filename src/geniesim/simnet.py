@@ -33,14 +33,6 @@ class TopologyError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class NodeId:
-    """(home network, name); unique across the simulation."""
-
-    network: str
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
 class Link:
     """Delivery delay inside a network (or between two of them).
 
@@ -57,17 +49,6 @@ class Link:
     def __post_init__(self) -> None:
         if self.latency_ms < 0 or self.jitter_ms < 0:
             raise ValueError("latency and jitter must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class Subscription:
-    """A node listening on one topic in one network.  A subscription in the
-    shared edge network is the broadcast scope; anything else is
-    intra-network."""
-
-    node: str
-    topic_name: str
-    network: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,10 +107,6 @@ class SimNode:
         self.name = name
         self.home_network = home_network
 
-    @property
-    def node_id(self) -> NodeId:
-        return NodeId(self.home_network, self.name)
-
     def on_message(
         self, net: "Fabric", at: float, network: str, wire_topic: str, message: Message
     ) -> None:  # pragma: no cover - overridden
@@ -157,7 +134,6 @@ class Fabric:
         self._memberships: dict[str, set[str]] = {}
         self._subs: dict[tuple[str, str], list[str]] = {}  # (network, topic) -> node names
         self._sub_index: set[tuple[str, str]] = set()  # (node, topic)
-        self.subscriptions: list[Subscription] = []
         self.deliveries: list[DeliveryRecord] = []
 
     @property
@@ -193,7 +169,6 @@ class Fabric:
             raise TopologyError(f"{node_name} already subscribed to {topic_name}")
         self._sub_index.add((node_name, topic_name))
         self._subs.setdefault((net, topic_name), []).append(node_name)
-        self.subscriptions.append(Subscription(node_name, topic_name, net))
 
     def _require(self, node_name: str) -> SimNode:
         try:

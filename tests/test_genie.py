@@ -118,6 +118,58 @@ class TestTopicCacheDB:
         assert db.lookup("/image", "d1") is not None
 
 
+class TestPendingExpiryOrder:
+    TTL = 5000.0
+
+    @staticmethod
+    def park(db, digest, seq, now, keep_entry=True):
+        db.add_waiter("/image", digest, Header("a", seq, 0.0), now)
+        if not keep_entry:  # transparency mode stores nothing while pending
+            db.topic_map("/image").entries.pop(digest)
+
+    def test_purge_stops_at_first_live_entry(self):
+        db = TopicCacheDB()
+        db.ensure_topic(IMAGE)
+        for t in (0, 1, 2):
+            self.park(db, f"d{t}", t, float(t))
+        assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 2
+        assert db.pending_count() == 1
+        assert list(db.topic_map("/image").pending_created) == ["d2"]
+
+    def test_reparked_digest_moves_to_back(self):
+        db = TopicCacheDB()
+        db.ensure_topic(IMAGE)
+        self.park(db, "d1", 0, 0.0, keep_entry=False)
+        self.park(db, "d2", 1, 1.0)
+        assert db.fill("/image", "d1", None, 2.0, only=Header("a", 0, 0.0))
+        self.park(db, "d1", 2, 3.0, keep_entry=False)
+        assert list(db.topic_map("/image").pending_created) == ["d2", "d1"]
+        assert db.purge_expired(now=self.TTL + 2.0, ttl_ms=self.TTL) == 1
+        assert db.pending_count() == 1
+        assert db.purge_expired(now=self.TTL + 3.5, ttl_ms=self.TTL) == 1
+        assert db.pending_count() == 0
+
+    def test_second_waiter_on_unstored_digest_restarts_its_clock(self):
+        db = TopicCacheDB()
+        db.ensure_topic(IMAGE)
+        self.park(db, "d1", 0, 0.0, keep_entry=False)
+        self.park(db, "d2", 1, 1.0)
+        self.park(db, "d1", 2, 2.0, keep_entry=False)
+        assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 1
+        assert db.pending_count() == 2
+
+    def test_fill_only_last_waiter_leaves_the_order(self):
+        db = TopicCacheDB()
+        db.ensure_topic(IMAGE)
+        self.park(db, "d1", 0, 0.0)
+        self.park(db, "d2", 1, 1.0)
+        woken = db.fill("/image", "d1", None, 0.5, only=Header("a", 0, 0.0))
+        assert [w.key for w in woken] == [("a", 0)]
+        assert list(db.topic_map("/image").pending_created) == ["d2"]
+        assert db.purge_expired(now=self.TTL + 0.5, ttl_ms=self.TTL) == 0
+        assert db.pending_count() == 1
+
+
 class TestDedupFilter:
     def test_duplicate_discarded_remote_first(self):
         dedup = DedupFilter(window_ms=1000.0)

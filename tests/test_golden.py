@@ -1,0 +1,79 @@
+"""Golden digests: "same behaviour" means byte-identical summary.json.
+
+Reruns a small matrix of synthetic scenarios plus ``scenarios/demo.json``
+under ``compare_baselines`` and checks the sha256 of every emitted
+``summary.json`` against ``golden.json``.  A change that alters any output
+on purpose re-records the file and says why:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from geniesim.harness import (
+    ScenarioConfig,
+    SynthSpec,
+    compare_baselines,
+    emit_report,
+    run_scenario,
+)
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden.json"
+DEMO = HERE.parent / "scenarios" / "demo.json"
+
+ROUTES = ("disjoint", "loop", "shared-corridor")
+CARS = (1, 4)
+EDGES = (("AGX",), ("AGX", "A4500"))
+FRAMES = 20
+SEED = 7
+
+
+def _config(route: str, cars: int, edges: tuple[str, ...]) -> ScenarioConfig:
+    overlap = 0.0 if route == "disjoint" else 0.5
+    return ScenarioConfig(
+        n_cars=cars,
+        edge_devices=edges,
+        synth=SynthSpec(route=route, n_frames=FRAMES, overlap_fraction=overlap),
+        seed=SEED,
+    )
+
+
+def _summary_sha256(report, out_dir: Path) -> str:
+    emit_report(report, out_dir)
+    return hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
+
+
+def compute_digests(work_dir: Path) -> dict[str, str]:
+    """Cell name -> sha256 of its emitted summary.json."""
+    digests = {}
+    for route in ROUTES:
+        for cars in CARS:
+            for edges in EDGES:
+                cell = f"{route}/{cars}cars/{'+'.join(edges)}"
+                report = run_scenario(_config(route, cars, edges))
+                digests[cell] = _summary_sha256(report, work_dir / cell)
+    for mode, report in compare_baselines(ScenarioConfig.from_json_file(DEMO)).items():
+        cell = f"demo/{mode}"
+        digests[cell] = _summary_sha256(report, work_dir / cell)
+    return digests
+
+
+def test_summary_digests_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert compute_digests(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(f"usage: {sys.argv[0]} --record")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute_digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(digests)} digests in {GOLDEN}")

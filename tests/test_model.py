@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from geniesim import model
 from geniesim.model import (
     DetectedObject,
     Header,
@@ -75,6 +77,50 @@ class TestContentKey:
         msg = image_message("img-1")
         assert content_key(msg, "/image") == content_key(msg)
         assert content_key(msg, "/other") != content_key(msg)
+
+
+def uncached_key(message: Message, name: str | None = None) -> str:
+    """content_key of an equal message whose payload has never been digested."""
+    return content_key(replace(message, payload=replace(message.payload)), name)
+
+
+class TestContentKeyMemo:
+    def test_signed_zero_payloads_keep_distinct_digests(self):
+        pos = objects_message((obj("car", 0.5, (0.0, 1.0, 1.0)),))
+        neg = objects_message((obj("car", 0.5, (-0.0, 1.0, 1.0)),))
+        assert pos.payload == neg.payload and hash(pos.payload) == hash(neg.payload)
+        assert content_key(pos) != content_key(neg)
+        assert content_key(neg) == uncached_key(neg)
+
+    def test_name_change_recomputes(self):
+        msg = image_message("img-1")
+        for name in ("/a", "/b", "/a"):
+            assert content_key(msg, name) == uncached_key(msg, name)
+
+    def test_reheaded_message_reuses_payload_digest(self, monkeypatch):
+        msg = objects_message((obj("car", 0.5, (0.3, 0.3, 0.3)),))
+        digest = content_key(msg)
+        moved = replace(msg, header=Header("car2/camera", 5, 10.0), via="answer")
+
+        def no_hashing(*args):
+            raise AssertionError("digest recomputed")
+
+        monkeypatch.setattr(model.hashlib, "sha256", no_hashing)
+        assert content_key(moved) == digest
+
+    def test_new_augmented_list_digests_as_plain(self):
+        plain = objects_message((obj("car", 0.5, (0.3, 0.3, 0.3)),))
+        digest = content_key(plain)
+        extra = obj("pole", 0.9, (5.3, 0.3, 0.3), from_map=True)
+        augmented = replace(plain, payload=ObjectList(plain.payload.objects + (extra,)))
+        assert content_key(augmented) == digest
+
+    def test_identity_unaffected_by_memo(self):
+        msg = objects_message((obj("car", 0.5, (0.3, 0.3, 0.3)),))
+        before = (repr(msg.payload), hash(msg.payload), repr(msg), hash(msg))
+        content_key(msg)
+        assert (repr(msg.payload), hash(msg.payload), repr(msg), hash(msg)) == before
+        assert msg.payload == replace(msg.payload) and msg == replace(msg, payload=replace(msg.payload))
 
 
 class TestTranslate:
