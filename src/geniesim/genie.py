@@ -259,7 +259,13 @@ class TopicCacheDB:
 class DedupFilter:
     """Keeps the first message per content digest; repeats inside the window
     are discarded, and the same digest is accepted again once the window has
-    passed since the last accepted copy."""
+    passed since the last accepted copy.
+
+    Callers pass a nondecreasing ``now`` (``ConsumerNode`` passes the fabric
+    clock).  ``_last_accept`` is then in accept-time order, and digests whose
+    window has passed, which would be accepted again anyway, are dropped
+    from its front: it holds only digests accepted within the last window.
+    """
 
     def __init__(self, window_ms: float = 1000.0) -> None:
         self.window_ms = window_ms
@@ -273,8 +279,16 @@ class DedupFilter:
         if last is not None and now - last <= self.window_ms:
             self.discarded += 1
             return False
+        self._last_accept.pop(digest, None)
         self._last_accept[digest] = now
         self.accepted += 1
+        stale = []
+        for seen, t in self._last_accept.items():
+            if now - t <= self.window_ms:
+                break
+            stale.append(seen)
+        for seen in stale:
+            del self._last_accept[seen]
         return True
 
 
@@ -470,6 +484,8 @@ class GenieNode(SimNode):
                     ObjectList(additions), self.object_map.confidence_threshold
                 ).objects
             payload = ObjectList(payload.objects + additions)
+            # additions are all from_map, so the digest is the stored result's
+            object.__setattr__(payload, "_digest", result.payload._digest)
         out = replace(result, header=request.header, payload=payload, via="hit")
         wire, network = self._answer_surface(result.topic.name)
         net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)

@@ -14,6 +14,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice, product
 from typing import Iterable, NamedTuple
 
 from .model import DetectedObject, Message, ObjectList
@@ -110,6 +111,12 @@ class ObjectMapStore:
         self.update_rule = UpdateRule(update_rule)
         self.relevance_radius_m = relevance_radius_m
         self.cells: dict[CellKey, list[DetectedObject]] = {}
+        # spatial hash over ``cells``: cubes of ``_bucket_edge`` cells, at
+        # least the relevance radius wide, so a query's bounding box
+        # overlaps at most 3 buckets per axis
+        self._bucket_edge = max(1, math.ceil(relevance_radius_m / resolution_m))
+        self._buckets: dict[tuple[int, int, int], list[CellKey]] = {}
+        self._indexed = 0
         self.requests = 0
         self.hits = 0
         self.boost_records: list[BoostRecord] = []
@@ -185,37 +192,53 @@ class ObjectMapStore:
 
     def _cells_near(self, point: tuple[float, float, float]) -> list[CellKey]:
         """Occupied cells intersecting the relevance sphere around ``point``,
-        in deterministic order."""
+        in deterministic order.  Only the buckets overlapping the sphere's
+        bounding box are visited, so the cost does not grow with the map."""
         r = self.relevance_radius_m
         res = self.resolution_m
-        lo = quantize((point[0] - r, point[1] - r, point[2] - r), res)
-        hi = quantize((point[0] + r, point[1] + r, point[2] + r), res)
-        span = (hi.ix - lo.ix + 1) * (hi.iy - lo.iy + 1) * (hi.iz - lo.iz + 1)
-        if span <= len(self.cells):
-            candidates: Iterable[CellKey] = (
-                CellKey(ix, iy, iz)
-                for ix in range(lo.ix, hi.ix + 1)
-                for iy in range(lo.iy, hi.iy + 1)
-                for iz in range(lo.iz, hi.iz + 1)
-            )
-            pool = [c for c in candidates if c in self.cells]
-        else:
-            pool = [
-                c
-                for c in self.cells
-                if lo.ix <= c.ix <= hi.ix and lo.iy <= c.iy <= hi.iy and lo.iz <= c.iz <= hi.iz
-            ]
+        lx, ly, lz = quantize((point[0] - r, point[1] - r, point[2] - r), res)
+        hx, hy, hz = quantize((point[0] + r, point[1] + r, point[2] + r), res)
+        self._index_new_cells()
+        k = self._bucket_edge
+        keys = product(
+            range(lx // k, hx // k + 1), range(ly // k, hy // k + 1), range(lz // k, hz // k + 1)
+        )
         r2 = r * r
-        out = [c for c in pool if self._cell_sphere_dist2(c, point) <= r2]
+        out = []
+        for bucket in map(self._buckets.get, keys):
+            for cell in bucket or ():
+                ix, iy, iz = cell
+                if (
+                    lx <= ix <= hx
+                    and ly <= iy <= hy
+                    and lz <= iz <= hz
+                    and self._cell_sphere_dist2(cell, point) <= r2
+                ):
+                    out.append(cell)
         out.sort()
         return out
+
+    def _index_new_cells(self) -> None:
+        """Bucket the cells added since the last query.
+
+        Cells are only ever added (``ingest`` and direct writes to
+        ``cells`` alike), so the unindexed ones are the insertion-ordered
+        tail of the dict."""
+        new = len(self.cells) - self._indexed
+        if not new:
+            return
+        k = self._bucket_edge
+        for cell in islice(reversed(self.cells), new):
+            ix, iy, iz = cell
+            self._buckets.setdefault((ix // k, iy // k, iz // k), []).append(cell)
+        self._indexed = len(self.cells)
 
     def _cell_sphere_dist2(self, cell: CellKey, point: tuple[float, float, float]) -> float:
         res = self.resolution_m
         d2 = 0.0
         for idx, p in zip(cell, point):
             lo, hi = idx * res, (idx + 1) * res
-            nearest = min(max(p, lo), hi)
+            nearest = lo if p < lo else hi if p > hi else p  # clamp p to [lo, hi]
             d2 += (p - nearest) ** 2
         return d2
 

@@ -75,20 +75,14 @@ class TraceFrame:
 @dataclass(frozen=True)
 class Trace:
     """Frames globally sorted by time, with per-car views and an exact-replay
-    index from image id to frame content.
-
-    ``declared_overlap`` is generator metadata (the overlap fraction a
-    synthetic trace was built with); it is not serialized and does not
-    participate in equality.
-    """
+    index from image id to frame content."""
 
     frames: tuple[TraceFrame, ...]
     by_car: dict[str, tuple[TraceFrame, ...]] = field(default_factory=dict)
     by_image: dict[str, TraceFrame] = field(default_factory=dict)
-    declared_overlap: float | None = field(default=None, compare=False)
 
     @staticmethod
-    def build(frames: Iterable[TraceFrame], declared_overlap: float | None = None) -> "Trace":
+    def build(frames: Iterable[TraceFrame]) -> "Trace":
         ordered = tuple(sorted(frames, key=lambda f: (f.t_ms, f.car)))
         by_car: dict[str, list[TraceFrame]] = {}
         by_image: dict[str, TraceFrame] = {}
@@ -109,9 +103,7 @@ class Trace:
                         f"timestamps for car {car!r} not strictly increasing "
                         f"at t_ms={b.t_ms}"
                     )
-        return Trace(
-            ordered, {c: tuple(v) for c, v in by_car.items()}, by_image, declared_overlap
-        )
+        return Trace(ordered, {c: tuple(v) for c, v in by_car.items()}, by_image)
 
     @property
     def cars(self) -> tuple[str, ...]:
@@ -369,7 +361,7 @@ def synth_trace(
         for i, frame in enumerate(schedule):
             frames.append(replace(frame, car=car, t_ms=start + i * frame_period_ms))
 
-    return Trace.build(frames, declared_overlap=overlap_fraction)
+    return Trace.build(frames)
 
 
 def count_repeats(trace: Trace, car: str) -> int:

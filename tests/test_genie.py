@@ -1,6 +1,10 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from geniesim.genie import (
+    CachedValue,
     DedupFilter,
     EncapsulationError,
     GenieNode,
@@ -193,6 +197,32 @@ class TestDedupFilter:
         assert dedup.offer(0.0, msg) is True
         assert dedup.offer(999.0, msg) is False
         assert dedup.offer(1001.0, msg) is True  # window expired, delivered again
+
+
+class TestDedupBound:
+    WINDOW = 1000.0
+
+    def test_matches_unbounded_reference_and_holds_only_the_last_window(self):
+        rng = random.Random(3)
+        messages = [objects_message((obj("car", 0.5 + i / 20, (0.2, 0.2, 0.2)),)) for i in range(8)]
+        dedup = DedupFilter(window_ms=self.WINDOW)
+        reference: dict[str, float] = {}  # the filter without eviction
+        now = 0.0
+        last_accept = 0.0
+        for _ in range(2000):
+            now += rng.choice([0.0, 0.0, 1.0, 50.0, 400.0, self.WINDOW, 1500.0])
+            msg = rng.choice(messages)
+            seen = reference.get(content_key(msg))
+            expected = seen is None or now - seen > self.WINDOW
+            assert dedup.offer(now, msg) is expected
+            if expected:
+                reference[content_key(msg)] = last_accept = now
+            held = dedup._last_accept
+            assert all(last_accept - t <= self.WINDOW for t in held.values())
+            assert list(held.values()) == sorted(held.values())  # accept-time order
+            assert all(reference[d] == t for d, t in held.items())
+        assert dedup.accepted + dedup.discarded == 2000
+        assert dedup.discarded > 0
 
 
 class _AnswerSink(SimNode):
@@ -431,6 +461,62 @@ class TestRemoteRole:
 
         assert genie.db.lookup("/image", ck(request, "/image")).result is not None
         assert requester.received == []  # no duplicate echo back onto the edge
+
+
+class TestHitDigest:
+    """A hit answer carries the stored result's digest over; under any name
+    it must equal the digest of a freshly built copy of the served objects."""
+
+    NAMES = (OBJECTS.name, "/car1/objects")  # the genie's base, a consumer's own
+    NEARBY = (obj("pole", 0.9, (5.2, 0.2, 0.2)), obj("bin", 0.3, (6.2, 0.2, 0.2)))
+
+    def serve(self, wire, memo_name, map_objects=None):
+        store = None
+        if map_objects is not None:
+            store = ObjectMapStore(confidence_threshold=0.6)
+            store.ingest(objects_message(map_objects), 0.0)
+        net, genie, _, sink, _ = wire(object_map=store)
+        result = objects_message(
+            (obj("car", 0.7, (3.2, 0.2, 0.2)), obj("sign", 0.8, (4.2, 1.2, 0.2), from_map=True))
+        )
+        content_key(result, memo_name)
+        genie._serve_hit(net, 0.0, image_message("f0", seq=3), CachedValue(result, 0.0, 0.0))
+        net.run_until(100.0)
+        return result, sink.received[-1][2]
+
+    @staticmethod
+    def assert_fresh_digests(served):
+        fresh = replace(served, payload=replace(served.payload))
+        assert fresh.payload._digest is None
+        for name in TestHitDigest.NAMES:
+            assert content_key(served, name) == content_key(fresh, name)
+
+    @pytest.mark.parametrize("memo_name", NAMES)
+    @pytest.mark.parametrize(
+        "case", ["plain", "empty map", "augmented", "edge share-filtered"]
+    )
+    def test_hit_answer_digest_equals_fresh_copy(self, case, memo_name):
+        wire = wire_remote_genie if case == "edge share-filtered" else wire_local_genie
+        map_objects = {"plain": None, "empty map": ()}.get(case, self.NEARBY)
+        result, served = self.serve(wire, memo_name, map_objects)
+        assert served.via == "hit"
+        added = len(served.payload.objects) - len(result.payload.objects)
+        assert added == (1 if map_objects else 0)  # the pole; the bin is below threshold
+        if map_objects is not None:
+            assert served.payload is not result.payload
+            assert served.payload._digest == result.payload._digest  # carried over
+        self.assert_fresh_digests(served)
+
+    def test_memo_under_another_name_is_never_returned(self):
+        result, served = self.serve(wire_local_genie, "/other", self.NEARBY)
+        memo_name, memo_digest = served.payload._digest
+        assert memo_name == "/other"
+        for name in self.NAMES:
+            assert content_key(served, name) != memo_digest
+        self.assert_fresh_digests(served)
+        forged = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
+        object.__setattr__(forged.payload, "_digest", ("/other", "forged"))
+        assert content_key(forged, OBJECTS.name) != "forged"
 
 
 class TestPhantomRole:

@@ -162,6 +162,89 @@ class TestAugment:
         assert (store.requests, store.hits) == (2, 1)
 
 
+def cells_near_oracle(store, point):
+    """Brute force: every occupied cell through the bounding-box and
+    cell-to-sphere tests, then sorted."""
+    r, res = store.relevance_radius_m, store.resolution_m
+    lo = quantize(tuple(c - r for c in point), res)
+    hi = quantize(tuple(c + r for c in point), res)
+    out = []
+    for cell in store.cells:
+        if not all(a <= i <= b for a, i, b in zip(lo, cell, hi)):
+            continue
+        d2 = 0.0
+        for idx, p in zip(cell, point):
+            nearest = min(max(p, idx * res), (idx + 1) * res)
+            d2 += (p - nearest) ** 2
+        if d2 <= r * r:
+            out.append(cell)
+    out.sort()
+    return out
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+class TestCellsNear:
+    RADII = (0.0, 0.2, 0.5, 1.7, 3.0, 15.0)  # below, at and off multiples of a cell
+
+    @staticmethod
+    def boundary_points(rng, res, k):
+        """Points on cell and bucket boundaries, on both sides of zero."""
+        cell = rng.randint(-12, 12) * res
+        bucket = rng.randint(-3, 3) * k * res
+        return [
+            (cell, bucket, 0.0),
+            (bucket, -bucket, cell),
+            (-cell, cell, -bucket),
+            (bucket + res, bucket - res, -0.0),
+        ]
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(100):
+            res = rng.choice([0.5, 0.3, 1.0])
+            store = ObjectMapStore(resolution_m=res, relevance_radius_m=rng.choice(self.RADII))
+            span = rng.choice([3, 12, 40])
+            for _ in range(6):
+                # direct writes between queries, as criterion 6 does
+                for _ in range(rng.randint(0, 30)):
+                    cell = CellKey(*(rng.randint(-span, span) for _ in range(3)))
+                    store.cells.setdefault(cell, []).append(obj("x", 0.9, (0.2, 0.2, 0.2)))
+                points = self.boundary_points(rng, res, store._bucket_edge)
+                points += [tuple(rng.uniform(-span, span) * res for _ in range(3)) for _ in range(4)]
+                for p in points:
+                    got = store._cells_near(p)
+                    assert got == cells_near_oracle(store, p)
+                    checked += len(got)
+        assert checked > 0
+
+    def test_cells_ingested_between_queries_are_found(self):
+        store = ObjectMapStore(relevance_radius_m=3.0)
+        assert store._cells_near((0.2, 0.2, 0.2)) == []
+        store.ingest(objects_message((obj("car", 0.9, (-1.2, 0.7, 0.2)),)), 0.0)
+        assert store._cells_near((0.2, 0.2, 0.2)) == [CellKey(-3, 1, 0)]
+        store.cells.setdefault(CellKey(2, 0, 0), [])
+        assert store._cells_near((0.2, 0.2, 0.2)) == [CellKey(-3, 1, 0), CellKey(2, 0, 0)]
+
+    def test_visits_at_most_27_buckets_however_large_the_map(self):
+        store = ObjectMapStore(relevance_radius_m=15.0)
+        store._buckets = _CountingDict()
+        for i in range(5000):
+            store.cells.setdefault(CellKey(1000 + i, 1000 - i, i % 7), [])
+        store.cells.setdefault(CellKey(3, 4, 0), [])
+        assert store._cells_near((0.2, 0.2, 0.2)) == [CellKey(3, 4, 0)]
+        assert store._buckets.gets <= 27
+
+
 class TestShareFilter:
     def test_threshold(self):
         out = share_filter(
