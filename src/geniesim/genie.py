@@ -17,6 +17,9 @@ Message arrival follows one procedure:
            coalesce instead of re-broadcasting.
   hit      known content with a stored answer; augment it from the object
            map and send it straight back to the sender.
+  echo     a ``-remote`` answer to an exchange we are not waiting on (another
+           vehicle's answer heard on the edge); counted and dropped, so
+           deliveries per frame grow linearly with the fleet, not quadratically.
 
 Cache keys are content digests; headers only identify in-flight exchanges.
 """
@@ -38,7 +41,7 @@ from .model import (
     content_key,
     kind_of,
 )
-from .objectmap import ObjectMapStore, share_filter
+from .objectmap import ObjectMapStore
 from .simnet import Fabric, SimNode
 
 
@@ -304,6 +307,8 @@ class GenieCounters:
     remote_answers: int = 0
     malformed_dropped: int = 0
     pending_peak: int = 0
+    echoes_ignored: int = 0
+    expired: int = 0
 
 
 def _always(message: Message, base_topic: str) -> bool:
@@ -357,6 +362,9 @@ class GenieNode(SimNode):
         self.counters = GenieCounters()
         self._topics = {t.name: t for t in encapsulation.topics()}
         self._answer_names = {t.name for t in encapsulation.routes.values()}
+        # answer topics that are never requests: unmatched -remote traffic on
+        # them is another exchange's answer, not work for us
+        self._echo_names = self._answer_names - {t.name for t in encapsulation.subscribed}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -398,11 +406,14 @@ class GenieNode(SimNode):
         if topic is None or kind_of(message.payload) is not topic.kind:
             self.counters.malformed_dropped += 1
             return
-        self.db.purge_expired(at, self.pending_ttl_ms)
+        self.counters.expired += self.db.purge_expired(at, self.pending_ttl_ms)
 
         pend = self._pending_answered_by(message)
         if pend is not None:
             self._handle_answer(net, at, flavor, pend, message)
+            return
+        if flavor == "remote" and base in self._echo_names:
+            self.counters.echoes_ignored += 1
             return
 
         self.db.ensure_topic(topic)
@@ -477,13 +488,8 @@ class GenieNode(SimNode):
         result = entry.result
         payload = result.payload
         if isinstance(payload, ObjectList) and self.object_map is not None:
-            augmented = self.object_map.augment(payload)
-            additions = augmented.objects[len(payload.objects):]
-            if self.answers_on == "edge":
-                additions = share_filter(
-                    ObjectList(additions), self.object_map.confidence_threshold
-                ).objects
-            payload = ObjectList(payload.objects + additions)
+            # augment adds only objects at or above the map's share threshold
+            payload = self.object_map.augment(payload)
             # additions are all from_map, so the digest is the stored result's
             object.__setattr__(payload, "_digest", result.payload._digest)
         out = replace(result, header=request.header, payload=payload, via="hit")
@@ -572,5 +578,7 @@ class GenieNode(SimNode):
             "remote_answers": c.remote_answers,
             "malformed_dropped": c.malformed_dropped,
             "pending_peak": c.pending_peak,
+            "echoes_ignored": c.echoes_ignored,
+            "expired": c.expired,
             "topics": per_topic,
         }

@@ -75,7 +75,8 @@ class BoostRecord:
 def share_filter(payload: ObjectList, confidence_threshold: float) -> ObjectList:
     """Subset of objects with confidence >= threshold, order preserved.
 
-    Applied to everything map-sourced before it leaves for a vehicle.
+    The rule for everything map-sourced before it leaves for a vehicle;
+    :meth:`ObjectMapStore.augment` applies it as it selects additions.
     """
     return ObjectList(
         tuple(o for o in payload.objects if o.confidence >= confidence_threshold)

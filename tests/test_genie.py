@@ -345,6 +345,20 @@ class TestArrivalProcedure:
         net.run_until(3000.0)
         assert len(inner.received) == 2  # expired request is re-asked
 
+    def test_expired_waiters_are_counted(self):
+        net, genie, inner, consumer, spy = wire_local_genie(pending_ttl_ms=1000.0)
+        for seq in range(2):
+            net.publish(
+                "camera", image_message("f0", seq=seq, stamp=float(seq)),
+                wire_topic="/image", network="VN1", at=float(seq),
+            )
+        net.run_until(10.0)
+        assert genie.counters.expired == 0
+        net.publish("camera", image_message("f1", seq=2, stamp=2000.0), wire_topic="/image", network="VN1", at=2000.0)
+        net.run_until(3000.0)
+        assert genie.counters.expired == 2  # both coalesced waiters on f0
+        assert genie.counters_dict()["expired"] == 2
+
     def test_malformed_message_dropped_with_diagnostic(self):
         net, genie, inner, consumer, spy = wire_local_genie()
         wrong = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
@@ -461,6 +475,61 @@ class TestRemoteRole:
 
         assert genie.db.lookup("/image", ck(request, "/image")).result is not None
         assert requester.received == []  # no duplicate echo back onto the edge
+
+
+class TestEchoIgnored:
+    """Another exchange's answer heard on the edge is not a request."""
+
+    @pytest.mark.parametrize("wire", [wire_local_genie, wire_remote_genie])
+    def test_unmatched_remote_answer_is_counted_and_dropped(self, wire, monkeypatch):
+        net, genie, *_ = wire()
+        net.add_node(SimNode("other-car", "EDGE"))
+        if genie.role is GenieRole.LOCAL:
+            net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        else:
+            net.publish("other-car", image_message("f0"), wire_topic="/image-remote", network="EDGE")
+        net.run_until(10.0)
+        requests, pending = genie.counters.requests, genie.db.pending_count()
+        assert pending == 1
+        published = []
+        publish = net.publish
+
+        def spy(sender, *args, **kwargs):
+            if sender == genie.name:
+                published.append(args)
+            return publish(sender, *args, **kwargs)
+
+        monkeypatch.setattr(net, "publish", spy)
+        echo = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),), origin="car2/camera", seq=5)
+        net.publish("other-car", echo, wire_topic="/objects-remote", network="EDGE", at=10.0)
+        net.run_until(100.0)
+        assert genie.counters.requests == requests
+        assert published == []
+        assert genie.db.pending_count() == pending
+        assert genie.counters.echoes_ignored == 1
+        assert genie.counters_dict()["echoes_ignored"] == 1
+
+    def test_disjoint_fleet_traffic_stays_linear(self):
+        from geniesim.harness import ScenarioConfig, SynthSpec, build_genie_scenario, run_built_scenario
+
+        frames = 20
+        car_requests, per_frame = set(), {}
+        for cars in (1, 2, 4, 8):
+            config = ScenarioConfig(
+                n_cars=cars,
+                edge_devices=("AGX",),
+                synth=SynthSpec(route="disjoint", n_frames=frames, overlap_fraction=0.0),
+                seed=7,
+            )
+            scenario = build_genie_scenario(config)
+            report = run_built_scenario(scenario, "DG")
+            assert report.completed == cars * frames
+            car_requests.update(
+                g.counters.requests for n, g in scenario.genies.items() if n.startswith("car")
+            )
+            per_frame[cars] = len(scenario.fabric.deliveries) / (cars * frames)
+        assert len(car_requests) == 1  # a car's work does not grow with the fleet
+        assert per_frame[8] <= 3 * per_frame[1]
 
 
 class TestHitDigest:
