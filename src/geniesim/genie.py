@@ -20,8 +20,13 @@ Message arrival follows one procedure:
   echo     a ``-remote`` answer to an exchange we are not waiting on (another
            vehicle's answer heard on the edge); counted and dropped, so
            deliveries per frame grow linearly with the fleet, not quadratically.
+  late     a ``-local`` answer from the inner node to an exchange a ``-remote``
+           answer already filled; counted and dropped, not re-broadcast.
 
-Cache keys are content digests; headers only identify in-flight exchanges.
+A request whose header is already queued (a peer edge re-sharing the same
+upload) counts as a request and a miss but is not queued again, so each
+exchange is answered once.  Cache keys are content digests; headers only
+identify in-flight exchanges, and one header names one pending exchange.
 """
 
 from __future__ import annotations
@@ -139,19 +144,31 @@ class _TopicMap:
     topic: Topic
     entries: dict[str, CachedValue] = field(default_factory=dict)
     waiters: dict[str, list[Header]] = field(default_factory=dict)  # digest -> requesters
-    pending_by_key: dict[tuple[str, int], str] = field(default_factory=dict)
     pending_created: dict[str, float] = field(default_factory=dict)
     requests: int = 0
     hits: int = 0
     misses: int = 0
 
 
+def _expired_front(stamps: dict, now: float, ttl_ms: float) -> list:
+    """Keys at the front of ``stamps`` (insertion-ordered by a nondecreasing
+    time) whose time is more than ``ttl_ms`` before ``now``; the walk stops
+    at the first live key, so it costs O(expired)."""
+    stale = []
+    for key, t in stamps.items():
+        if now - t <= ttl_ms:
+            break
+        stale.append(key)
+    return stale
+
+
 class TopicCacheDB:
-    """Per-topic hash maps from content digests to cached answers, plus the
-    pending side table keyed by request header."""
+    """Per-topic hash maps from content digests to cached answers, plus one
+    pending index from request header key to (topic, digest)."""
 
     def __init__(self, max_entries: int | None = None) -> None:
         self._maps: dict[str, _TopicMap] = {}
+        self._pending: dict[tuple[str, int], tuple[str, str]] = {}
         self.max_entries = max_entries
 
     def ensure_topic(self, topic: Topic) -> None:
@@ -172,7 +189,13 @@ class TopicCacheDB:
     def lookup(self, name: str, digest: str) -> CachedValue | None:
         return self._maps[name].entries.get(digest)
 
+    def pending(self, key: tuple[str, int]) -> tuple[str, str] | None:
+        """(topic, digest) the header key is queued on, if any."""
+        return self._pending.get(key)
+
     def add_waiter(self, name: str, digest: str, header: Header, now: float) -> None:
+        """Queue ``header`` on the digest; a header key is queued at most once
+        (callers check :meth:`pending` first)."""
         m = self._maps[name]
         if digest not in m.entries:
             m.entries[digest] = CachedValue(None, now, now)
@@ -180,7 +203,7 @@ class TopicCacheDB:
             m.pending_created.pop(digest, None)
             m.pending_created[digest] = now
         m.waiters.setdefault(digest, []).append(header)
-        m.pending_by_key[header.key] = digest
+        self._pending[header.key] = (name, digest)
         self._evict(m)
 
     def fill(
@@ -203,7 +226,7 @@ class TopicCacheDB:
             woken = m.waiters.pop(digest, [])
             m.pending_created.pop(digest, None)
         for w in woken:
-            m.pending_by_key.pop(w.key, None)
+            self._pending.pop(w.key, None)
         return woken
 
     def purge_expired(self, now: float, ttl_ms: float) -> int:
@@ -218,14 +241,9 @@ class TopicCacheDB:
         """
         removed = 0
         for m in self._maps.values():
-            stale = []
-            for digest, t0 in m.pending_created.items():
-                if now - t0 <= ttl_ms:
-                    break
-                stale.append(digest)
-            for digest in stale:
+            for digest in _expired_front(m.pending_created, now, ttl_ms):
                 for w in m.waiters.pop(digest, []):
-                    m.pending_by_key.pop(w.key, None)
+                    self._pending.pop(w.key, None)
                     removed += 1
                 m.pending_created.pop(digest, None)
                 entry = m.entries.get(digest)
@@ -234,7 +252,7 @@ class TopicCacheDB:
         return removed
 
     def pending_count(self) -> int:
-        return sum(len(m.pending_by_key) for m in self._maps.values())
+        return len(self._pending)
 
     def entry_count(self, name: str | None = None) -> int:
         if name is not None:
@@ -285,12 +303,7 @@ class DedupFilter:
         self._last_accept.pop(digest, None)
         self._last_accept[digest] = now
         self.accepted += 1
-        stale = []
-        for seen, t in self._last_accept.items():
-            if now - t <= self.window_ms:
-                break
-            stale.append(seen)
-        for seen in stale:
+        for seen in _expired_front(self._last_accept, now, self.window_ms):
             del self._last_accept[seen]
         return True
 
@@ -309,6 +322,7 @@ class GenieCounters:
     pending_peak: int = 0
     echoes_ignored: int = 0
     expired: int = 0
+    late_answers: int = 0
 
 
 def _always(message: Message, base_topic: str) -> bool:
@@ -365,6 +379,9 @@ class GenieNode(SimNode):
         # answer topics that are never requests: unmatched -remote traffic on
         # them is another exchange's answer, not work for us
         self._echo_names = self._answer_names - {t.name for t in encapsulation.subscribed}
+        # header key -> fill time of exchanges a -remote answer filled while
+        # the inner node still owes its -local answer; FIFO like pending
+        self._late_due: dict[tuple[str, int], float] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -407,6 +424,8 @@ class GenieNode(SimNode):
             self.counters.malformed_dropped += 1
             return
         self.counters.expired += self.db.purge_expired(at, self.pending_ttl_ms)
+        for key in _expired_front(self._late_due, at, self.pending_ttl_ms):
+            del self._late_due[key]
 
         pend = self._pending_answered_by(message)
         if pend is not None:
@@ -414,6 +433,14 @@ class GenieNode(SimNode):
             return
         if flavor == "remote" and base in self._echo_names:
             self.counters.echoes_ignored += 1
+            return
+        if (
+            flavor == "local"
+            and base in self._answer_names
+            and self._late_due.pop(message.header.key, None) is not None
+        ):
+            # not ingested: that would change objrr and the boost curve
+            self.counters.late_answers += 1
             return
 
         self.db.ensure_topic(topic)
@@ -432,20 +459,17 @@ class GenieNode(SimNode):
 
         self.counters.misses += 1
         tm.misses += 1
+        if self.db.pending(message.header.key) is not None:
+            # the same exchange again (a peer edge's re-share): one waiter,
+            # one answer
+            return
+        self.db.add_waiter(base, digest, message.header, at)
+        self._note_pending()
         if entry is not None:
             # request already in flight: queue on it instead of re-broadcasting
-            self.db.add_waiter(base, digest, message.header, at)
-            self._note_pending()
             return
-        if not self.cache_enabled and message.header.key in tm.pending_by_key:
-            # transparency mode keeps no entries, so echoes of an exchange we
-            # already forwarded must converge on the pending key instead
-            return
-
-        self.db.add_waiter(base, digest, message.header, at)
         if not self.cache_enabled:
             tm.entries.pop(digest, None)  # transparency mode stores nothing
-        self._note_pending()
         if self.role is not GenieRole.PHANTOM:
             net.publish(
                 self.name,
@@ -474,8 +498,12 @@ class GenieNode(SimNode):
             self.object_map.ingest(message, at)
         topic_name, digest = pend
         stored = replace(message, via=None) if self.cache_enabled else None
-        only = None if self.cache_enabled else self._waiter_for(topic_name, message.header)
+        only = None if self.cache_enabled else message.header
         woken = self.db.fill(topic_name, digest, stored, at, only=only)
+        if flavor == "remote" and self.role is not GenieRole.PHANTOM:
+            for waiter in woken:
+                self._late_due.pop(waiter.key, None)  # keep fill-time order
+                self._late_due[waiter.key] = at
         # peers that heard the same broadcast we did need no relay from us
         if self.answers_on == "edge" and flavor == "remote":
             return
@@ -514,29 +542,17 @@ class GenieNode(SimNode):
         answer kinds coincide, identical content is the request echoing
         back, not an answer.
         """
-        kind = kind_of(message.payload)
-        for name in self.db.topic_names():
-            m = self.db.topic_map(name)
-            digest = m.pending_by_key.get(message.header.key)
-            if digest is None:
-                continue
-            route = self.encapsulation.routes.get(name)
-            if route is None or route.kind is not kind:
-                continue
-            if m.topic.kind is kind and content_key(message, name) == digest:
-                continue
-            return name, digest
-        return None
-
-    def _waiter_for(self, topic_name: str, header: Header) -> Header | None:
-        m = self.db.topic_map(topic_name)
-        digest = m.pending_by_key.get(header.key)
-        if digest is None:
+        pend = self.db.pending(message.header.key)
+        if pend is None:
             return None
-        for w in m.waiters.get(digest, []):
-            if w.key == header.key:
-                return w
-        return None
+        name, digest = pend
+        kind = kind_of(message.payload)
+        route = self.encapsulation.routes.get(name)
+        if route is None or route.kind is not kind:
+            return None
+        if self.db.topic_map(name).topic.kind is kind and content_key(message, name) == digest:
+            return None
+        return pend
 
     def _answer_surface(self, answer_topic: str) -> tuple[str, str]:
         if self.answers_on == "edge":
@@ -580,5 +596,6 @@ class GenieNode(SimNode):
             "pending_peak": c.pending_peak,
             "echoes_ignored": c.echoes_ignored,
             "expired": c.expired,
+            "late_answers": c.late_answers,
             "topics": per_topic,
         }

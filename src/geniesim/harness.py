@@ -520,6 +520,7 @@ class MetricsReport:
     boost_events: list[tuple[float, str, tuple[int, int, int], float]]
     detector_invocations: dict[str, int]
     detector_oom_failures: dict[str, int]
+    detector_unknown_frames: dict[str, int]
     consumer_stats: dict[str, dict]
 
     @property
@@ -617,6 +618,7 @@ class MetricsReport:
             "detectors": {
                 "invocations": self.detector_invocations,
                 "oom_failures": self.detector_oom_failures,
+                "unknown_frames": self.detector_unknown_frames,
             },
             "consumers": self.consumer_stats,
         }
@@ -655,6 +657,9 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         },
         detector_oom_failures={
             n: d.oom_failures for n, d in sorted(scenario.detectors.items())
+        },
+        detector_unknown_frames={
+            n: d.unknown_frames for n, d in sorted(scenario.detectors.items())
         },
         consumer_stats={
             car: {

@@ -668,3 +668,118 @@ class TestTransparency:
         assert l_payloads == dg_payloads
         # forced misses really disable reuse
         assert dg_report.reuse_ratio("image") == 0.0
+
+
+def spy_publishes(net, sender, monkeypatch):
+    """Record every publish ``sender`` makes from now on."""
+    published = []
+    publish = net.publish
+
+    def spy(frm, *args, **kwargs):
+        if frm == sender:
+            published.append(args)
+        return publish(frm, *args, **kwargs)
+
+    monkeypatch.setattr(net, "publish", spy)
+    return published
+
+
+class TestLateAnswer:
+    """The inner node's ``-local`` answer to an exchange that a ``-remote``
+    answer already filled is late: counted and dropped."""
+
+    ANSWER = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
+
+    def answered_remotely(self, **genie_kwargs):
+        net, genie, inner, consumer, spy = wire_local_genie(**genie_kwargs)
+        net.add_node(SimNode("edge", "EDGE"))
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        net.run_until(10.0)
+        net.publish("edge", self.ANSWER, wire_topic="/objects-remote", network="EDGE", at=10.0)
+        net.run_until(20.0)
+        assert genie.counters.remote_answers == 1
+        assert len(consumer.received) == 1
+        return net, genie, consumer
+
+    def test_late_local_answer_is_counted_and_dropped(self, monkeypatch):
+        net, genie, consumer = self.answered_remotely(object_map=ObjectMapStore())
+        requests, pending = genie.counters.requests, genie.db.pending_count()
+        ingested = []
+        monkeypatch.setattr(genie.object_map, "ingest", lambda *args: ingested.append(args))
+        published = spy_publishes(net, genie.name, monkeypatch)
+        net.publish("inner", self.ANSWER, wire_topic="/objects-local", network="VN1", at=300.0)
+        net.run_until(400.0)
+        assert genie.counters.late_answers == 1
+        assert genie.counters_dict()["late_answers"] == 1
+        assert published == []
+        assert ingested == []
+        assert genie.db.pending_count() == pending
+        assert genie.counters.requests == requests
+        assert not genie.db.has_topic("/objects")
+        assert len(consumer.received) == 1
+
+    def test_late_record_expires_when_the_inner_node_never_answers(self):
+        net, genie, _ = self.answered_remotely(pending_ttl_ms=1000.0)
+        later = [image_message(f"f{seq}", seq=seq, stamp=t) for seq, t in ((1, 900.0), (2, 1100.0))]
+        net.publish("camera", later[0], wire_topic="/image", network="VN1", at=900.0)
+        net.run_until(950.0)
+        assert len(genie._late_due) == 1  # filled at 10 ms, still within the TTL
+        net.publish("camera", later[1], wire_topic="/image", network="VN1", at=1100.0)
+        net.run_until(1150.0)
+        assert genie._late_due == {}
+        # an answer after that is unknown again and takes the stray path
+        net.publish("inner", self.ANSWER, wire_topic="/objects-local", network="VN1", at=1200.0)
+        net.run_until(1300.0)
+        assert genie.counters.late_answers == 0
+        assert genie.db.topic_map("/objects").misses == 1
+
+
+class TestOneAnswerPerExchange:
+    @staticmethod
+    def run(route, cars, frames, edges, overlap=0.5, edge_latency_ms=0.0):
+        from geniesim.harness import ScenarioConfig, SynthSpec, build_genie_scenario, run_built_scenario
+
+        config = ScenarioConfig(
+            n_cars=cars,
+            edge_devices=edges,
+            synth=SynthSpec(route=route, n_frames=frames, overlap_fraction=overlap),
+            seed=7,
+            edge_latency_ms=edge_latency_ms,
+        )
+        scenario = build_genie_scenario(config)
+        run_built_scenario(scenario, "DG")
+        return scenario
+
+    def test_missed_upload_is_answered_once_by_an_edge_pair(self):
+        frames = 3
+        scenario = self.run("disjoint", 1, frames, ("AGX", "A4500"), overlap=0.0)
+        answers = {}
+        for d in scenario.fabric.deliveries:
+            if d.to == "car1/genie" and d.topic == "/objects-remote":
+                answers.setdefault(d.frm, []).append(d.seq)
+        # the A4500 answers every exchange once; the AGX hears that answer
+        # before its own detector finishes, so its answer is late
+        assert answers == {"edge2/genie": list(range(frames))}
+        assert scenario.genies["edge1/genie"].counters.late_answers == frames
+        for name in ("edge1/genie", "edge2/genie"):
+            genie = scenario.genies[name]
+            # a car upload plus the peer edge's re-share of it, both misses
+            assert genie.counters.requests == genie.counters.misses == 2 * frames
+            assert genie.db.topic_names() == ("/image",)
+
+    @pytest.mark.parametrize(
+        "route, cars, edges, overlap, edge_latency_ms",
+        [
+            ("shared-corridor", 4, ("AGX", "A4500"), 0.5, 5.0),
+            ("disjoint", 8, ("AGX",), 0.0, 0.0),
+            ("loop", 1, ("AGX",), 0.9, 0.0),
+        ],
+    )
+    def test_bench_shaped_runs_drain_every_pending_request(
+        self, route, cars, edges, overlap, edge_latency_ms
+    ):
+        scenario = self.run(route, cars, 20, edges, overlap, edge_latency_ms)
+        for genie in scenario.genies.values():
+            c = genie.counters
+            assert genie.db.pending_count() == 0, genie.name
+            assert c.hits + c.misses == c.requests, genie.name

@@ -1,7 +1,8 @@
 """Golden digests: "same behaviour" means byte-identical summary.json.
 
-Reruns a small matrix of synthetic scenarios plus ``scenarios/demo.json``
-under ``compare_baselines`` and checks the sha256 of every emitted
+Reruns a small matrix of synthetic scenarios, two of them in transparency
+mode (``force_miss``), plus ``scenarios/demo.json`` under
+``compare_baselines`` and checks the sha256 of every emitted
 ``summary.json`` against ``golden.json``.  A change that alters any output
 on purpose re-records the file and says why:
 
@@ -31,17 +32,20 @@ DEMO = HERE.parent / "scenarios" / "demo.json"
 ROUTES = ("disjoint", "loop", "shared-corridor")
 CARS = (1, 4)
 EDGES = (("AGX",), ("AGX", "A4500"))
+# transparency mode (force_miss) cells, all on the edge pair
+FORCE_MISS = (("shared-corridor", 4), ("loop", 1))
 FRAMES = 20
 SEED = 7
 
 
-def _config(route: str, cars: int, edges: tuple[str, ...]) -> ScenarioConfig:
+def _config(route: str, cars: int, edges: tuple[str, ...], force_miss: bool = False) -> ScenarioConfig:
     overlap = 0.0 if route == "disjoint" else 0.5
     return ScenarioConfig(
         n_cars=cars,
         edge_devices=edges,
         synth=SynthSpec(route=route, n_frames=FRAMES, overlap_fraction=overlap),
         seed=SEED,
+        force_miss=force_miss,
     )
 
 
@@ -59,6 +63,10 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
                 cell = f"{route}/{cars}cars/{'+'.join(edges)}"
                 report = run_scenario(_config(route, cars, edges))
                 digests[cell] = _summary_sha256(report, work_dir / cell)
+    for route, cars in FORCE_MISS:
+        cell = f"{route}/{cars}cars/AGX+A4500/force_miss"
+        report = run_scenario(_config(route, cars, ("AGX", "A4500"), force_miss=True))
+        digests[cell] = _summary_sha256(report, work_dir / cell)
     for mode, report in compare_baselines(ScenarioConfig.from_json_file(DEMO)).items():
         cell = f"demo/{mode}"
         digests[cell] = _summary_sha256(report, work_dir / cell)
