@@ -16,7 +16,9 @@ Message arrival follows one procedure:
            then park the digest with an empty value so concurrent repeats
            coalesce instead of re-broadcasting.
   hit      known content with a stored answer; augment it from the object
-           map and send it straight back to the sender.
+           map and send it straight back to the sender.  The augmented answer
+           is kept on the entry and reused while the map's version is
+           unchanged, so a repeat hit on an unchanged map does not augment.
   echo     a ``-remote`` answer to an exchange we are not waiting on (another
            vehicle's answer heard on the edge); counted and dropped, so
            deliveries per frame grow linearly with the fleet, not quadratically.
@@ -137,6 +139,9 @@ class CachedValue:
     result: Message | None
     created_ms: float
     last_hit_ms: float
+    # (map version, augmented payload, requests delta, hits delta) of the last
+    # hit answer built from ``result``; see ``GenieNode._serve_hit``
+    augmented: tuple[int, ObjectList, int, int] | None = None
 
 
 @dataclass(slots=True)
@@ -515,11 +520,22 @@ class GenieNode(SimNode):
     def _serve_hit(self, net: Fabric, at: float, request: Message, entry: CachedValue) -> None:
         result = entry.result
         payload = result.payload
-        if isinstance(payload, ObjectList) and self.object_map is not None:
-            # augment adds only objects at or above the map's share threshold
-            payload = self.object_map.augment(payload)
-            # additions are all from_map, so the digest is the stored result's
-            object.__setattr__(payload, "_digest", result.payload._digest)
+        store = self.object_map
+        if isinstance(payload, ObjectList) and store is not None:
+            if entry.augmented is None or entry.augmented[0] != store.version:
+                requests, hits = store.requests, store.hits
+                # augment adds only objects at or above the map's share threshold
+                augmented = store.augment(payload)
+                # additions are all from_map, so the digest is the stored result's
+                object.__setattr__(augmented, "_digest", payload._digest)
+                requests, hits = store.requests - requests, store.hits - hits
+                entry.augmented = (store.version, augmented, requests, hits)
+            else:
+                # same map, same answer: count the lookups augment would have made
+                _, augmented, requests, hits = entry.augmented
+                store.requests += requests
+                store.hits += hits
+            payload = augmented
         out = replace(result, header=request.header, payload=payload, via="hit")
         wire, network = self._answer_surface(result.topic.name)
         net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)

@@ -90,6 +90,14 @@ class ObjectMapStore:
     an ingest lookup hits when the cell already holds a same-label object,
     and an augment scan hits when it contributes at least one stored object
     to a returned result.
+
+    ``version`` counts the ingests of object lists, so it changes whenever
+    the map may have: a new object, or a boosted confidence (which may also
+    lift an object across the threshold without adding a cell).
+    ``GenieNode`` reuses an augmented hit answer while the version is
+    unchanged.  That relies on ``ingest`` being the only writer of a genie's
+    map; a direct write to ``cells`` is not counted, so memoized answers do
+    not see it.
     """
 
     def __init__(
@@ -120,6 +128,7 @@ class ObjectMapStore:
         self._indexed = 0
         self.requests = 0
         self.hits = 0
+        self.version = 0
         self.boost_records: list[BoostRecord] = []
 
     def __len__(self) -> int:
@@ -136,6 +145,7 @@ class ObjectMapStore:
         """
         if not isinstance(message.payload, ObjectList):
             return []
+        self.version += 1
         emitted: list[BoostRecord] = []
         for obj in message.payload.objects:
             cell = quantize(obj.location, self.resolution_m)

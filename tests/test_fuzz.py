@@ -1,11 +1,14 @@
-"""Randomized mini-scenarios checked against the global invariants.
+"""Randomized mini-scenarios checked against the global invariants, and
+their hit answers against a reference that augments on every hit.
 
 The generator is seeded, so failures reproduce; widen MASTER_SEEDS when
 hunting for something specific.
 """
 
 import random
+from dataclasses import replace
 
+from geniesim.genie import GenieNode
 from geniesim.harness import (
     ObjectMapParams,
     ScenarioConfig,
@@ -13,6 +16,9 @@ from geniesim.harness import (
     build_genie_scenario,
     run_built_scenario,
 )
+from geniesim.model import ObjectList
+from geniesim.objectmap import ObjectMapStore
+from geniesim.simnet import Fabric
 
 MASTER_SEEDS = range(6)
 
@@ -103,3 +109,75 @@ def test_random_scenario_reruns_identically():
     a = run_built_scenario(build_genie_scenario(config), "DG").summary_dict()
     b = run_built_scenario(build_genie_scenario(config), "DG").summary_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _reference_serve_hit(self, net, at, request, entry):
+    """``GenieNode._serve_hit`` without the memo: augment on every hit."""
+    result = entry.result
+    payload = result.payload
+    if isinstance(payload, ObjectList) and self.object_map is not None:
+        payload = self.object_map.augment(payload)
+    out = replace(result, header=request.header, payload=payload, via="hit")
+    wire, network = self._answer_surface(result.topic.name)
+    net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)
+
+
+def hit_answers_and_map_counts(config, monkeypatch):
+    """Every hit answer's objects, each store's final (requests, hits), and
+    the number of augment calls."""
+    answers = []
+    publish = Fabric.publish
+    augments = []
+    augment = ObjectMapStore.augment
+
+    def spy_publish(self, sender, message, *args, **kwargs):
+        if message.via == "hit":
+            answers.append((sender, message.header.key, message.payload.objects))
+        return publish(self, sender, message, *args, **kwargs)
+
+    def spy_augment(self, payload):
+        augments.append(payload)
+        return augment(self, payload)
+
+    monkeypatch.setattr(Fabric, "publish", spy_publish)
+    monkeypatch.setattr(ObjectMapStore, "augment", spy_augment)
+    scenario = build_genie_scenario(config)
+    run_built_scenario(scenario, "DG")
+    counts = {
+        name: (genie.object_map.requests, genie.object_map.hits)
+        for name, genie in scenario.genies.items()
+    }
+    return answers, counts, len(augments)
+
+
+# hit-heavy configs: on loop most repeat hits find the map unchanged (and
+# entries are evicted); on the corridor other cars' answers change it between hits
+HIT_HEAVY = {
+    "loop": ScenarioConfig(
+        n_cars=2,
+        edge_devices=("AGX", "A4500"),
+        synth=SynthSpec(route="loop", n_frames=60, overlap_fraction=0.9),
+        max_cache_entries=8,
+    ),
+    "corridor": ScenarioConfig(
+        n_cars=4,
+        edge_devices=("AGX", "A4500"),
+        synth=SynthSpec(route="shared-corridor", n_frames=60, overlap_fraction=0.5),
+    ),
+}
+
+
+def test_memoized_hits_match_always_augmenting_reference(monkeypatch):
+    configs = {m: random_config(random.Random(f"fuzz:{m}")) for m in MASTER_SEEDS}
+    configs.update(HIT_HEAVY)
+    reused = 0
+    for master, config in configs.items():
+        with monkeypatch.context() as m:
+            answers, counts, augments = hit_answers_and_map_counts(config, m)
+        with monkeypatch.context() as m:
+            m.setattr(GenieNode, "_serve_hit", _reference_serve_hit)
+            ref_answers, ref_counts, ref_augments = hit_answers_and_map_counts(config, m)
+        assert answers == ref_answers, master
+        assert counts == ref_counts, master
+        reused += ref_augments - augments
+    assert reused > 0  # the memo's reuse branch ran

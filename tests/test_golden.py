@@ -1,7 +1,8 @@
 """Golden digests: "same behaviour" means byte-identical summary.json.
 
 Reruns a small matrix of synthetic scenarios, two of them in transparency
-mode (``force_miss``), plus ``scenarios/demo.json`` under
+mode (``force_miss``) and one long enough for repeat hits on an unchanged
+object map, plus ``scenarios/demo.json`` under
 ``compare_baselines`` and checks the sha256 of every emitted
 ``summary.json`` against ``golden.json``.  A change that alters any output
 on purpose re-records the file and says why:
@@ -35,15 +36,26 @@ EDGES = (("AGX",), ("AGX", "A4500"))
 # transparency mode (force_miss) cells, all on the edge pair
 FORCE_MISS = (("shared-corridor", 4), ("loop", 1))
 FRAMES = 20
+# (route, cars, frames, overlap) on edge AGX: most of its object hits find
+# the map unchanged since the same result's last hit, which no 20-frame cell does
+REPEAT_HITS = ("loop", 1, 60, 0.9)
 SEED = 7
 
 
-def _config(route: str, cars: int, edges: tuple[str, ...], force_miss: bool = False) -> ScenarioConfig:
-    overlap = 0.0 if route == "disjoint" else 0.5
+def _config(
+    route: str,
+    cars: int,
+    edges: tuple[str, ...],
+    force_miss: bool = False,
+    frames: int = FRAMES,
+    overlap: float | None = None,
+) -> ScenarioConfig:
+    if overlap is None:
+        overlap = 0.0 if route == "disjoint" else 0.5
     return ScenarioConfig(
         n_cars=cars,
         edge_devices=edges,
-        synth=SynthSpec(route=route, n_frames=FRAMES, overlap_fraction=overlap),
+        synth=SynthSpec(route=route, n_frames=frames, overlap_fraction=overlap),
         seed=SEED,
         force_miss=force_miss,
     )
@@ -67,6 +79,10 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
         cell = f"{route}/{cars}cars/AGX+A4500/force_miss"
         report = run_scenario(_config(route, cars, ("AGX", "A4500"), force_miss=True))
         digests[cell] = _summary_sha256(report, work_dir / cell)
+    route, cars, frames, overlap = REPEAT_HITS
+    cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
+    report = run_scenario(_config(route, cars, ("AGX",), frames=frames, overlap=overlap))
+    digests[cell] = _summary_sha256(report, work_dir / cell)
     for mode, report in compare_baselines(ScenarioConfig.from_json_file(DEMO)).items():
         cell = f"demo/{mode}"
         digests[cell] = _summary_sha256(report, work_dir / cell)
