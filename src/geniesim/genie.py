@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable
 
 from .model import (
     LOCAL_SUFFIX,
@@ -81,7 +80,6 @@ class Encapsulation:
     as the answer to an earlier query.
     """
 
-    inner_name: str | None
     subscribed: tuple[Topic, ...]
     published: tuple[Topic, ...]
     rewritten: dict[str, str]
@@ -122,7 +120,6 @@ def encapsulate(spec: ServiceSpec) -> Encapsulation:
 
     names = list(dict.fromkeys(t.name for t in topics))
     return Encapsulation(
-        inner_name=spec.name,
         subscribed=spec.subscribes,
         published=spec.publishes,
         rewritten={n: n + LOCAL_SUFFIX for n in names},
@@ -330,17 +327,11 @@ class GenieCounters:
     late_answers: int = 0
 
 
-def _always(message: Message, base_topic: str) -> bool:
-    return True
-
-
 class GenieNode(SimNode):
     """The caching interposer node.
 
     One per wrapped service (or per phantom assignment).  All state is
     owned by the node and mutated only inside its event callbacks.
-    ``remote_publish_predicate`` decides which misses are shared on the
-    ``-remote`` topics; the default shares every miss.
     """
 
     def __init__(
@@ -358,7 +349,6 @@ class GenieNode(SimNode):
         pending_ttl_ms: float = 10_000.0,
         cache_enabled: bool = True,
         max_entries: int | None = None,
-        remote_publish_predicate: Callable[[Message, str], bool] | None = None,
         answers_on: str | None = None,
     ) -> None:
         super().__init__(name, home_network)
@@ -371,7 +361,6 @@ class GenieNode(SimNode):
         self.answer_overhead_ms = answer_overhead_ms
         self.pending_ttl_ms = pending_ttl_ms
         self.cache_enabled = cache_enabled
-        self.remote_publish_predicate = remote_publish_predicate or _always
         if answers_on is None:
             answers_on = "edge" if role is GenieRole.REMOTE else "home"
         if answers_on not in ("home", "edge"):
@@ -483,7 +472,7 @@ class GenieNode(SimNode):
                 network=self.home_network,
                 at=at + self.miss_overhead_ms,
             )
-        if self.edge_network and self.remote_publish_predicate(message, base):
+        if self.edge_network:
             net.publish(
                 self.name,
                 message,

@@ -2,9 +2,10 @@
 
 Wires cars, caching nodes, detectors and the edge network per config,
 replays a trace as camera requests, and reports response-time samples,
-reuse ratios and confidence-boost curves.  Three execution modes share one
-trace for comparison: local-only (the vehicle computes everything), remote
-(every frame is shipped to the edge), and the full distributed cache.
+reuse ratios and confidence-boost curves.  One builder, ``build_scenario``,
+wires any of three modes over one trace for comparison: local-only (``L``,
+the vehicle computes everything), remote (``R``, every frame is shipped to
+the edge), and the full distributed cache (``DG``).
 
 Response time is measured from frame emission on the car's image topic to
 the first object-list delivery at that car's consumer.
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec, encapsulate
-from .model import Header, ImageRef, Message, PayloadKind, Topic
+from .model import LOCAL_SUFFIX, Header, ImageRef, Message, PayloadKind, Topic
 from .objectmap import ObjectMapStore, UpdateRule
 from .simnet import Fabric, SimNode
 from .workload import (
@@ -158,7 +159,7 @@ class ScenarioConfig:
 def with_phantoms(config: ScenarioConfig, car_ids: Iterable[str]) -> ScenarioConfig:
     """Assign phantom (detector-less) status to the given cars; they get a
     phantom wrapper on the vehicle and a cache-only phantom peer on the
-    edge when the topology is built."""
+    edge when the DG topology is built."""
     updated = replace(config, phantom_cars=tuple(car_ids))
     updated.validate()
     return updated
@@ -252,9 +253,11 @@ class Scenario:
     fabric: Fabric
     consumers: dict[str, ConsumerNode]
     genies: dict[str, GenieNode]
-    genie_scopes: dict[str, str]  # name -> "local" | "remote"
     detectors: dict[str, DetectorNode]
     request_times: dict[tuple[str, int], float]
+
+
+MODES = ("L", "R", "DG")
 
 
 def detector_service() -> ServiceSpec:
@@ -305,35 +308,52 @@ def _replay(scenario: Scenario) -> None:
         net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=f"VN-{frame.car}", at=float(frame.t_ms))
 
 
-def build_genie_scenario(config: ScenarioConfig, trace: Trace | None = None) -> Scenario:
-    """The distributed-cache topology: per car a private network with camera,
-    consumer, detector (unless phantom) and a local wrapper; on the edge one
-    wrapper + detector per edge device, plus a cache-only phantom peer per
-    phantom car."""
+def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str = "DG") -> Scenario:
+    """Wire one topology over the trace.  Every mode gives each car a private
+    network with its camera and consumer; then per mode:
+
+      L   the car's detector answers on the original topics; nothing leaves
+          the vehicle.
+      R   per-car relays carry every frame to one edge detector (the first
+          edge device) and its answer back; no caching anywhere.
+      DG  the distributed cache: per car a local wrapper and, unless the car
+          is phantom, its detector on ``-local``; on the edge one wrapper and
+          detector per edge device, plus a cache-only peer per phantom car.
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     config.validate()
+    if mode == "R" and not config.edge_devices:
+        raise ConfigError("remote baseline needs at least one edge device")
     profiles = config.resolve_profiles()
     trace = trace if trace is not None else _scenario_trace(config)
-    unknown = set(config.phantom_cars) - set(trace.cars)
+    phantoms = config.phantom_cars if mode == "DG" else ()
+    unknown = set(phantoms) - set(trace.cars)
     if unknown:
         raise ConfigError(f"phantom cars not in trace: {sorted(unknown)}")
     net = Fabric(seed=config.seed)
-    net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
+    if mode != "L":
+        net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
+    scenario = Scenario(config, trace, net, {}, {}, {}, {})
+    suffix = LOCAL_SUFFIX if mode == "DG" else ""
     encap = encapsulate(detector_service())
 
-    scenario = Scenario(
-        config=config,
-        trace=trace,
-        fabric=net,
-        consumers={},
-        genies={},
-        genie_scopes={},
-        detectors={},
-        request_times={},
-    )
+    def add_detector(name: str, network: str, device: str) -> None:
+        detector = DetectorNode(
+            name,
+            network,
+            profiles[device],
+            config.model,
+            trace.by_image,
+            request_wire=IMAGE_TOPIC.name + suffix,
+            answer_wire=OBJECTS_TOPIC.name + suffix,
+            answer_topic=OBJECTS_TOPIC,
+        )
+        net.add_node(detector)
+        net.subscribe(name, detector.request_wire, network)
+        scenario.detectors[name] = detector
 
-    def add_genie(
-        name: str, home: str, role: GenieRole, scope: str, answers_on: str | None = None
-    ) -> GenieNode:
+    def add_genie(name: str, home: str, role: GenieRole, answers_on: str | None = None) -> None:
         genie = GenieNode(
             name,
             home,
@@ -351,9 +371,14 @@ def build_genie_scenario(config: ScenarioConfig, trace: Trace | None = None) -> 
         )
         genie.attach(net)
         scenario.genies[name] = genie
-        scenario.genie_scopes[name] = scope
-        return genie
 
+    def add_relay(name: str, home: str, src: tuple[str, str], dst: tuple[str, str]) -> None:
+        relay = RelayNode(name, home, {src: dst})
+        net.add_node(relay, relay.networks())
+        net.subscribe(name, src[1], src[0])
+
+    if mode == "R":
+        add_detector("edge/detector", EDGE_NET, config.edge_devices[0])
     for car in trace.cars:
         vn = f"VN-{car}"
         net.add_network(vn, config.vn_latency_ms, config.vn_jitter_ms)
@@ -364,130 +389,30 @@ def build_genie_scenario(config: ScenarioConfig, trace: Trace | None = None) -> 
         net.add_node(consumer)
         net.subscribe(consumer.name, OBJECTS_TOPIC.name, vn)
         scenario.consumers[car] = consumer
+        if mode == "R":
+            add_relay(f"{car}/uplink", vn, (vn, IMAGE_TOPIC.name), (EDGE_NET, IMAGE_TOPIC.name))
+            add_relay(f"{car}/downlink", vn, (EDGE_NET, OBJECTS_TOPIC.name), (vn, OBJECTS_TOPIC.name))
+        elif car in phantoms:
+            add_genie(f"{car}/genie", vn, GenieRole.PHANTOM)
+        else:
+            if mode == "DG":
+                add_genie(f"{car}/genie", vn, GenieRole.LOCAL)
+            add_detector(f"{car}/detector", vn, config.car_device)
 
-        phantom = car in config.phantom_cars
-        role = GenieRole.PHANTOM if phantom else GenieRole.LOCAL
-        add_genie(f"{car}/genie", vn, role, scope="local", answers_on="home")
-        if not phantom:
-            detector = DetectorNode(
-                f"{car}/detector",
-                vn,
-                profiles[config.car_device],
-                config.model,
-                trace.by_image,
-                request_wire=IMAGE_TOPIC.name + "-local",
-                answer_wire=OBJECTS_TOPIC.name + "-local",
-                answer_topic=OBJECTS_TOPIC,
-            )
-            net.add_node(detector)
-            net.subscribe(detector.name, detector.request_wire, vn)
-            scenario.detectors[detector.name] = detector
-
-    for j, device in enumerate(config.edge_devices, start=1):
-        enet = f"E{j}"
-        net.add_network(enet)
-        add_genie(f"edge{j}/genie", enet, GenieRole.REMOTE, scope="remote")
-        detector = DetectorNode(
-            f"edge{j}/detector",
-            enet,
-            profiles[device],
-            config.model,
-            trace.by_image,
-            request_wire=IMAGE_TOPIC.name + "-local",
-            answer_wire=OBJECTS_TOPIC.name + "-local",
-            answer_topic=OBJECTS_TOPIC,
-        )
-        net.add_node(detector)
-        net.subscribe(detector.name, detector.request_wire, enet)
-        scenario.detectors[detector.name] = detector
-
-    for car in config.phantom_cars:
-        add_genie(
-            f"edge/phantom-{car}", EDGE_NET, GenieRole.PHANTOM, scope="remote", answers_on="edge"
-        )
+    if mode == "DG":
+        for j, device in enumerate(config.edge_devices, start=1):
+            enet = f"E{j}"
+            net.add_network(enet)
+            add_genie(f"edge{j}/genie", enet, GenieRole.REMOTE)
+            add_detector(f"edge{j}/detector", enet, device)
+        for car in phantoms:
+            add_genie(f"edge/phantom-{car}", EDGE_NET, GenieRole.PHANTOM, answers_on="edge")
 
     return scenario
 
 
-def build_local_scenario(config: ScenarioConfig, trace: Trace | None = None) -> Scenario:
-    """Local-only baseline: the car's detector answers on the original
-    topics, nothing leaves the vehicle."""
-    config.validate()
-    profiles = config.resolve_profiles()
-    trace = trace if trace is not None else _scenario_trace(config)
-    net = Fabric(seed=config.seed)
-    scenario = Scenario(config, trace, net, {}, {}, {}, {}, {})
-    for car in trace.cars:
-        vn = f"VN-{car}"
-        net.add_network(vn, config.vn_latency_ms, config.vn_jitter_ms)
-        net.add_node(SimNode(f"{car}/camera", vn))
-        consumer = ConsumerNode(
-            f"{car}/consumer", vn, f"{car}/camera", scenario.request_times, config.dedup_window_ms
-        )
-        net.add_node(consumer)
-        net.subscribe(consumer.name, OBJECTS_TOPIC.name, vn)
-        scenario.consumers[car] = consumer
-        detector = DetectorNode(
-            f"{car}/detector",
-            vn,
-            profiles[config.car_device],
-            config.model,
-            trace.by_image,
-            request_wire=IMAGE_TOPIC.name,
-            answer_wire=OBJECTS_TOPIC.name,
-            answer_topic=OBJECTS_TOPIC,
-        )
-        net.add_node(detector)
-        net.subscribe(detector.name, IMAGE_TOPIC.name, vn)
-        scenario.detectors[detector.name] = detector
-    return scenario
-
-
-def build_remote_scenario(config: ScenarioConfig, trace: Trace | None = None) -> Scenario:
-    """Remote baseline: every frame is relayed to a single edge detector
-    (first edge device) and the answer relayed back; no caching anywhere."""
-    config.validate()
-    if not config.edge_devices:
-        raise ConfigError("remote baseline needs at least one edge device")
-    profiles = config.resolve_profiles()
-    trace = trace if trace is not None else _scenario_trace(config)
-    net = Fabric(seed=config.seed)
-    net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
-    scenario = Scenario(config, trace, net, {}, {}, {}, {}, {})
-    detector = DetectorNode(
-        "edge/detector",
-        EDGE_NET,
-        profiles[config.edge_devices[0]],
-        config.model,
-        trace.by_image,
-        request_wire=IMAGE_TOPIC.name,
-        answer_wire=OBJECTS_TOPIC.name,
-        answer_topic=OBJECTS_TOPIC,
-    )
-    net.add_node(detector)
-    net.subscribe(detector.name, IMAGE_TOPIC.name, EDGE_NET)
-    scenario.detectors[detector.name] = detector
-    for car in trace.cars:
-        vn = f"VN-{car}"
-        net.add_network(vn, config.vn_latency_ms, config.vn_jitter_ms)
-        net.add_node(SimNode(f"{car}/camera", vn))
-        consumer = ConsumerNode(
-            f"{car}/consumer", vn, f"{car}/camera", scenario.request_times, config.dedup_window_ms
-        )
-        net.add_node(consumer)
-        net.subscribe(consumer.name, OBJECTS_TOPIC.name, vn)
-        scenario.consumers[car] = consumer
-        uplink = RelayNode(
-            f"{car}/uplink", vn, {(vn, IMAGE_TOPIC.name): (EDGE_NET, IMAGE_TOPIC.name)}
-        )
-        net.add_node(uplink, uplink.networks())
-        net.subscribe(uplink.name, IMAGE_TOPIC.name, vn)
-        downlink = RelayNode(
-            f"{car}/downlink", vn, {(EDGE_NET, OBJECTS_TOPIC.name): (vn, OBJECTS_TOPIC.name)}
-        )
-        net.add_node(downlink, downlink.networks())
-        net.subscribe(downlink.name, OBJECTS_TOPIC.name, EDGE_NET)
-    return scenario
+# the benchmark and the acceptance suite call the DG builder by this name
+build_genie_scenario = build_scenario
 
 
 # -- metrics -----------------------------------------------------------------
@@ -650,7 +575,10 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         samples=samples,
         total_requests=len(scenario.trace.frames),
         per_genie=per_genie,
-        genie_scopes=dict(scenario.genie_scopes),
+        genie_scopes={
+            name: "remote" if genie.answers_on == "edge" else "local"
+            for name, genie in scenario.genies.items()
+        },
         boost_events=boost,
         detector_invocations={
             n: d.invocations for n, d in sorted(scenario.detectors.items())
@@ -680,19 +608,14 @@ def run_built_scenario(scenario: Scenario, mode: str) -> MetricsReport:
 
 
 def run_scenario(config: ScenarioConfig, trace: Trace | None = None) -> MetricsReport:
-    scenario = build_genie_scenario(config, trace)
-    return run_built_scenario(scenario, "DG")
+    return run_built_scenario(build_scenario(config, trace), "DG")
 
 
 def compare_baselines(config: ScenarioConfig) -> dict[str, MetricsReport]:
     """Local-only (L), remote-only (R) and distributed-cache (DG) runs over
     the identical trace and seed."""
     trace = _scenario_trace(config)
-    return {
-        "L": run_built_scenario(build_local_scenario(config, trace), "L"),
-        "R": run_built_scenario(build_remote_scenario(config, trace), "R"),
-        "DG": run_built_scenario(build_genie_scenario(config, trace), "DG"),
-    }
+    return {mode: run_built_scenario(build_scenario(config, trace, mode), mode) for mode in MODES}
 
 
 # -- report files ---------------------------------------------------------------

@@ -1,26 +1,29 @@
 """Randomized mini-scenarios checked against the global invariants, and
 their hit answers against a reference that augments on every hit.
 
+Each config runs in the L, R and DG modes; the cache checks apply to DG.
 The generator is seeded, so failures reproduce; widen MASTER_SEEDS when
 hunting for something specific.
 """
 
+import json
 import random
 from dataclasses import replace
 
 from geniesim.genie import GenieNode
 from geniesim.harness import (
+    MODES,
     ObjectMapParams,
     ScenarioConfig,
     SynthSpec,
-    build_genie_scenario,
+    build_scenario,
     run_built_scenario,
 )
 from geniesim.model import ObjectList
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric
 
-MASTER_SEEDS = range(6)
+MASTER_SEEDS = range(12)
 
 
 def random_config(rng: random.Random) -> ScenarioConfig:
@@ -55,14 +58,35 @@ def random_config(rng: random.Random) -> ScenarioConfig:
     )
 
 
-def check_invariants(config: ScenarioConfig) -> None:
-    scenario = build_genie_scenario(config)
-    report = run_built_scenario(scenario, "DG")
+def _run(config: ScenarioConfig, mode: str):
+    scenario = build_scenario(config, mode=mode)
+    return scenario, run_built_scenario(scenario, mode)
 
-    assert report.completed <= report.total_requests
-    for sample in report.samples:
-        assert sample.latency_ms >= 0.0
 
+def check_invariants(config: ScenarioConfig) -> int:
+    """Check the config in every mode it can be built in (R needs an edge
+    device); return the number of cache hits its DG run served."""
+    hits = 0
+    for mode in MODES:
+        if mode == "R" and not config.edge_devices:
+            continue
+        scenario, report = _run(config, mode)
+
+        assert report.completed <= report.total_requests, mode
+        for sample in report.samples:
+            assert sample.latency_ms >= 0.0, mode
+        for record in scenario.fabric.deliveries:
+            assert record.time_ms >= record.published_ms, mode
+        assert _run(config, mode)[1].summary_dict() == report.summary_dict(), mode
+
+        if mode == "DG":
+            check_genies(config, scenario, report)
+            hits = sum(stats["hits"] for stats in report.per_genie.values())
+    return hits
+
+
+def check_genies(config: ScenarioConfig, scenario, report) -> None:
+    """The cache, object-map and phantom invariants of a DG run."""
     for name, stats in report.per_genie.items():
         assert stats["hits"] + stats["misses"] == stats["requests"], name
         for kind in ("image", "object"):
@@ -87,27 +111,24 @@ def check_invariants(config: ScenarioConfig) -> None:
         totals = [total for *_, total in report.boost_curve()]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
-    for record in scenario.fabric.deliveries:
-        assert record.time_ms >= record.published_ms
-
     for car in config.phantom_cars:
         assert f"{car}/detector" not in report.detector_invocations
 
 
 def test_random_scenarios_hold_invariants():
+    hits = 0
     for master in MASTER_SEEDS:
         rng = random.Random(f"fuzz:{master}")
         config = random_config(rng)
-        check_invariants(config)
+        hits += check_invariants(config)
+    assert hits > 0  # the configs reach the cache-hit path
 
 
 def test_random_scenario_reruns_identically():
     rng = random.Random("fuzz:repeat")
     config = random_config(rng)
-    import json
-
-    a = run_built_scenario(build_genie_scenario(config), "DG").summary_dict()
-    b = run_built_scenario(build_genie_scenario(config), "DG").summary_dict()
+    a = run_built_scenario(build_scenario(config), "DG").summary_dict()
+    b = run_built_scenario(build_scenario(config), "DG").summary_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -141,7 +162,7 @@ def hit_answers_and_map_counts(config, monkeypatch):
 
     monkeypatch.setattr(Fabric, "publish", spy_publish)
     monkeypatch.setattr(ObjectMapStore, "augment", spy_augment)
-    scenario = build_genie_scenario(config)
+    scenario = build_scenario(config)
     run_built_scenario(scenario, "DG")
     counts = {
         name: (genie.object_map.requests, genie.object_map.hits)

@@ -736,7 +736,7 @@ class TestTransparency:
             ScenarioConfig,
             SynthSpec,
             _scenario_trace,
-            build_local_scenario,
+            build_scenario,
             run_built_scenario,
             run_scenario,
         )
@@ -754,7 +754,7 @@ class TestTransparency:
             seed=5,
         )
         trace = _scenario_trace(baseline)
-        l_report = run_built_scenario(build_local_scenario(baseline, trace), "L")
+        l_report = run_built_scenario(build_scenario(baseline, trace, "L"), "L")
         dg_report = run_scenario(config, trace)
         l_payloads = {
             (s.car, s.seq): payload_bytes(strip_map_objects(s.message).payload)

@@ -2,10 +2,10 @@
 
 Reruns a small matrix of synthetic scenarios, two of them in transparency
 mode (``force_miss``) and one long enough for repeat hits on an unchanged
-object map, plus ``scenarios/demo.json`` under
-``compare_baselines`` and checks the sha256 of every emitted
-``summary.json`` against ``golden.json``.  A change that alters any output
-on purpose re-records the file and says why:
+object map, plus ``scenarios/demo.json`` and a jittered corridor with a
+phantom car under ``compare_baselines``, and checks the sha256 of every
+emitted ``summary.json`` against ``golden.json``.  A change that alters any
+output on purpose re-records the file and says why:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -40,6 +40,18 @@ FRAMES = 20
 # the map unchanged since the same result's last hit, which no 20-frame cell does
 REPEAT_HITS = ("loop", 1, 60, 0.9)
 SEED = 7
+# L/R/DG over one jittered corridor with a phantom car: jitter makes each
+# delivery's seeded draw depend on subscription order, and phantoms apply
+# only in DG
+JITTER_PHANTOM = ScenarioConfig(
+    n_cars=3,
+    edge_devices=("AGX", "A4500"),
+    synth=SynthSpec(route="shared-corridor", n_frames=FRAMES, overlap_fraction=0.5),
+    seed=SEED,
+    phantom_cars=("car3",),
+    vn_jitter_ms=1.5,
+    edge_jitter_ms=4.0,
+)
 
 
 def _config(
@@ -83,9 +95,11 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
     cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
     report = run_scenario(_config(route, cars, ("AGX",), frames=frames, overlap=overlap))
     digests[cell] = _summary_sha256(report, work_dir / cell)
-    for mode, report in compare_baselines(ScenarioConfig.from_json_file(DEMO)).items():
-        cell = f"demo/{mode}"
-        digests[cell] = _summary_sha256(report, work_dir / cell)
+    baselines = {"demo": ScenarioConfig.from_json_file(DEMO), "jitter-phantom": JITTER_PHANTOM}
+    for name, config in baselines.items():
+        for mode, report in compare_baselines(config).items():
+            cell = f"{name}/{mode}"
+            digests[cell] = _summary_sha256(report, work_dir / cell)
     return digests
 
 

@@ -10,6 +10,7 @@ from geniesim.harness import (
     ScenarioConfig,
     SynthSpec,
     build_genie_scenario,
+    build_scenario,
     compare_baselines,
     emit_report,
     empirical_cdf,
@@ -180,6 +181,30 @@ class TestCompareBaselines:
         }
         for s in reports["DG"].samples:
             assert payload_bytes(strip_map_objects(s.message).payload) == l_content[(s.car, s.seq)]
+
+
+class TestBuildScenario:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="mode"):
+            build_scenario(small_loop(), mode="LR")
+
+    def test_remote_mode_needs_an_edge_device(self):
+        with pytest.raises(ConfigError, match="edge device"):
+            build_scenario(small_loop(edge_devices=()), mode="R")
+
+    def test_scope_follows_where_a_genie_answers(self):
+        config = small_loop(n_cars=2, edge_devices=("AGX", "A4500"), phantom_cars=("car2",))
+        reports = compare_baselines(config)
+        assert reports["DG"].genie_scopes == {
+            "car1/genie": "local",
+            "car2/genie": "local",
+            "edge1/genie": "remote",
+            "edge2/genie": "remote",
+            "edge/phantom-car2": "remote",
+        }
+        assert reports["L"].genie_scopes == reports["R"].genie_scopes == {}
+        # phantoms apply only to the cache: L and R run car2's frames as usual
+        assert reports["L"].detector_invocations["car2/detector"] == 30
 
 
 class TestPhantoms:
