@@ -2,7 +2,8 @@
 
 Reruns a small matrix of synthetic scenarios, two of them in transparency
 mode (``force_miss``) and one long enough for repeat hits on an unchanged
-object map, plus ``scenarios/demo.json`` and a jittered corridor with a
+object map; two short-TTL corridor cells that expire pending requests, one
+with a three-entry LRU and one in transparency mode; plus ``scenarios/demo.json`` and a jittered corridor with a
 phantom car under ``compare_baselines``, and checks the sha256 of every
 emitted ``summary.json`` against ``golden.json``.  A change that alters any
 output on purpose re-records the file and says why:
@@ -16,6 +17,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from geniesim.harness import (
@@ -40,6 +42,10 @@ FRAMES = 20
 # the map unchanged since the same result's last hit, which no 20-frame cell does
 REPEAT_HITS = ("loop", 1, 60, 0.9)
 SEED = 7
+# (cell suffix, config overrides) on one short-TTL corridor: pending requests
+# expire, "lru3" evicts (ties on last-hit time break by park order) and
+# "force_miss" re-parks a digest when a second requester queues on it
+SHORT_TTL = (("lru3", {"max_cache_entries": 3}), ("force_miss", {"force_miss": True}))
 # L/R/DG over one jittered corridor with a phantom car: jitter makes each
 # delivery's seeded draw depend on subscription order, and phantoms apply
 # only in DG
@@ -90,6 +96,11 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
     for route, cars in FORCE_MISS:
         cell = f"{route}/{cars}cars/AGX+A4500/force_miss"
         report = run_scenario(_config(route, cars, ("AGX", "A4500"), force_miss=True))
+        digests[cell] = _summary_sha256(report, work_dir / cell)
+    for suffix, overrides in SHORT_TTL:
+        cell = f"ttl150/{suffix}"
+        config = _config("shared-corridor", 3, ("AGX", "A4500"), frames=40, overlap=0.6)
+        report = run_scenario(replace(config, pending_ttl_ms=150.0, **overrides))
         digests[cell] = _summary_sha256(report, work_dir / cell)
     route, cars, frames, overlap = REPEAT_HITS
     cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
