@@ -13,8 +13,8 @@ Message arrival follows one procedure:
            requester waiting on that content digest.
   miss     unseen content; forward to the inner node on ``-local`` (never
            for phantoms, which wrap nothing) and to peers on ``-remote``,
-           then park the digest with an empty value so concurrent repeats
-           coalesce instead of re-broadcasting.
+           then park the digest as one pending record that concurrent
+           repeats queue on instead of re-broadcasting.
   hit      known content with a stored answer; augment it from the object
            map and send it straight back to the sender.  The augmented answer
            is kept on the entry and reused while the map's version is
@@ -29,6 +29,10 @@ A request whose header is already queued (a peer edge re-sharing the same
 upload) counts as a request and a miss but is not queued again, so each
 exchange is answered once.  Cache keys are content digests; headers only
 identify in-flight exchanges, and one header names one pending exchange.
+
+Transparency mode (``cache_enabled=False``) runs the same procedure over a
+cache DB that never stores: every request is forwarded and each answer goes
+only to its own requester.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ class Encapsulation:
     subscribed: tuple[Topic, ...]
     published: tuple[Topic, ...]
     rewritten: dict[str, str]
-    exposed_remote: tuple[str, ...]
     routes: dict[str, Topic]
 
     def topics(self) -> tuple[Topic, ...]:
@@ -93,9 +96,9 @@ class Encapsulation:
 def encapsulate(spec: ServiceSpec) -> Encapsulation:
     """Build the wiring plan for wrapping ``spec``.
 
-    Every declared topic gets exactly one ``-local`` rewrite and one
-    ``-remote`` exposure.  Topics that already carry either suffix are
-    rejected: they belong to an existing wrapper.
+    Every declared topic gets exactly one ``-local`` rewrite (its ``-remote``
+    name is derived by :meth:`GenieNode.subscriptions`).  Topics that already
+    carry either suffix are rejected: they belong to an existing wrapper.
     """
     topics = spec.subscribes + spec.publishes
     seen: dict[str, Topic] = {}
@@ -123,7 +126,6 @@ def encapsulate(spec: ServiceSpec) -> Encapsulation:
         subscribed=spec.subscribes,
         published=spec.publishes,
         rewritten={n: n + LOCAL_SUFFIX for n in names},
-        exposed_remote=tuple(n + REMOTE_SUFFIX for n in names),
         routes=routes,
     )
 
@@ -133,20 +135,20 @@ def encapsulate(spec: ServiceSpec) -> Encapsulation:
 
 @dataclass(slots=True)
 class CachedValue:
-    result: Message | None
-    created_ms: float
+    result: Message | None  # None while pending
+    created_ms: float  # park time
     last_hit_ms: float
     # (map version, augmented payload, requests delta, hits delta) of the last
     # hit answer built from ``result``; see ``GenieNode._serve_hit``
     augmented: tuple[int, ObjectList, int, int] | None = None
+    waiters: list[Header] = field(default_factory=list)  # requesters owed an answer
 
 
 @dataclass(slots=True)
 class _TopicMap:
     topic: Topic
-    entries: dict[str, CachedValue] = field(default_factory=dict)
-    waiters: dict[str, list[Header]] = field(default_factory=dict)  # digest -> requesters
-    pending_created: dict[str, float] = field(default_factory=dict)
+    entries: dict[str, CachedValue] = field(default_factory=dict)  # what lookups see
+    pending: dict[str, CachedValue] = field(default_factory=dict)  # in flight, park order
     requests: int = 0
     hits: int = 0
     misses: int = 0
@@ -165,22 +167,25 @@ def _expired_front(stamps: dict, now: float, ttl_ms: float) -> list:
 
 
 class TopicCacheDB:
-    """Per-topic hash maps from content digests to cached answers, plus one
-    pending index from request header key to (topic, digest)."""
+    """Per-topic hash maps from content digests to one record each, plus one
+    pending index from request header key to (topic, digest).
 
-    def __init__(self, max_entries: int | None = None) -> None:
+    With ``stores=False`` (transparency mode) no record enters ``entries``:
+    every lookup misses, no repeat coalesces, and each answer wakes only the
+    requester whose header key it carries.
+    """
+
+    def __init__(self, max_entries: int | None = None, stores: bool = True) -> None:
         self._maps: dict[str, _TopicMap] = {}
         self._pending: dict[tuple[str, int], tuple[str, str]] = {}
         self.max_entries = max_entries
+        self.stores = stores
 
     def ensure_topic(self, topic: Topic) -> None:
         """Create the hash map for a never-seen topic; duplicate builds are
         no-ops so concurrent first-messages are legal."""
         if topic.name not in self._maps:
             self._maps[topic.name] = _TopicMap(topic)
-
-    def has_topic(self, name: str) -> bool:
-        return name in self._maps
 
     def topic_map(self, name: str) -> _TopicMap:
         return self._maps[name]
@@ -195,71 +200,74 @@ class TopicCacheDB:
         """(topic, digest) the header key is queued on, if any."""
         return self._pending.get(key)
 
-    def add_waiter(self, name: str, digest: str, header: Header, now: float) -> None:
-        """Queue ``header`` on the digest; a header key is queued at most once
-        (callers check :meth:`pending` first)."""
+    def add_waiter(self, name: str, digest: str, header: Header, now: float) -> bool:
+        """Queue ``header`` on the digest; return whether it joined a request
+        in flight.  Without storage nothing joins: a repeat re-parks the
+        digest at the back with a new clock, earlier waiters included.  A
+        header key is queued at most once (callers check :meth:`pending`)."""
         m = self._maps[name]
-        if digest not in m.entries:
-            m.entries[digest] = CachedValue(None, now, now)
-            # transparency mode drops pending entries: re-park at the back
-            m.pending_created.pop(digest, None)
-            m.pending_created[digest] = now
-        m.waiters.setdefault(digest, []).append(header)
+        record = m.pending.get(digest)
+        in_flight = record is not None and self.stores
+        if record is None:
+            record = m.pending[digest] = CachedValue(None, now, now)
+            if self.stores:
+                m.entries[digest] = record
+        elif not in_flight:
+            record.created_ms = now
+            m.pending[digest] = m.pending.pop(digest)
+        record.waiters.append(header)
         self._pending[header.key] = (name, digest)
         self._evict(m)
+        return in_flight
 
-    def fill(
-        self, name: str, digest: str, result: Message | None, now: float, only: Header | None = None
-    ) -> list[Header]:
-        """Store ``result`` for the digest (first answer wins) and detach
-        waiters.  With ``only`` set, just that requester is detached; the
-        digest stays pending for the rest."""
+    def fill(self, name: str, digest: str, result: Message) -> list[Header]:
+        """Store ``result`` on the pending digest and detach its waiters (a
+        digest no longer pending wakes nobody: the first answer wins).  Without
+        storage only the waiter whose header key ``result`` carries wakes."""
         m = self._maps[name]
-        entry = m.entries.get(digest)
-        if result is not None and entry is not None and entry.result is None:
-            entry.result = result
-        if only is not None:
-            woken = [w for w in m.waiters.get(digest, []) if w.key == only.key]
-            m.waiters[digest] = [w for w in m.waiters.get(digest, []) if w.key != only.key]
-            if not m.waiters[digest]:
-                del m.waiters[digest]
-                m.pending_created.pop(digest, None)
+        record = m.pending.get(digest)
+        if record is None:
+            return []
+        if self.stores:
+            record.result = result
+            woken, record.waiters = record.waiters, []
         else:
-            woken = m.waiters.pop(digest, [])
-            m.pending_created.pop(digest, None)
+            woken = [w for w in record.waiters if w.key == result.header.key]
+            record.waiters = [w for w in record.waiters if w.key != result.header.key]
+        if not record.waiters:
+            del m.pending[digest]
         for w in woken:
             self._pending.pop(w.key, None)
         return woken
 
     def purge_expired(self, now: float, ttl_ms: float) -> int:
-        """Drop pending requests older than the TTL; an entry still empty
-        after its waiters expire is removed so a later repeat re-requests.
+        """Drop pending requests older than the TTL with their records, so a
+        later repeat re-requests; returns the number of waiters dropped.
 
         Callers pass a nondecreasing ``now`` (``GenieNode`` passes the fabric
-        clock).  Digests are parked at that clock and a re-park moves them
-        to the back, so the insertion order of ``pending_created`` is
-        creation order and the walk stops at the first live entry: the
+        clock) and a re-park moves a digest to the back, so ``pending`` is in
+        park-time order and the walk stops at the first live record: the
         cost is O(expired + topics), not O(pending).
         """
         removed = 0
         for m in self._maps.values():
-            for digest in _expired_front(m.pending_created, now, ttl_ms):
-                for w in m.waiters.pop(digest, []):
+            stale = []
+            for digest, record in m.pending.items():
+                if now - record.created_ms <= ttl_ms:
+                    break
+                stale.append(digest)
+            for digest in stale:
+                for w in m.pending.pop(digest).waiters:
                     self._pending.pop(w.key, None)
                     removed += 1
-                m.pending_created.pop(digest, None)
-                entry = m.entries.get(digest)
-                if entry is not None and entry.result is None:
-                    del m.entries[digest]
+                m.entries.pop(digest, None)
         return removed
 
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def entry_count(self, name: str | None = None) -> int:
-        if name is not None:
-            return len(self._maps[name].entries)
-        return sum(len(m.entries) for m in self._maps.values())
+    def entry_count(self, name: str) -> int:
+        return len(self._maps[name].entries)
 
     def _evict(self, m: _TopicMap) -> None:
         if self.max_entries is None:
@@ -360,13 +368,12 @@ class GenieNode(SimNode):
         self.miss_overhead_ms = miss_overhead_ms
         self.answer_overhead_ms = answer_overhead_ms
         self.pending_ttl_ms = pending_ttl_ms
-        self.cache_enabled = cache_enabled
         if answers_on is None:
             answers_on = "edge" if role is GenieRole.REMOTE else "home"
         if answers_on not in ("home", "edge"):
             raise ValueError(f"answers_on must be 'home' or 'edge', got {answers_on!r}")
         self.answers_on = answers_on
-        self.db = TopicCacheDB(max_entries=max_entries)
+        self.db = TopicCacheDB(max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
         self._topics = {t.name: t for t in encapsulation.topics()}
         self._answer_names = {t.name for t in encapsulation.routes.values()}
@@ -443,7 +450,7 @@ class GenieNode(SimNode):
         self.counters.requests += 1
         tm.requests += 1
 
-        entry = self.db.lookup(base, digest) if self.cache_enabled else None
+        entry = self.db.lookup(base, digest)
         if entry is not None and entry.result is not None:
             self.counters.hits += 1
             tm.hits += 1
@@ -457,13 +464,10 @@ class GenieNode(SimNode):
             # the same exchange again (a peer edge's re-share): one waiter,
             # one answer
             return
-        self.db.add_waiter(base, digest, message.header, at)
-        self._note_pending()
-        if entry is not None:
-            # request already in flight: queue on it instead of re-broadcasting
-            return
-        if not self.cache_enabled:
-            tm.entries.pop(digest, None)  # transparency mode stores nothing
+        in_flight = self.db.add_waiter(base, digest, message.header, at)
+        self.counters.pending_peak = max(self.counters.pending_peak, self.db.pending_count())
+        if in_flight:
+            return  # queued on the request in flight instead of re-broadcasting
         if self.role is not GenieRole.PHANTOM:
             net.publish(
                 self.name,
@@ -491,9 +495,7 @@ class GenieNode(SimNode):
         if self.object_map is not None:
             self.object_map.ingest(message, at)
         topic_name, digest = pend
-        stored = replace(message, via=None) if self.cache_enabled else None
-        only = None if self.cache_enabled else message.header
-        woken = self.db.fill(topic_name, digest, stored, at, only=only)
+        woken = self.db.fill(topic_name, digest, replace(message, via=None))
         if flavor == "remote" and self.role is not GenieRole.PHANTOM:
             for waiter in woken:
                 self._late_due.pop(waiter.key, None)  # keep fill-time order
@@ -563,9 +565,6 @@ class GenieNode(SimNode):
         if self.answers_on == "edge":
             return answer_topic + REMOTE_SUFFIX, self.edge_network
         return answer_topic, self.home_network
-
-    def _note_pending(self) -> None:
-        self.counters.pending_peak = max(self.counters.pending_peak, self.db.pending_count())
 
     # -- export ---------------------------------------------------------------------
 

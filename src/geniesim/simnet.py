@@ -143,10 +143,7 @@ class Fabric:
     # -- topology -----------------------------------------------------------
 
     def add_network(self, name: str, latency_ms: float = 0.0, jitter_ms: float = 0.0) -> None:
-        self.set_link(Link(name, name, latency_ms, jitter_ms))
-
-    def set_link(self, link: Link) -> None:
-        self._links[(link.from_net, link.to_net)] = link
+        self._links[(name, name)] = Link(name, name, latency_ms, jitter_ms)
 
     def add_node(self, node: SimNode, networks: tuple[str, ...] | None = None) -> SimNode:
         if node.name in self._nodes:
@@ -221,28 +218,18 @@ class Fabric:
             count += 1
         return count
 
-    def run_until(self, t_end: float) -> list[DeliveryRecord]:
+    def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic
-        order; returns the delivery records produced by this call."""
+        order, appending one record per delivery to ``deliveries``."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end} before clock {self.clock}")
-        produced: list[DeliveryRecord] = []
         for due, item in self.queue.pop_due(t_end):
             d: _Delivery = item
-            record = DeliveryRecord(
-                time_ms=due,
-                frm=d.frm,
-                to=d.to,
-                topic=d.wire_topic,
-                seq=d.message.header.seq,
-                origin=d.message.header.origin,
-                network=d.network,
-                published_ms=d.published_ms,
-            )
-            self.deliveries.append(record)
-            produced.append(record)
+            header = d.message.header
+            self.deliveries.append(DeliveryRecord(
+                due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms
+            ))
             self._nodes[d.to].on_message(self, due, d.network, d.wire_topic, d.message)
-        return produced
 
     def log_jsonl(self) -> str:
         return "\n".join(r.to_log_line() for r in self.deliveries)

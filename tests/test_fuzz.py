@@ -102,10 +102,16 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
         for objects in store.cells.values():
             for stored in objects:
                 assert 0.0 <= stored.confidence <= 1.0
+        # the header-key index and the pending records agree both ways
+        db = genie.db
+        pending = {name: db.topic_map(name).pending for name in db.topic_names()}
+        waiters = sum(len(r.waiters) for p in pending.values() for r in p.values())
+        assert db.pending_count() == waiters, genie.name
+        for key, (name, digest) in db._pending.items():
+            assert key in {w.key for w in pending[name][digest].waiters}, (genie.name, key)
         if config.max_cache_entries is not None:
-            for topic in genie.db.topic_names():
-                pending = len(genie.db.topic_map(topic).pending_created)
-                assert genie.db.entry_count(topic) <= config.max_cache_entries + pending
+            for name in db.topic_names():
+                assert db.entry_count(name) <= config.max_cache_entries + len(pending[name])
 
     if config.object_map.update_rule == "ascend":
         totals = [total for *_, total in report.boost_curve()]

@@ -27,12 +27,11 @@ class TestEncapsulate:
     def test_detector_surface(self):
         encap = encapsulate(detector_spec())
         assert encap.rewritten == {"/image": "/image-local", "/objects": "/objects-local"}
-        assert set(encap.exposed_remote) == {"/image-remote", "/objects-remote"}
         assert encap.routes == {"/image": OBJECTS}
 
     def test_empty_spec_is_valid_noop(self):
         encap = encapsulate(ServiceSpec("idle", (), ()))
-        assert encap.rewritten == {} and encap.exposed_remote == () and encap.routes == {}
+        assert encap.rewritten == {} and encap.routes == {}
 
     def test_already_rewritten_rejected(self):
         bad = ServiceSpec(
@@ -77,7 +76,7 @@ class TestTopicCacheDB:
         db.ensure_topic(Topic("/image2", PayloadKind.IMAGE))
         msg_a = image_message("same-content")
         db.add_waiter("/image", content_key(msg_a, "/image"), Header("a", 0, 0.0), 0.0)
-        db.fill("/image", content_key(msg_a, "/image"), objects_message(()), 1.0)
+        db.fill("/image", content_key(msg_a, "/image"), objects_message(()))
         # same digest string under the second topic is still a miss
         assert db.lookup("/image2", content_key(msg_a, "/image")) is None
 
@@ -96,7 +95,7 @@ class TestTopicCacheDB:
         h1, h2 = Header("a", 0, 0.0), Header("a", 1, 0.0)
         db.add_waiter("/image", "d1", h1, 0.0)
         db.add_waiter("/image", "d1", h2, 0.0)
-        woken = db.fill("/image", "d1", objects_message(()), 1.0)
+        woken = db.fill("/image", "d1", objects_message(()))
         assert {w.key for w in woken} == {("a", 0), ("a", 1)}
         assert db.pending_count() == 0
 
@@ -105,8 +104,8 @@ class TestTopicCacheDB:
         db.ensure_topic(IMAGE)
         db.add_waiter("/image", "d1", Header("a", 0, 0.0), 0.0)
         first = objects_message((obj("car", 0.5, (0.2, 0.2, 0.2)),))
-        db.fill("/image", "d1", first, 1.0)
-        db.fill("/image", "d1", objects_message(()), 2.0)
+        db.fill("/image", "d1", first)
+        db.fill("/image", "d1", objects_message(()))
         assert db.lookup("/image", "d1").result is first
 
     def test_lru_bound_evicts_least_recently_hit(self):
@@ -114,62 +113,84 @@ class TestTopicCacheDB:
         db.ensure_topic(IMAGE)
         for i, digest in enumerate(("d1", "d2", "d3")):
             db.add_waiter("/image", digest, Header("a", i, 0.0), float(i))
-            db.fill("/image", digest, objects_message((), seq=i), float(i))
+            db.fill("/image", digest, objects_message((), seq=i))
             if digest == "d1":
                 db.lookup("/image", "d1").last_hit_ms = 100.0  # keep d1 warm
         assert db.entry_count("/image") == 2
         assert db.lookup("/image", "d2") is None
         assert db.lookup("/image", "d1") is not None
 
+    @pytest.mark.parametrize("stores", [True, False])
+    def test_repeat_joins_the_request_in_flight_only_with_storage(self, stores):
+        db = TopicCacheDB(stores=stores)
+        db.ensure_topic(IMAGE)
+        assert db.add_waiter("/image", "d1", Header("a", 0, 0.0), 0.0) is False
+        assert db.add_waiter("/image", "d1", Header("a", 1, 0.0), 1.0) is stores
+        assert db.pending_count() == 2
+
+    def test_unstored_answer_is_not_looked_up(self):
+        db = TopicCacheDB(stores=False)
+        db.ensure_topic(IMAGE)
+        db.add_waiter("/image", "d1", Header("car1/camera", 0, 0.0), 0.0)
+        assert [w.seq for w in db.fill("/image", "d1", objects_message(()))] == [0]
+        assert db.lookup("/image", "d1") is None
+        assert db.entry_count("/image") == 0
+
 
 class TestPendingExpiryOrder:
+    """Pending order in transparency mode, where a repeat re-parks."""
+
     TTL = 5000.0
 
     @staticmethod
-    def park(db, digest, seq, now, keep_entry=True):
+    def db():
+        db = TopicCacheDB(stores=False)
+        db.ensure_topic(IMAGE)
+        return db
+
+    @staticmethod
+    def park(db, digest, seq, now):
         db.add_waiter("/image", digest, Header("a", seq, 0.0), now)
-        if not keep_entry:  # transparency mode stores nothing while pending
-            db.topic_map("/image").entries.pop(digest)
+
+    @staticmethod
+    def answer(seq):
+        return objects_message((), origin="a", seq=seq)
 
     def test_purge_stops_at_first_live_entry(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
+        db = self.db()
         for t in (0, 1, 2):
             self.park(db, f"d{t}", t, float(t))
         assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 2
         assert db.pending_count() == 1
-        assert list(db.topic_map("/image").pending_created) == ["d2"]
+        assert list(db.topic_map("/image").pending) == ["d2"]
 
     def test_reparked_digest_moves_to_back(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
-        self.park(db, "d1", 0, 0.0, keep_entry=False)
+        db = self.db()
+        self.park(db, "d1", 0, 0.0)
         self.park(db, "d2", 1, 1.0)
-        assert db.fill("/image", "d1", None, 2.0, only=Header("a", 0, 0.0))
-        self.park(db, "d1", 2, 3.0, keep_entry=False)
-        assert list(db.topic_map("/image").pending_created) == ["d2", "d1"]
+        assert db.fill("/image", "d1", self.answer(0))
+        self.park(db, "d1", 2, 3.0)
+        assert list(db.topic_map("/image").pending) == ["d2", "d1"]
         assert db.purge_expired(now=self.TTL + 2.0, ttl_ms=self.TTL) == 1
         assert db.pending_count() == 1
         assert db.purge_expired(now=self.TTL + 3.5, ttl_ms=self.TTL) == 1
         assert db.pending_count() == 0
 
     def test_second_waiter_on_unstored_digest_restarts_its_clock(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
-        self.park(db, "d1", 0, 0.0, keep_entry=False)
+        db = self.db()
+        self.park(db, "d1", 0, 0.0)
         self.park(db, "d2", 1, 1.0)
-        self.park(db, "d1", 2, 2.0, keep_entry=False)
+        self.park(db, "d1", 2, 2.0)
         assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 1
         assert db.pending_count() == 2
 
     def test_fill_only_last_waiter_leaves_the_order(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
+        db = self.db()
         self.park(db, "d1", 0, 0.0)
         self.park(db, "d2", 1, 1.0)
-        woken = db.fill("/image", "d1", None, 0.5, only=Header("a", 0, 0.0))
+        woken = db.fill("/image", "d1", self.answer(0))
         assert [w.key for w in woken] == [("a", 0)]
-        assert list(db.topic_map("/image").pending_created) == ["d2"]
+        assert list(db.topic_map("/image").pending) == ["d2"]
         assert db.purge_expired(now=self.TTL + 0.5, ttl_ms=self.TTL) == 0
         assert db.pending_count() == 1
 
@@ -318,7 +339,7 @@ class TestArrivalProcedure:
         net.publish("inner", stray, wire_topic="/objects-local", network="VN1")
         net.run_until(100.0)
         # no crash; the miss branch ran for the /objects hash map
-        assert genie.db.has_topic("/objects")
+        assert "/objects" in genie.db.topic_names()
         assert genie.db.topic_map("/objects").misses == 1
         assert consumer.received == []  # nothing is relayed downstream
 
@@ -814,7 +835,7 @@ class TestLateAnswer:
         assert ingested == []
         assert genie.db.pending_count() == pending
         assert genie.counters.requests == requests
-        assert not genie.db.has_topic("/objects")
+        assert "/objects" not in genie.db.topic_names()
         assert len(consumer.received) == 1
 
     def test_late_record_expires_when_the_inner_node_never_answers(self):

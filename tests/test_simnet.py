@@ -65,7 +65,8 @@ def test_same_due_time_preserves_insertion_order():
 
 def test_empty_queue_advances_clock():
     net = Fabric(seed=0)
-    assert net.run_until(55.0) == []
+    net.run_until(55.0)
+    assert net.deliveries == []
     assert net.clock == 55.0
 
 
@@ -143,9 +144,9 @@ def test_causality_delivery_not_before_publish_plus_latency():
     net.subscribe("sub", "/image", "EDGE")
     for i in range(20):
         net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", at=float(i * 3))
-    records = net.run_until(500.0)
-    assert records
-    for r in records:
+    net.run_until(500.0)
+    assert net.deliveries
+    for r in net.deliveries:
         assert r.time_ms >= r.published_ms + 2.5
 
 
