@@ -3,9 +3,10 @@
 Reruns a small matrix of synthetic scenarios, two of them in transparency
 mode (``force_miss``) and one long enough for repeat hits on an unchanged
 object map; two short-TTL corridor cells that expire pending requests, one
-with a three-entry LRU and one in transparency mode; plus ``scenarios/demo.json`` and a jittered corridor with a
-phantom car under ``compare_baselines``, and checks the sha256 of every
-emitted ``summary.json`` against ``golden.json``.  A change that alters any
+with a three-entry LRU and one in transparency mode; plus
+``scenarios/demo.json`` and a jittered corridor with a phantom car under
+``compare_baselines``.  It checks the sha256 of every emitted
+``summary.json`` against ``golden.json``.  A change that alters any
 output on purpose re-records the file and says why:
 
     PYTHONPATH=src python tests/test_golden.py --record
