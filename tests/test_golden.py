@@ -7,7 +7,8 @@ with a three-entry LRU and one in transparency mode; plus
 ``scenarios/demo.json`` and a jittered corridor with a phantom car under
 ``compare_baselines``.  It checks the sha256 of every emitted
 ``summary.json`` against ``golden.json``.  A change that alters any
-output on purpose re-records the file and says why:
+output on purpose re-records the file and says why; the record run prints
+the cells whose digest changed:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -123,7 +124,11 @@ def test_summary_digests_match_golden(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(f"usage: {sys.argv[0]} --record")
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute_digests(Path(tmp))
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for cell in sorted(digests.keys() | previous.keys()):
+        if digests.get(cell) != previous.get(cell):
+            print(f"changed: {cell}")
     print(f"recorded {len(digests)} digests in {GOLDEN}")
