@@ -418,15 +418,22 @@ class GenieNode(SimNode):
 
     # -- message handling -------------------------------------------------------
 
+    def expire(self, now: float) -> None:
+        """Drop pending requests and late-answer marks older than the TTL,
+        counting the dropped waiters in ``expired``.  Arrivals call it, and
+        the harness calls it once more when the drain ends, so the count does
+        not depend on whether unrelated traffic arrived after the TTL."""
+        self.counters.expired += self.db.purge_expired(now, self.pending_ttl_ms)
+        for key in _expired_front(self._late_due, now, self.pending_ttl_ms):
+            del self._late_due[key]
+
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
         base, flavor = self._split(wire_topic)
         topic = self._topics.get(base)
         if topic is None or kind_of(message.payload) is not topic.kind:
             self.counters.malformed_dropped += 1
             return
-        self.counters.expired += self.db.purge_expired(at, self.pending_ttl_ms)
-        for key in _expired_front(self._late_due, at, self.pending_ttl_ms):
-            del self._late_due[key]
+        self.expire(at)
 
         pend = self._pending_answered_by(message)
         if pend is not None:

@@ -604,6 +604,8 @@ def run_built_scenario(scenario: Scenario, mode: str) -> MetricsReport:
     _replay(scenario)
     end = scenario.trace.end_ms() + scenario.config.drain_ms
     scenario.fabric.run_until(end)
+    for genie in scenario.genies.values():
+        genie.expire(end)
     return collect_report(scenario, mode)
 
 

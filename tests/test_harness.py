@@ -14,6 +14,7 @@ from geniesim.harness import (
     compare_baselines,
     emit_report,
     empirical_cdf,
+    run_built_scenario,
     run_scenario,
     with_phantoms,
 )
@@ -139,6 +140,24 @@ class TestRunScenario:
         assert report.detector_oom_failures["car1/detector"] > 0
         assert report.detector_invocations["car1/detector"] == 0
         assert report.detector_invocations["edge1/detector"] > 0
+
+    def test_drain_end_expires_stale_pending(self):
+        # a short TTL leaves requests pending with no traffic after them
+        config = ScenarioConfig(
+            n_cars=3,
+            edge_devices=("AGX", "A4500"),
+            synth=SynthSpec(route="shared-corridor", n_frames=40, overlap_fraction=0.6),
+            seed=7,
+            pending_ttl_ms=150.0,
+        )
+        scenario = build_scenario(config)
+        report = run_built_scenario(scenario, "DG")
+        end = scenario.trace.end_ms() + config.drain_ms
+        for name, genie in scenario.genies.items():
+            for topic in genie.db.topic_names():
+                parked = genie.db.topic_map(topic).pending.values()
+                assert all(end - r.created_ms <= config.pending_ttl_ms for r in parked), name
+        assert report.per_genie["car3/genie"]["expired"] == 40
 
     def test_edge_connection_is_optional(self):
         config = small_loop(edge_devices=())
