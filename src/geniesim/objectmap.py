@@ -158,12 +158,16 @@ class ObjectMapStore:
                         match_idx = i
                         break
             if match_idx is None:
-                self.cells.setdefault(cell, []).append(replace(obj, from_map=False))
+                # objects are frozen, so a detector's own object is stored as is
+                self.cells.setdefault(cell, []).append(
+                    replace(obj, from_map=False) if obj.from_map else obj
+                )
                 continue
             self.hits += 1
-            before = stored_list[match_idx].confidence
+            stored = stored_list[match_idx]
+            before = stored.confidence
             after = apply_update(self.update_rule, before, obj.confidence, self.update_rate)
-            stored_list[match_idx] = replace(stored_list[match_idx], confidence=after)
+            stored_list[match_idx] = DetectedObject(stored.label, after, stored.location, stored.extent)
             record = BoostRecord(now_ms, cell, after - before)
             self.boost_records.append(record)
             emitted.append(record)
