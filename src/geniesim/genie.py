@@ -19,9 +19,12 @@ Message arrival follows one procedure:
            map and send it straight back to the sender.  The augmented answer
            is kept on the entry and reused while the map's version is
            unchanged, so a repeat hit on an unchanged map does not augment.
-  echo     a ``-remote`` answer to an exchange we are not waiting on (another
-           vehicle's answer heard on the edge); counted and dropped, so
-           deliveries per frame grow linearly with the fleet, not quadratically.
+  echo     a ``-remote`` answer to an exchange we are not waiting on;
+           counted and dropped.  An edge genie hears every answer on the
+           edge and counts other exchanges' answers here.  A vehicle genie
+           subscribes with its car's origin prefix (``attach``), so other
+           vehicles' answers never reach it; its echoes are second answers
+           to its own car's exchanges.
   late     a ``-local`` answer from the inner node to an exchange a ``-remote``
            answer already filled; counted and dropped, not re-broadcast.
 
@@ -408,13 +411,17 @@ class GenieNode(SimNode):
             subs += [(n, self.edge_network) for n in sorted(remote_answer)]
         return subs
 
-    def attach(self, net: Fabric) -> None:
+    def attach(self, net: Fabric, origin_prefix: str = "") -> None:
+        """Join the fabric and subscribe.  With ``origin_prefix`` (a vehicle
+        wrapper's own car) the edge subscriptions deliver only traffic of
+        that origin, so other vehicles' answers never reach this node."""
         networks = (self.home_network,) + (
             (self.edge_network,) if self.edge_network else ()
         )
         net.add_node(self, networks)
         for topic, network in self.subscriptions():
-            net.subscribe(self.name, topic, network)
+            prefix = origin_prefix if network == self.edge_network else ""
+            net.subscribe(self.name, topic, network, origin_prefix=prefix)
 
     # -- message handling -------------------------------------------------------
 

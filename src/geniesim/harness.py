@@ -353,7 +353,9 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         net.subscribe(name, detector.request_wire, network)
         scenario.detectors[name] = detector
 
-    def add_genie(name: str, home: str, role: GenieRole, answers_on: str | None = None) -> None:
+    def add_genie(
+        name: str, home: str, role: GenieRole, answers_on: str | None = None, origin_prefix: str = ""
+    ) -> None:
         genie = GenieNode(
             name,
             home,
@@ -369,7 +371,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
             max_entries=config.max_cache_entries,
             answers_on=answers_on,
         )
-        genie.attach(net)
+        genie.attach(net, origin_prefix)
         scenario.genies[name] = genie
 
     def add_relay(name: str, home: str, src: tuple[str, str], dst: tuple[str, str]) -> None:
@@ -393,10 +395,10 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
             add_relay(f"{car}/uplink", vn, (vn, IMAGE_TOPIC.name), (EDGE_NET, IMAGE_TOPIC.name))
             add_relay(f"{car}/downlink", vn, (EDGE_NET, OBJECTS_TOPIC.name), (vn, OBJECTS_TOPIC.name))
         elif car in phantoms:
-            add_genie(f"{car}/genie", vn, GenieRole.PHANTOM)
+            add_genie(f"{car}/genie", vn, GenieRole.PHANTOM, origin_prefix=f"{car}/")
         else:
             if mode == "DG":
-                add_genie(f"{car}/genie", vn, GenieRole.LOCAL)
+                add_genie(f"{car}/genie", vn, GenieRole.LOCAL, origin_prefix=f"{car}/")
             add_detector(f"{car}/detector", vn, config.car_device)
 
     if mode == "DG":

@@ -5,9 +5,12 @@ edge network.  A node belongs to one home network and may join others, and
 subscriptions are bound to a specific network, so a message published into
 VN1 can never reach a VN2-only node.  Topics whose name ends in ``-remote``
 are ordinary topics by these rules; publishing one into the edge network
-reaches every edge subscriber except the sender, which is the broadcast
-behaviour the caching layer relies on (self-delivery is suppressed on every
-network).
+reaches every edge subscriber, except the sender, whose origin filter admits
+it (self-delivery is suppressed on every network).  A subscription's origin
+filter is a prefix of the message header's origin; the empty default admits
+everything, which is the broadcast the edge caching nodes rely on, and a
+vehicle's caching node subscribes with its own car's prefix so it hears
+only answers addressed to that car.
 
 The event loop is single-threaded: callbacks run to completion in
 (due_time, insertion_seq) order, so identical seeds and inputs replay to
@@ -132,7 +135,8 @@ class Fabric:
         self._links: dict[tuple[str, str], Link] = {}
         self._nodes: dict[str, SimNode] = {}
         self._memberships: dict[str, set[str]] = {}
-        self._subs: dict[tuple[str, str], list[str]] = {}  # (network, topic) -> node names
+        # (network, topic) -> (node name, origin prefix) per subscriber
+        self._subs: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self._sub_index: set[tuple[str, str]] = set()  # (node, topic)
         self.deliveries: list[DeliveryRecord] = []
 
@@ -157,7 +161,16 @@ class Fabric:
         self._memberships[node.name] = nets
         return node
 
-    def subscribe(self, node_name: str, topic_name: str, network: str | None = None) -> None:
+    def subscribe(
+        self,
+        node_name: str,
+        topic_name: str,
+        network: str | None = None,
+        origin_prefix: str = "",
+    ) -> None:
+        """Deliver ``topic_name`` on ``network`` (default: the node's home)
+        to the node.  With ``origin_prefix``, only messages whose header
+        origin starts with it are delivered."""
         node = self._require(node_name)
         net = network or node.home_network
         if net not in self._memberships[node_name]:
@@ -165,7 +178,7 @@ class Fabric:
         if (node_name, topic_name) in self._sub_index:
             raise TopologyError(f"{node_name} already subscribed to {topic_name}")
         self._sub_index.add((node_name, topic_name))
-        self._subs.setdefault((net, topic_name), []).append(node_name)
+        self._subs.setdefault((net, topic_name), []).append((node_name, origin_prefix))
 
     def _require(self, node_name: str) -> SimNode:
         try:
@@ -185,8 +198,10 @@ class Fabric:
     ) -> int:
         """Schedule one delivery per matching subscriber; returns the count.
 
-        The sender never receives its own publish.  ``at`` defaults to the
-        current clock and may not lie in the past.
+        The sender never receives its own publish.  A subscriber whose origin
+        prefix the message's origin lacks takes its jitter draw and is then
+        skipped, so the filter never moves another delivery's time.  ``at``
+        defaults to the current clock and may not lie in the past.
         """
         node = self._require(sender)
         when = self.clock if at is None else at
@@ -204,13 +219,16 @@ class Fabric:
             raise TopologyError(f"{sender} is not a member of network {network}")
 
         link = self._links.get((network, network), Link(network, network))
+        origin = message.header.origin
         count = 0
-        for to in self._subs.get((network, topic), ()):
+        for to, prefix in self._subs.get((network, topic), ()):
             if to == sender:
                 continue
             delay = link.latency_ms
             if link.jitter_ms > 0:
                 delay += self.rng.uniform(0.0, link.jitter_ms)
+            if prefix and not origin.startswith(prefix):
+                continue
             self.queue.push(
                 when + delay,
                 _Delivery(to, sender, network, topic, message, when),

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from geniesim.genie import GenieNode
 from geniesim.harness import (
+    EDGE_NET,
     MODES,
     ObjectMapParams,
     ScenarioConfig,
@@ -119,6 +120,12 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
 
     for car in config.phantom_cars:
         assert f"{car}/detector" not in report.detector_invocations
+
+    # a car genie hears on the edge only its own car's exchanges
+    car_genies = {f"{car}/genie": f"{car}/" for car in scenario.trace.cars}
+    for r in scenario.fabric.deliveries:
+        if r.network == EDGE_NET and r.to in car_genies:
+            assert r.origin.startswith(car_genies[r.to]), r
 
 
 def test_random_scenarios_hold_invariants():

@@ -553,6 +553,41 @@ class TestEchoIgnored:
         assert per_frame[8] <= 3 * per_frame[1]
 
 
+class TestAddressedEdgeAnswers:
+    """A car genie hears on the edge only the answers to its own car's
+    requests, so fabric traffic per frame does not grow with the fleet."""
+
+    @staticmethod
+    def run(route: str, cars: int, frames: int, edges: tuple[str, ...]):
+        from geniesim.harness import ScenarioConfig, SynthSpec, build_scenario, run_built_scenario
+
+        overlap = 0.0 if route == "disjoint" else 0.5
+        config = ScenarioConfig(
+            n_cars=cars,
+            edge_devices=edges,
+            synth=SynthSpec(route=route, n_frames=frames, overlap_fraction=overlap),
+            seed=7,
+        )
+        scenario = build_scenario(config)
+        run_built_scenario(scenario, "DG")
+        return scenario, len(scenario.fabric.deliveries) / (cars * frames)
+
+    def test_disjoint_traffic_per_frame_is_flat(self):
+        per_frame = {}
+        for cars in (1, 2, 4, 8):
+            scenario, per_frame[cars] = self.run("disjoint", cars, 20, ("AGX",))
+            for name, genie in scenario.genies.items():
+                if name.startswith("car"):
+                    assert genie.counters.echoes_ignored == 0, (cars, name)
+        assert len(set(per_frame.values())) == 1, per_frame
+
+    def test_corridor_traffic_per_frame_does_not_grow(self):
+        edges = ("AGX", "A4500")
+        _, one = self.run("shared-corridor", 1, 40, edges)
+        _, eight = self.run("shared-corridor", 8, 40, edges)
+        assert eight <= one
+
+
 class TestHitDigest:
     """A hit answer carries the stored result's digest over; under any name
     it must equal the digest of a freshly built copy of the served objects."""

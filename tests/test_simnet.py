@@ -136,6 +136,44 @@ def test_different_seed_changes_jitter():
     assert _jittery_run(42) != _jittery_run(43)
 
 
+ORIGINS = ("car1/camera", "car2/camera", "car10/camera")
+
+
+def _edge_answers(prefixes: dict[str, str]) -> dict[str, list[tuple[float, tuple[str, int]]]]:
+    """(time, header key) received per subscriber on a jittered edge, the
+    subscribers named in ``prefixes`` and subscribed with those origin prefixes."""
+    net = Fabric(seed=5)
+    net.add_network("EDGE", latency_ms=1.0, jitter_ms=3.0)
+    net.add_node(SimNode("edge1/genie", "EDGE"))
+    subs = {name: net.add_node(Recorder(name, "EDGE")) for name in prefixes}
+    for name, prefix in prefixes.items():
+        net.subscribe(name, "/objects-remote", "EDGE", origin_prefix=prefix)
+    for i in range(30):
+        message = image_message(f"f{i}", origin=ORIGINS[i % 3], seq=i)
+        net.publish("edge1/genie", message, wire_topic="/objects-remote", at=float(i))
+    net.run_until(1000.0)
+    return {name: [(at, m.header.key) for at, _, _, m in sub.received] for name, sub in subs.items()}
+
+
+def test_origin_prefix_admits_only_matching_origins():
+    got = _edge_answers({"car1/genie": "car1/", "edge2/genie": ""})
+    assert {key[0] for _, key in got["car1/genie"]} == {"car1/camera"}  # not car10/
+    assert len(got["car1/genie"]) == 10
+    assert len(got["edge2/genie"]) == 30
+
+
+def test_origin_filter_keeps_every_other_delivery_time():
+    # a filtered subscriber still takes its jitter draw, so the deliveries
+    # it does get, and every other subscriber's, keep their times
+    names = ("car1/genie", "edge2/genie", "car2/genie")
+    plain = _edge_answers(dict.fromkeys(names, ""))
+    filtered = _edge_answers({"car1/genie": "car1/", "edge2/genie": "", "car2/genie": "car2/"})
+    assert filtered["edge2/genie"] == plain["edge2/genie"]
+    for car in ("car1", "car2"):
+        mine = [(at, key) for at, key in plain[f"{car}/genie"] if key[0] == f"{car}/camera"]
+        assert filtered[f"{car}/genie"] == mine
+
+
 def test_causality_delivery_not_before_publish_plus_latency():
     net = Fabric(seed=1)
     net.add_network("EDGE", latency_ms=2.5, jitter_ms=1.0)
