@@ -319,6 +319,8 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
       DG  the distributed cache: per car a local wrapper and, unless the car
           is phantom, its detector on ``-local``; on the edge one wrapper and
           detector per edge device, plus a cache-only peer per phantom car.
+          A car's wrapper hears on the edge only its own car's traffic; the
+          edge wrappers and peers hear everything.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -5,8 +5,8 @@ edge network.  A node belongs to one home network and may join others, and
 subscriptions are bound to a specific network, so a message published into
 VN1 can never reach a VN2-only node.  Topics whose name ends in ``-remote``
 are ordinary topics by these rules; publishing one into the edge network
-reaches every edge subscriber, except the sender, whose origin filter admits
-it (self-delivery is suppressed on every network).  A subscription's origin
+reaches every edge subscriber whose origin filter admits it, except the
+sender (self-delivery is suppressed on every network).  A subscription's origin
 filter is a prefix of the message header's origin; the empty default admits
 everything, which is the broadcast the edge caching nodes rely on, and a
 vehicle's caching node subscribes with its own car's prefix so it hears
