@@ -19,14 +19,14 @@ Message arrival follows one procedure:
            map and send it straight back to the sender.  The augmented answer
            is kept on the entry and reused while the map's version is
            unchanged, so a repeat hit on an unchanged map does not augment.
-  echo     a ``-remote`` answer to an exchange we are not waiting on;
-           counted and dropped.  An edge genie hears every answer on the
-           edge and counts other exchanges' answers here.  A vehicle genie
-           subscribes with its car's origin prefix (``attach``), so other
-           vehicles' answers never reach it; its echoes are second answers
-           to its own car's exchanges.
-  late     a ``-local`` answer from the inner node to an exchange a ``-remote``
-           answer already filled; counted and dropped, not re-broadcast.
+  stray    a message on an answer-only topic that answers no pending
+           exchange; dropped, never ingested, parked or re-requested.  From
+           the inner node (``-local``) it is late: a ``-remote`` answer
+           filled the exchange first, or the exchange expired.  Otherwise it
+           is an echo: an edge genie hears every answer on the edge and
+           counts other exchanges' answers here, and a vehicle genie, which
+           subscribes with its car's origin prefix (``attach``), counts
+           second answers to its own car's exchanges.
 
 A request whose header is already queued (a peer edge re-sharing the same
 upload) counts as a request and a miss but is not queued again, so each
@@ -155,18 +155,6 @@ class _TopicMap:
     requests: int = 0
     hits: int = 0
     misses: int = 0
-
-
-def _expired_front(stamps: dict, now: float, ttl_ms: float) -> list:
-    """Keys at the front of ``stamps`` (insertion-ordered by a nondecreasing
-    time) whose time is more than ``ttl_ms`` before ``now``; the walk stops
-    at the first live key, so it costs O(expired)."""
-    stale = []
-    for key, t in stamps.items():
-        if now - t <= ttl_ms:
-            break
-        stale.append(key)
-    return stale
 
 
 class TopicCacheDB:
@@ -316,7 +304,12 @@ class DedupFilter:
         self._last_accept.pop(digest, None)
         self._last_accept[digest] = now
         self.accepted += 1
-        for seen in _expired_front(self._last_accept, now, self.window_ms):
+        stale = []
+        for seen, last in self._last_accept.items():
+            if now - last <= self.window_ms:
+                break
+            stale.append(seen)
+        for seen in stale:
             del self._last_accept[seen]
         return True
 
@@ -380,12 +373,9 @@ class GenieNode(SimNode):
         self.counters = GenieCounters()
         self._topics = {t.name: t for t in encapsulation.topics()}
         self._answer_names = {t.name for t in encapsulation.routes.values()}
-        # answer topics that are never requests: unmatched -remote traffic on
-        # them is another exchange's answer, not work for us
-        self._echo_names = self._answer_names - {t.name for t in encapsulation.subscribed}
-        # header key -> fill time of exchanges a -remote answer filled while
-        # the inner node still owes its -local answer; FIFO like pending
-        self._late_due: dict[tuple[str, int], float] = {}
+        # answer topics that are never requests: unmatched traffic on them
+        # answers an exchange that is not pending, and is not work for us
+        self._answer_only = self._answer_names - {t.name for t in encapsulation.subscribed}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -426,13 +416,11 @@ class GenieNode(SimNode):
     # -- message handling -------------------------------------------------------
 
     def expire(self, now: float) -> None:
-        """Drop pending requests and late-answer marks older than the TTL,
-        counting the dropped waiters in ``expired``.  Arrivals call it, and
-        the harness calls it once more when the drain ends, so the count does
-        not depend on whether unrelated traffic arrived after the TTL."""
+        """Drop pending requests older than the TTL, counting the dropped
+        waiters in ``expired``.  Arrivals call it, and the harness calls it
+        once more when the drain ends, so the count does not depend on
+        whether unrelated traffic arrived after the TTL."""
         self.counters.expired += self.db.purge_expired(now, self.pending_ttl_ms)
-        for key in _expired_front(self._late_due, now, self.pending_ttl_ms):
-            del self._late_due[key]
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
         base, flavor = self._split(wire_topic)
@@ -446,16 +434,12 @@ class GenieNode(SimNode):
         if pend is not None:
             self._handle_answer(net, at, flavor, pend, message)
             return
-        if flavor == "remote" and base in self._echo_names:
-            self.counters.echoes_ignored += 1
-            return
-        if (
-            flavor == "local"
-            and base in self._answer_names
-            and self._late_due.pop(message.header.key, None) is not None
-        ):
+        if base in self._answer_only:
             # not ingested: that would change objrr and the boost curve
-            self.counters.late_answers += 1
+            if flavor == "local":
+                self.counters.late_answers += 1
+            else:
+                self.counters.echoes_ignored += 1
             return
 
         self.db.ensure_topic(topic)
@@ -510,10 +494,6 @@ class GenieNode(SimNode):
             self.object_map.ingest(message, at)
         topic_name, digest = pend
         woken = self.db.fill(topic_name, digest, replace(message, via=None))
-        if flavor == "remote" and self.role is not GenieRole.PHANTOM:
-            for waiter in woken:
-                self._late_due.pop(waiter.key, None)  # keep fill-time order
-                self._late_due[waiter.key] = at
         # peers that heard the same broadcast we did need no relay from us
         if self.answers_on == "edge" and flavor == "remote":
             return

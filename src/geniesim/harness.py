@@ -298,7 +298,7 @@ def _replay(scenario: Scenario) -> None:
         origin = f"{frame.car}/camera"
         n = seq.get(frame.car, 0)
         seq[frame.car] = n + 1
-        header = Header(origin=origin, seq=n, stamp_ms=float(frame.t_ms), frame_pose=frame.pose)
+        header = Header(origin=origin, seq=n, stamp_ms=float(frame.t_ms))
         message = Message(
             header=header,
             topic=IMAGE_TOPIC,

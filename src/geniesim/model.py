@@ -48,10 +48,6 @@ class Pose:
     def __post_init__(self) -> None:
         object.__setattr__(self, "yaw", normalize_yaw(self.yaw))
 
-    @property
-    def position(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 def translate_location(
     offset: tuple[float, float, float], pose: Pose
@@ -87,7 +83,6 @@ class Header:
     origin: str
     seq: int
     stamp_ms: float
-    frame_pose: Pose | None = None
 
     def __post_init__(self) -> None:
         if self.stamp_ms < 0:

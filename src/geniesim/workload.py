@@ -309,9 +309,13 @@ def synth_trace(
         rng = random.Random(f"{seed}:{car}")
         start = round(ci * stagger_ms)
 
-        if route == "loop":
+        if route != "shared-corridor":
+            # loop and disjoint: the car's own scenes in its own band, each
+            # seen from its own pose; a loop revisits them in order, and a
+            # disjoint route (n_shared == 0) sees each once
             band = ci * _CAR_BAND_M
-            n_unique = max(1, n_frames - n_shared)
+            prefix = "L" if route == "loop" else "D"
+            n_unique = max(1, n_own)
             uniques = []
             for i in range(n_unique):
                 scene = _make_scene(rng, i, band, objects_per_frame)
@@ -320,26 +324,12 @@ def synth_trace(
                         car=car,
                         t_ms=0,
                         pose=scene.pose,
-                        image_id=f"L{ci + 1}F{i:06d}",
+                        image_id=f"{prefix}{ci + 1}F{i:06d}",
                         truths=_sighting_truths(rng, scene, scene.pose, conf_alpha, conf_beta),
                     )
                 )
             schedule = [uniques[i % n_unique] for i in range(n_frames)]
-        elif route == "disjoint":
-            band = ci * _CAR_BAND_M
-            schedule = []
-            for i in range(n_frames):
-                scene = _make_scene(rng, i, band, objects_per_frame)
-                schedule.append(
-                    TraceFrame(
-                        car=car,
-                        t_ms=0,
-                        pose=scene.pose,
-                        image_id=f"D{ci + 1}F{i:06d}",
-                        truths=_sighting_truths(rng, scene, scene.pose, conf_alpha, conf_beta),
-                    )
-                )
-        else:  # shared-corridor
+        else:
             own = []
             lane_offset = 2.5 * (ci + 1)
             for i in range(n_own):

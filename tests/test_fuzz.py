@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import replace
 
-from geniesim.genie import GenieNode
+from geniesim.genie import GenieNode, GenieRole
 from geniesim.harness import (
     EDGE_NET,
     MODES,
@@ -56,6 +56,8 @@ def random_config(rng: random.Random) -> ScenarioConfig:
         phantom_cars=phantoms,
         max_cache_entries=rng.choice([None, None, 8]),
         force_miss=rng.random() < 0.15,
+        # drawn last, so the draws above keep the values they had without it
+        pending_ttl_ms=rng.choice([10_000.0, 150.0, 34.0]),
     )
 
 
@@ -113,6 +115,13 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
         if config.max_cache_entries is not None:
             for name in db.topic_names():
                 assert db.entry_count(name) <= config.max_cache_entries + len(pending[name])
+        # an answer is never parked or cached as if it were a request
+        assert not genie._answer_only & set(db.topic_names()), genie.name
+        # every answer the inner node gave is accounted for
+        if genie.role is not GenieRole.PHANTOM:
+            detector = scenario.detectors[genie.name.replace("/genie", "/detector")]
+            c = genie.counters
+            assert c.local_answers + c.late_answers == detector.invocations, genie.name
 
     if config.object_map.update_rule == "ascend":
         totals = [total for *_, total in report.boost_curve()]

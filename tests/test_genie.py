@@ -333,15 +333,19 @@ class TestArrivalProcedure:
         assert hit_msg.via == "hit"
         assert hit_msg.header.seq == 1  # re-headed to the requesting exchange
 
-    def test_unmatched_answer_falls_through_as_fresh_request(self):
+    def test_unmatched_local_answer_is_late_and_dropped(self, monkeypatch):
         net, genie, inner, consumer, spy = wire_local_genie()
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        net.run_until(10.0)
+        published = spy_publishes(net, genie.name, monkeypatch)
         stray = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),), seq=77)
-        net.publish("inner", stray, wire_topic="/objects-local", network="VN1")
+        net.publish("inner", stray, wire_topic="/objects-local", network="VN1", at=10.0)
         net.run_until(100.0)
-        # no crash; the miss branch ran for the /objects hash map
-        assert "/objects" in genie.db.topic_names()
-        assert genie.db.topic_map("/objects").misses == 1
-        assert consumer.received == []  # nothing is relayed downstream
+        assert genie.counters.late_answers == 1
+        assert genie.counters.requests == 1
+        assert published == []  # neither relayed downstream nor re-requested
+        assert "/objects" not in genie.db.topic_names()
+        assert genie.db.pending_count() == 1  # the f0 request, untouched
 
     def test_inflight_coalescing_answers_both_requesters(self):
         net, genie, inner, consumer, spy = wire_local_genie()
@@ -840,8 +844,9 @@ def spy_publishes(net, sender, monkeypatch):
 
 
 class TestLateAnswer:
-    """The inner node's ``-local`` answer to an exchange that a ``-remote``
-    answer already filled is late: counted and dropped."""
+    """The inner node's ``-local`` answer to an exchange that is no longer
+    pending (a ``-remote`` answer filled it, or it expired) is late: counted
+    and dropped."""
 
     ANSWER = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
 
@@ -873,20 +878,21 @@ class TestLateAnswer:
         assert "/objects" not in genie.db.topic_names()
         assert len(consumer.received) == 1
 
-    def test_late_record_expires_when_the_inner_node_never_answers(self):
-        net, genie, _ = self.answered_remotely(pending_ttl_ms=1000.0)
-        later = [image_message(f"f{seq}", seq=seq, stamp=t) for seq, t in ((1, 900.0), (2, 1100.0))]
-        net.publish("camera", later[0], wire_topic="/image", network="VN1", at=900.0)
-        net.run_until(950.0)
-        assert len(genie._late_due) == 1  # filled at 10 ms, still within the TTL
-        net.publish("camera", later[1], wire_topic="/image", network="VN1", at=1100.0)
-        net.run_until(1150.0)
-        assert genie._late_due == {}
-        # an answer after that is unknown again and takes the stray path
+    def test_answer_after_expiry_is_late_not_a_request(self, monkeypatch):
+        net, genie, inner, consumer, spy = wire_local_genie(pending_ttl_ms=1000.0)
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        net.run_until(10.0)
+        published = spy_publishes(net, genie.name, monkeypatch)
+        # the answer's arrival purges the exchange it answers
         net.publish("inner", self.ANSWER, wire_topic="/objects-local", network="VN1", at=1200.0)
         net.run_until(1300.0)
-        assert genie.counters.late_answers == 0
-        assert genie.db.topic_map("/objects").misses == 1
+        assert genie.counters.expired == 1
+        assert genie.counters.late_answers == 1
+        assert genie.counters.requests == 1
+        assert published == []
+        assert len(spy.received) == 1  # the expired upload only
+        assert "/objects" not in genie.db.topic_names()
+        assert consumer.received == []
 
 
 class TestOneAnswerPerExchange:

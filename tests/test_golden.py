@@ -44,9 +44,12 @@ FRAMES = 20
 # the map unchanged since the same result's last hit, which no 20-frame cell does
 REPEAT_HITS = ("loop", 1, 60, 0.9)
 SEED = 7
-# (cell suffix, config overrides) on one short-TTL corridor: pending requests
-# expire, "lru3" evicts (ties on last-hit time break by park order) and
-# "force_miss" re-parks a digest when a second requester queues on it
+# (cell suffix, config overrides) on one corridor whose TTL is short enough
+# that some pending requests expire before their answers come: "lru3" evicts
+# (ties on last-hit time break by park order) and "force_miss" re-parks a
+# digest when a second requester queues on it.  Dropping the re-park's clock
+# restart changes no digest; test_genie.py's TestPendingExpiryOrder catches it
+SHORT_TTL_MS = 34.0
 SHORT_TTL = (("lru3", {"max_cache_entries": 3}), ("force_miss", {"force_miss": True}))
 # L/R/DG over one jittered corridor with a phantom car: jitter makes each
 # delivery's seeded draw depend on subscription order, and phantoms apply
@@ -100,9 +103,9 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
         report = run_scenario(_config(route, cars, ("AGX", "A4500"), force_miss=True))
         digests[cell] = _summary_sha256(report, work_dir / cell)
     for suffix, overrides in SHORT_TTL:
-        cell = f"ttl150/{suffix}"
+        cell = f"ttl{SHORT_TTL_MS:g}/{suffix}"
         config = _config("shared-corridor", 3, ("AGX", "A4500"), frames=40, overlap=0.6)
-        report = run_scenario(replace(config, pending_ttl_ms=150.0, **overrides))
+        report = run_scenario(replace(config, pending_ttl_ms=SHORT_TTL_MS, **overrides))
         digests[cell] = _summary_sha256(report, work_dir / cell)
     route, cars, frames, overlap = REPEAT_HITS
     cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
