@@ -5,10 +5,12 @@ mode (``force_miss``) and one long enough for repeat hits on an unchanged
 object map; two short-TTL corridor cells that expire pending requests, one
 with a three-entry LRU and one in transparency mode; plus
 ``scenarios/demo.json`` and a jittered corridor with a phantom car under
-``compare_baselines``.  It checks the sha256 of every emitted
-``summary.json`` against ``golden.json``.  A change that alters any
-output on purpose re-records the file and says why; the record run prints
-the cells whose digest changed:
+``compare_baselines``.  It checks, per cell, the sha256 of the emitted
+``summary.json`` (key ``<cell>``) and one sha256 over the emitted
+``boost.csv``, ``latency_cdf.csv`` and ``reuse.csv`` (key ``<cell>:csv``)
+against ``golden.json``, so every emitted file is pinned byte for byte.  A
+change that alters any output on purpose re-records the file and says why;
+the record run prints the keys whose digest changed:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -84,38 +86,48 @@ def _config(
     )
 
 
-def _summary_sha256(report, out_dir: Path) -> str:
-    emit_report(report, out_dir)
-    return hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
+CSV_FILES = ("boost.csv", "latency_cdf.csv", "reuse.csv")
 
 
 def compute_digests(work_dir: Path) -> dict[str, str]:
-    """Cell name -> sha256 of its emitted summary.json."""
+    """Cell name -> sha256 of its emitted summary.json, and ``<cell>:csv``
+    -> sha256 over its emitted CSV files (each prefixed by name and size)."""
     digests = {}
+
+    def record(cell: str, report) -> None:
+        out_dir = work_dir / cell
+        emit_report(report, out_dir)
+        digests[cell] = hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
+        h = hashlib.sha256()
+        for name in CSV_FILES:
+            data = (out_dir / name).read_bytes()
+            h.update(f"{name} {len(data)}\n".encode())
+            h.update(data)
+        digests[f"{cell}:csv"] = h.hexdigest()
+
     for route in ROUTES:
         for cars in CARS:
             for edges in EDGES:
                 cell = f"{route}/{cars}cars/{'+'.join(edges)}"
                 report = run_scenario(_config(route, cars, edges))
-                digests[cell] = _summary_sha256(report, work_dir / cell)
+                record(cell, report)
     for route, cars in FORCE_MISS:
         cell = f"{route}/{cars}cars/AGX+A4500/force_miss"
         report = run_scenario(_config(route, cars, ("AGX", "A4500"), force_miss=True))
-        digests[cell] = _summary_sha256(report, work_dir / cell)
+        record(cell, report)
     for suffix, overrides in SHORT_TTL:
         cell = f"ttl{SHORT_TTL_MS:g}/{suffix}"
         config = _config("shared-corridor", 3, ("AGX", "A4500"), frames=40, overlap=0.6)
         report = run_scenario(replace(config, pending_ttl_ms=SHORT_TTL_MS, **overrides))
-        digests[cell] = _summary_sha256(report, work_dir / cell)
+        record(cell, report)
     route, cars, frames, overlap = REPEAT_HITS
     cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
     report = run_scenario(_config(route, cars, ("AGX",), frames=frames, overlap=overlap))
-    digests[cell] = _summary_sha256(report, work_dir / cell)
+    record(cell, report)
     baselines = {"demo": ScenarioConfig.from_json_file(DEMO), "jitter-phantom": JITTER_PHANTOM}
     for name, config in baselines.items():
         for mode, report in compare_baselines(config).items():
-            cell = f"{name}/{mode}"
-            digests[cell] = _summary_sha256(report, work_dir / cell)
+            record(f"{name}/{mode}", report)
     return digests
 
 
