@@ -14,7 +14,7 @@ from .model import (
     content_key,
     translate_location,
 )
-from .objectmap import BoostRecord, CellKey, ObjectMapStore, UpdateRule, quantize, share_filter
+from .objectmap import CellKey, ObjectMapStore, UpdateRule, quantize, share_filter
 from .genie import (
     DedupFilter,
     Encapsulation,

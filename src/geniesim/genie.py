@@ -4,7 +4,12 @@ A caching node wraps an existing service node without touching it: the
 inner node's topics are rewritten to ``-local`` names so only the wrapper
 talks to it, the wrapper takes over the original names, and a ``-remote``
 variant of each topic is exposed on the shared edge network so wrappers of
-identical services can trade cached results.
+identical services can trade cached results.  A vehicle wrapper hears
+requests on the original names; an edge-resident wrapper (role ``REMOTE``,
+or placed on the edge network itself) serves only the ``-remote`` surface.
+Each wrapper hears ``-local`` answers unless it is a phantom, ``-remote``
+answers on the edge, and never the original answer names, which only it
+publishes.
 
 Message arrival follows one procedure:
 
@@ -353,7 +358,6 @@ class GenieNode(SimNode):
         pending_ttl_ms: float = 10_000.0,
         cache_enabled: bool = True,
         max_entries: int | None = None,
-        answers_on: str | None = None,
     ) -> None:
         super().__init__(name, home_network)
         self.encapsulation = encapsulation
@@ -364,11 +368,7 @@ class GenieNode(SimNode):
         self.miss_overhead_ms = miss_overhead_ms
         self.answer_overhead_ms = answer_overhead_ms
         self.pending_ttl_ms = pending_ttl_ms
-        if answers_on is None:
-            answers_on = "edge" if role is GenieRole.REMOTE else "home"
-        if answers_on not in ("home", "edge"):
-            raise ValueError(f"answers_on must be 'home' or 'edge', got {answers_on!r}")
-        self.answers_on = answers_on
+        self.answers_on_edge = role is GenieRole.REMOTE or home_network == edge_network
         self.db = TopicCacheDB(max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
         self._topics = {t.name: t for t in encapsulation.topics()}
@@ -380,21 +380,21 @@ class GenieNode(SimNode):
     # -- wiring ---------------------------------------------------------------
 
     def subscriptions(self) -> list[tuple[str, str]]:
-        """(topic, network) pairs this node listens on.
-
-        The wrapper stands in for the inner node on the original names and
-        hears its answers on the ``-local`` names.  On the edge it hears
-        answer traffic always, and request traffic only when it serves the
-        edge side (a vehicle wrapper uploads requests, it does not serve
-        other vehicles' uploads).
+        """(topic, network) pairs this node listens on, as the module
+        docstring lists them: only names some other node publishes.  A
+        vehicle wrapper uploads requests; it does not serve other vehicles'
+        uploads, so only an edge-resident wrapper hears ``-remote`` requests.
         """
-        subs = [(t.name, self.home_network) for t in self.encapsulation.topics()]
-        subs += [
-            (self.encapsulation.rewritten[n], self.home_network) for n in self._answer_names
-        ]
+        subs = []
+        if not self.answers_on_edge:
+            subs += [(t.name, self.home_network) for t in self.encapsulation.subscribed]
+        if self.role is not GenieRole.PHANTOM:
+            subs += [
+                (self.encapsulation.rewritten[n], self.home_network) for n in self._answer_names
+            ]
         if self.edge_network:
             remote_answer = {n + REMOTE_SUFFIX for n in self._answer_names}
-            if self.answers_on == "edge":
+            if self.answers_on_edge:
                 remote_answer.update(
                     t.name + REMOTE_SUFFIX for t in self.encapsulation.subscribed
                 )
@@ -495,7 +495,7 @@ class GenieNode(SimNode):
         topic_name, digest = pend
         woken = self.db.fill(topic_name, digest, replace(message, via=None))
         # peers that heard the same broadcast we did need no relay from us
-        if self.answers_on == "edge" and flavor == "remote":
+        if self.answers_on_edge and flavor == "remote":
             return
         wire, network = self._answer_surface(message.topic.name)
         for waiter in woken:
@@ -556,7 +556,7 @@ class GenieNode(SimNode):
         return pend
 
     def _answer_surface(self, answer_topic: str) -> tuple[str, str]:
-        if self.answers_on == "edge":
+        if self.answers_on_edge:
             return answer_topic + REMOTE_SUFFIX, self.edge_network
         return answer_topic, self.home_network
 

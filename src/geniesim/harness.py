@@ -7,8 +7,9 @@ wires any of three modes over one trace for comparison: local-only (``L``,
 the vehicle computes everything), remote (``R``, every frame is shipped to
 the edge), and the full distributed cache (``DG``).
 
-Response time is measured from frame emission on the car's image topic to
-the first object-list delivery at that car's consumer.
+Response time is measured from the request header's stamp, which is the
+frame's emission time on the car's image topic, to the first object-list
+delivery at that car's consumer.  Every answer carries its request's header.
 """
 
 from __future__ import annotations
@@ -187,12 +188,10 @@ class ConsumerNode(SimNode):
         name: str,
         home_network: str,
         origin: str,
-        request_times: dict[tuple[str, int], float],
         dedup_window_ms: float,
     ) -> None:
         super().__init__(name, home_network)
         self.origin = origin
-        self.request_times = request_times
         self.dedup = DedupFilter(dedup_window_ms)
         self.samples: dict[tuple[str, int], Sample] = {}
         self.deliveries = 0
@@ -204,9 +203,9 @@ class ConsumerNode(SimNode):
         if not self.dedup.offer(at, message):
             return
         key = message.header.key
-        t0 = self.request_times.get(key)
-        if t0 is None or key in self.samples:
+        if key in self.samples:
             return
+        t0 = message.header.stamp_ms
         self.samples[key] = Sample(
             car=self.origin.split("/", 1)[0],
             seq=key[1],
@@ -254,7 +253,6 @@ class Scenario:
     consumers: dict[str, ConsumerNode]
     genies: dict[str, GenieNode]
     detectors: dict[str, DetectorNode]
-    request_times: dict[tuple[str, int], float]
 
 
 MODES = ("L", "R", "DG")
@@ -304,7 +302,6 @@ def _replay(scenario: Scenario) -> None:
             topic=IMAGE_TOPIC,
             payload=ImageRef(frame.image_id, config.image_bytes),
         )
-        scenario.request_times[header.key] = float(frame.t_ms)
         net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=f"VN-{frame.car}", at=float(frame.t_ms))
 
 
@@ -336,7 +333,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     net = Fabric(seed=config.seed)
     if mode != "L":
         net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
-    scenario = Scenario(config, trace, net, {}, {}, {}, {})
+    scenario = Scenario(config, trace, net, {}, {}, {})
     suffix = LOCAL_SUFFIX if mode == "DG" else ""
     encap = encapsulate(detector_service())
 
@@ -355,9 +352,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         net.subscribe(name, detector.request_wire, network)
         scenario.detectors[name] = detector
 
-    def add_genie(
-        name: str, home: str, role: GenieRole, answers_on: str | None = None, origin_prefix: str = ""
-    ) -> None:
+    def add_genie(name: str, home: str, role: GenieRole, origin_prefix: str = "") -> None:
         genie = GenieNode(
             name,
             home,
@@ -371,7 +366,6 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
             pending_ttl_ms=config.pending_ttl_ms,
             cache_enabled=not config.force_miss,
             max_entries=config.max_cache_entries,
-            answers_on=answers_on,
         )
         genie.attach(net, origin_prefix)
         scenario.genies[name] = genie
@@ -387,9 +381,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         vn = f"VN-{car}"
         net.add_network(vn, config.vn_latency_ms, config.vn_jitter_ms)
         net.add_node(SimNode(f"{car}/camera", vn))
-        consumer = ConsumerNode(
-            f"{car}/consumer", vn, f"{car}/camera", scenario.request_times, config.dedup_window_ms
-        )
+        consumer = ConsumerNode(f"{car}/consumer", vn, f"{car}/camera", config.dedup_window_ms)
         net.add_node(consumer)
         net.subscribe(consumer.name, OBJECTS_TOPIC.name, vn)
         scenario.consumers[car] = consumer
@@ -410,7 +402,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
             add_genie(f"edge{j}/genie", enet, GenieRole.REMOTE)
             add_detector(f"edge{j}/detector", enet, device)
         for car in phantoms:
-            add_genie(f"edge/phantom-{car}", EDGE_NET, GenieRole.PHANTOM, answers_on="edge")
+            add_genie(f"edge/phantom-{car}", EDGE_NET, GenieRole.PHANTOM)
 
     return scenario
 
@@ -446,7 +438,7 @@ class MetricsReport:
     total_requests: int
     per_genie: dict[str, dict]
     genie_scopes: dict[str, str]
-    boost_events: list[tuple[float, str, tuple[int, int, int], float]]
+    boost_events: list[tuple[float, str, float]]  # (time_ms, genie, delta)
     detector_invocations: dict[str, int]
     detector_oom_failures: dict[str, int]
     detector_unknown_frames: dict[str, int]
@@ -489,7 +481,7 @@ class MetricsReport:
         """(event index, time, delta, cumulative total) over all maps."""
         rows = []
         total = 0.0
-        for i, (t, _, _, delta) in enumerate(self.boost_events):
+        for i, (t, _, delta) in enumerate(self.boost_events):
             total += delta
             rows.append((i, t, delta, total))
         return rows
@@ -559,7 +551,7 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         consumer = scenario.consumers[car]
         samples.extend(consumer.samples[k] for k in sorted(consumer.samples))
     per_genie = {}
-    boost: list[tuple[float, str, tuple[int, int, int], float]] = []
+    boost: list[tuple[float, str, float]] = []
     for name in sorted(scenario.genies):
         genie = scenario.genies[name]
         stats = genie.counters_dict()
@@ -570,8 +562,7 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         stats["object_map_size"] = len(store) if store is not None else 0
         per_genie[name] = stats
         if store is not None:
-            for r in store.boost_records:
-                boost.append((r.time_ms, name, tuple(r.cell), r.delta))
+            boost.extend((t, name, delta) for t, delta in store.boost_records)
     boost.sort(key=lambda e: (e[0], e[1]))
     return MetricsReport(
         config=scenario.config,
@@ -580,7 +571,7 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         total_requests=len(scenario.trace.frames),
         per_genie=per_genie,
         genie_scopes={
-            name: "remote" if genie.answers_on == "edge" else "local"
+            name: "remote" if genie.answers_on_edge else "local"
             for name, genie in scenario.genies.items()
         },
         boost_events=boost,

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from itertools import islice, product
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .model import DetectedObject, Message, ObjectList
 
@@ -63,15 +63,6 @@ def apply_update(rule: UpdateRule, stored: float, observed: float, rate: float) 
     return min(1.0, max(0.0, value))
 
 
-@dataclass(frozen=True, slots=True)
-class BoostRecord:
-    """One confidence change: delta = confidence after - before."""
-
-    time_ms: float
-    cell: CellKey
-    delta: float
-
-
 def share_filter(payload: ObjectList, confidence_threshold: float) -> ObjectList:
     """Subset of objects with confidence >= threshold, order preserved.
 
@@ -98,6 +89,9 @@ class ObjectMapStore:
     unchanged.  That relies on ``ingest`` being the only writer of a genie's
     map; a direct write to ``cells`` is not counted, so memoized answers do
     not see it.
+
+    ``boost_records`` holds one ``(time_ms, delta)`` pair per re-sighting,
+    in ingest order, where delta is the confidence after minus before.
     """
 
     def __init__(
@@ -129,24 +123,23 @@ class ObjectMapStore:
         self.requests = 0
         self.hits = 0
         self.version = 0
-        self.boost_records: list[BoostRecord] = []
+        self.boost_records: list[tuple[float, float]] = []
 
     def __len__(self) -> int:
         return sum(len(v) for v in self.cells.values())
 
     # -- write path -----------------------------------------------------------
 
-    def ingest(self, message: Message, now_ms: float) -> list[BoostRecord]:
+    def ingest(self, message: Message, now_ms: float) -> None:
         """Absorb the objects of an answer message into the map.
 
         Non-object payloads are ignored.  Each object either updates the
         confidence of a same-label object already stored in its cell
-        (emitting a boost record) or is inserted fresh.
+        (appending a boost record) or is inserted fresh.
         """
         if not isinstance(message.payload, ObjectList):
-            return []
+            return
         self.version += 1
-        emitted: list[BoostRecord] = []
         for obj in message.payload.objects:
             cell = quantize(obj.location, self.resolution_m)
             self.requests += 1
@@ -168,10 +161,7 @@ class ObjectMapStore:
             before = stored.confidence
             after = apply_update(self.update_rule, before, obj.confidence, self.update_rate)
             stored_list[match_idx] = DetectedObject(stored.label, after, stored.location, stored.extent)
-            record = BoostRecord(now_ms, cell, after - before)
-            self.boost_records.append(record)
-            emitted.append(record)
-        return emitted
+            self.boost_records.append((now_ms, after - before))
 
     # -- read path ------------------------------------------------------------
 
@@ -283,10 +273,3 @@ class ObjectMapStore:
                 h.update(repr(o.sort_key()).encode())
         return h.hexdigest()
 
-
-def boost_csv_rows(records: Iterable[BoostRecord]) -> list[str]:
-    """CSV lines (time_ms, cell, delta) for a boost record stream."""
-    rows = ["time_ms,cell,delta"]
-    for r in records:
-        rows.append(f"{r.time_ms!r},{r.cell.ix};{r.cell.iy};{r.cell.iz},{r.delta!r}")
-    return rows

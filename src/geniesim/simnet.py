@@ -218,7 +218,8 @@ class Fabric:
         elif network not in self._memberships[sender]:
             raise TopologyError(f"{sender} is not a member of network {network}")
 
-        link = self._links.get((network, network), Link(network, network))
+        # add_node linked every network the sender is a member of
+        link = self._links[(network, network)]
         origin = message.header.origin
         count = 0
         for to, prefix in self._subs.get((network, topic), ()):

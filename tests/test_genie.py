@@ -747,6 +747,29 @@ class TestHitMemo:
         assert fresh is not old and fresh.augmented is None
 
 
+class TestSubscriptions:
+    @pytest.mark.parametrize(
+        "home, role, expected",
+        [
+            ("VN-car1", GenieRole.LOCAL, [
+                ("/image", "VN-car1"), ("/objects-local", "VN-car1"), ("/objects-remote", "EDGE"),
+            ]),
+            ("E1", GenieRole.REMOTE, [
+                ("/objects-local", "E1"), ("/image-remote", "EDGE"), ("/objects-remote", "EDGE"),
+            ]),
+            ("VN-car1", GenieRole.PHANTOM, [("/image", "VN-car1"), ("/objects-remote", "EDGE")]),
+            ("EDGE", GenieRole.PHANTOM, [("/image-remote", "EDGE"), ("/objects-remote", "EDGE")]),
+        ],
+        ids=["vehicle-local", "edge-remote", "vehicle-phantom", "edge-phantom"],
+    )
+    def test_only_names_another_node_publishes(self, home, role, expected):
+        # no wrapper hears its own answer names; phantoms have no -local
+        # answers; edge-resident wrappers serve only the -remote surface
+        genie = GenieNode("genie", home, encapsulate(detector_spec()), role, edge_network="EDGE")
+        assert genie.subscriptions() == expected
+        assert genie.answers_on_edge == (home != "VN-car1")
+
+
 class TestPhantomRole:
     def test_phantom_never_touches_local_wires(self):
         net = Fabric(seed=0)
@@ -761,7 +784,7 @@ class TestPhantomRole:
         net.subscribe("edge-spy", "/image-remote", "EDGE")
         genie = GenieNode(
             "genie", "VN2", encapsulate(detector_spec()), GenieRole.PHANTOM,
-            edge_network="EDGE", answers_on="home",
+            edge_network="EDGE",
         )
         genie.attach(net)
         for seq in range(3):

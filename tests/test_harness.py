@@ -183,6 +183,36 @@ class TestCompareBaselines:
         for latency in reports["DG"].hit_latencies():
             assert latency == pytest.approx(config.hit_overhead_ms)
 
+    @pytest.mark.parametrize("max_entries", [None, 3])
+    def test_runs_leave_no_cyclic_garbage(self, max_entries):
+        # per-run state is freed by reference counting alone, so the cyclic
+        # collector has nothing to find; expiry, eviction, phantoms and
+        # jittered delivery all run here
+        import gc
+
+        config = small_loop(
+            n_cars=3,
+            edge_devices=("AGX", "A4500"),
+            synth=SynthSpec(route="shared-corridor", n_frames=20, overlap_fraction=0.6),
+            seed=7,
+            phantom_cars=("car3",),
+            vn_jitter_ms=1.5,
+            edge_jitter_ms=4.0,
+            pending_ttl_ms=34.0,
+            max_cache_entries=max_entries,
+        )
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            reports = compare_baselines(config)
+            assert all(r.completed for r in reports.values())
+            del reports
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_modes_share_the_trace(self):
         reports = compare_baselines(small_loop())
         keys = [{(s.car, s.seq) for s in r.samples} for r in reports.values()]

@@ -5,12 +5,10 @@ from hypothesis import given, strategies as st
 
 from geniesim.model import ObjectList
 from geniesim.objectmap import (
-    BoostRecord,
     CellKey,
     ObjectMapStore,
     UpdateRule,
     apply_update,
-    boost_csv_rows,
     quantize,
     share_filter,
 )
@@ -70,17 +68,17 @@ class TestIngest:
     def test_insert_at_quantized_cell(self):
         store = ObjectMapStore(resolution_m=0.5)
         msg = objects_message((obj("traffic_light", 0.3, (10.0, 20.0, 3.0)),))
-        records = store.ingest(msg, now_ms=0.0)
-        assert records == []
+        store.ingest(msg, now_ms=0.0)
+        assert store.boost_records == []
         assert CellKey(20, 40, 6) in store.cells
         assert store.requests == 1 and store.hits == 0
 
     def test_resight_updates_confidence(self):
         store = ObjectMapStore(update_rule=UpdateRule.EMA, update_rate=0.1)
         store.ingest(objects_message((obj("car", 0.5, (1.2, 1.2, 0.2)),)), 0.0)
-        records = store.ingest(objects_message((obj("car", 0.9, (1.2, 1.2, 0.2)),)), 100.0)
-        assert len(records) == 1
-        assert records[0].delta == pytest.approx(0.04)
+        store.ingest(objects_message((obj("car", 0.9, (1.2, 1.2, 0.2)),)), 100.0)
+        ((t, delta),) = store.boost_records
+        assert t == 100.0 and delta == pytest.approx(0.04)
         (stored,) = store.cells[quantize((1.2, 1.2, 0.2), 0.5)]
         assert stored.confidence == pytest.approx(0.54)
         assert store.hits == 1 and store.requests == 2
@@ -94,8 +92,9 @@ class TestIngest:
 
     def test_non_object_payload_ignored(self):
         store = ObjectMapStore()
-        assert store.ingest(image_message("f0"), 0.0) == []
-        assert len(store) == 0 and store.requests == 0
+        store.ingest(image_message("f0"), 0.0)
+        assert len(store) == 0 and store.requests == 0 and store.version == 0
+        assert store.boost_records == []
 
     def test_sequences_stay_in_bounds(self):
         rng = random.Random(9)
@@ -287,16 +286,10 @@ class TestAscendMonotonicity:
             loc = (rng.choice([0.2, 1.2, 2.2]), 0.2, 0.2)
             store.ingest(objects_message((obj("light", rng.random(), loc),)), float(i))
         totals, acc = [], 0.0
-        for r in store.boost_records:
-            acc += r.delta
+        for _, delta in store.boost_records:
+            acc += delta
             totals.append(acc)
         assert all(b >= a for a, b in zip(totals, totals[1:]))
-
-
-def test_boost_csv_rows():
-    rows = boost_csv_rows([BoostRecord(12.5, CellKey(1, -2, 3), 0.04)])
-    assert rows[0] == "time_ms,cell,delta"
-    assert rows[1] == "12.5,1;-2;3,0.04"
 
 
 def test_snapshot_is_json_serializable():
