@@ -8,13 +8,12 @@ from .model import (
     Message,
     ObjectList,
     PayloadKind,
-    PointCloudRef,
     Pose,
     Topic,
     content_key,
     translate_location,
 )
-from .objectmap import CellKey, ObjectMapStore, UpdateRule, quantize, share_filter
+from .objectmap import ObjectMapStore, UpdateRule, quantize, share_filter
 from .genie import (
     DedupFilter,
     Encapsulation,
@@ -44,7 +43,6 @@ from .harness import (
     compare_baselines,
     emit_report,
     run_scenario,
-    with_phantoms,
 )
 
 __version__ = "0.1.0"

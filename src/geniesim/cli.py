@@ -20,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    MODES,
     ConfigError,
     MetricsReport,
     ScenarioConfig,
@@ -38,7 +39,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _print_totals(report: MetricsReport) -> None:
+def _print_totals(report: MetricsReport) -> dict:
+    """Print the one-line totals of ``summary.json`` and return them."""
     t = report.summary_dict()["totals"]
     print(
         f"[{report.mode}] completed {t['completed']}/{t['requests']} "
@@ -46,6 +48,7 @@ def _print_totals(report: MetricsReport) -> None:
         f"deadline-miss {t['deadline_miss_fraction']:.3f} "
         f"imgrr {report.reuse_ratio('image'):.3f} objrr {report.reuse_ratio('object'):.3f}"
     )
+    return t
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -62,11 +65,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     reports = compare_baselines(config)
     means = {}
-    for mode in ("L", "R", "DG"):
+    for mode in MODES:
         report = reports[mode]
-        _print_totals(report)
-        lat = report.latencies()
-        means[mode] = sum(lat) / len(lat) if lat else 0.0
+        means[mode] = _print_totals(report)["latency_ms"]["mean"]
         if args.out:
             emit_report(report, Path(args.out) / mode)
     if args.out:

@@ -45,7 +45,7 @@ only to its own requester.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 from .model import (
@@ -178,8 +178,8 @@ class TopicCacheDB:
         self.stores = stores
 
     def ensure_topic(self, topic: Topic) -> None:
-        """Create the hash map for a never-seen topic; duplicate builds are
-        no-ops so concurrent first-messages are legal."""
+        """Create the hash map for a never-seen topic; later calls for the
+        same topic are no-ops, so every arrival may call it."""
         if topic.name not in self._maps:
             self._maps[topic.name] = _TopicMap(topic)
 
@@ -573,7 +573,6 @@ class GenieNode(SimNode):
         return hits, requests
 
     def counters_dict(self) -> dict:
-        c = self.counters
         per_topic = {
             name: {
                 "requests": self.db.topic_map(name).requests,
@@ -583,17 +582,4 @@ class GenieNode(SimNode):
             }
             for name in sorted(self.db.topic_names())
         }
-        return {
-            "role": self.role.value,
-            "requests": c.requests,
-            "hits": c.hits,
-            "misses": c.misses,
-            "local_answers": c.local_answers,
-            "remote_answers": c.remote_answers,
-            "malformed_dropped": c.malformed_dropped,
-            "pending_peak": c.pending_peak,
-            "echoes_ignored": c.echoes_ignored,
-            "expired": c.expired,
-            "late_answers": c.late_answers,
-            "topics": per_topic,
-        }
+        return {"role": self.role.value, **asdict(self.counters), "topics": per_topic}

@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec, encapsulate
 from .model import LOCAL_SUFFIX, Header, ImageRef, Message, PayloadKind, Topic
@@ -157,15 +156,6 @@ class ScenarioConfig:
             return ScenarioConfig.from_dict(json.load(fh))
 
 
-def with_phantoms(config: ScenarioConfig, car_ids: Iterable[str]) -> ScenarioConfig:
-    """Assign phantom (detector-less) status to the given cars; they get a
-    phantom wrapper on the vehicle and a cache-only phantom peer on the
-    edge when the DG topology is built."""
-    updated = replace(config, phantom_cars=tuple(car_ids))
-    updated.validate()
-    return updated
-
-
 # -- fabric-side helper nodes ---------------------------------------------------
 
 
@@ -173,7 +163,6 @@ def with_phantoms(config: ScenarioConfig, car_ids: Iterable[str]) -> ScenarioCon
 class Sample:
     car: str
     seq: int
-    t_request_ms: float
     latency_ms: float
     via: str
     message: Message
@@ -209,7 +198,6 @@ class ConsumerNode(SimNode):
         self.samples[key] = Sample(
             car=self.origin.split("/", 1)[0],
             seq=key[1],
-            t_request_ms=t0,
             latency_ms=at - t0,
             via=message.via or "direct",
             message=message,

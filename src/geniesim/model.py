@@ -23,7 +23,6 @@ REMOTE_SUFFIX = "-remote"
 
 class PayloadKind(str, Enum):
     IMAGE = "image"
-    POINT_CLOUD = "point_cloud"
     OBJECTS = "objects"
 
 
@@ -139,23 +138,15 @@ class ImageRef:
 
 
 @dataclass(frozen=True, slots=True)
-class PointCloudRef:
-    content_id: str
-    size_bytes: int = 0
-    _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
 class ObjectList:
     objects: tuple[DetectedObject, ...]
     _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
-Payload = Union[ImageRef, PointCloudRef, ObjectList]
+Payload = Union[ImageRef, ObjectList]
 
 _PAYLOAD_KINDS = {
     ImageRef: PayloadKind.IMAGE,
-    PointCloudRef: PayloadKind.POINT_CLOUD,
     ObjectList: PayloadKind.OBJECTS,
 }
 
@@ -213,7 +204,7 @@ def payload_bytes(payload: Payload) -> bytes:
     augmentation, but most comparisons strip them first.
     """
     kind = kind_of(payload)
-    if isinstance(payload, (ImageRef, PointCloudRef)):
+    if isinstance(payload, ImageRef):
         return f"{kind.value}|{payload.content_id}".encode()
     parts = [kind.value]
     for obj in payload.objects:
@@ -239,7 +230,7 @@ def content_key(message: Message, topic_name: str | None = None) -> str:
     memo = payload._digest
     if memo is not None and memo[0] == name:
         return memo[1]
-    if isinstance(payload, (ImageRef, PointCloudRef)):
+    if isinstance(payload, ImageRef):
         body = f"{kind_of(payload).value}|{payload.content_id}"
     else:
         objs = sorted(core_objects(payload), key=DetectedObject.sort_key)

@@ -15,23 +15,18 @@ import math
 from dataclasses import replace
 from enum import Enum
 from itertools import islice, product
-from typing import NamedTuple
 
 from .model import DetectedObject, Message, ObjectList
 
 
-class CellKey(NamedTuple):
-    ix: int
-    iy: int
-    iz: int
-
-
-def quantize(location: tuple[float, float, float], resolution_m: float) -> CellKey:
-    """Floor-divide each axis by the cell edge length (floor, not truncate,
-    so negative coordinates quantize consistently)."""
+def quantize(location: tuple[float, float, float], resolution_m: float) -> tuple[int, int, int]:
+    """Cell key ``(ix, iy, iz)``: each axis floor-divided by the cell edge
+    length (floor, not truncate, so negative coordinates quantize
+    consistently)."""
     if resolution_m <= 0:
         raise ValueError(f"resolution must be positive: {resolution_m}")
-    return CellKey(*(math.floor(c / resolution_m) for c in location))
+    x, y, z = location
+    return (math.floor(x / resolution_m), math.floor(y / resolution_m), math.floor(z / resolution_m))
 
 
 class UpdateRule(str, Enum):
@@ -113,12 +108,12 @@ class ObjectMapStore:
         self.update_rate = update_rate
         self.update_rule = UpdateRule(update_rule)
         self.relevance_radius_m = relevance_radius_m
-        self.cells: dict[CellKey, list[DetectedObject]] = {}
+        self.cells: dict[tuple[int, int, int], list[DetectedObject]] = {}
         # spatial hash over ``cells``: cubes of ``_bucket_edge`` cells, at
         # least the relevance radius wide, so a query's bounding box
         # overlaps at most 3 buckets per axis
         self._bucket_edge = max(1, math.ceil(relevance_radius_m / resolution_m))
-        self._buckets: dict[tuple[int, int, int], list[CellKey]] = {}
+        self._buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
         self._indexed = 0
         self.requests = 0
         self.hits = 0
@@ -195,7 +190,7 @@ class ObjectMapStore:
         additions.sort(key=DetectedObject.sort_key)
         return ObjectList(payload.objects + tuple(additions))
 
-    def _cells_near(self, point: tuple[float, float, float]) -> list[CellKey]:
+    def _cells_near(self, point: tuple[float, float, float]) -> list[tuple[int, int, int]]:
         """Occupied cells intersecting the relevance sphere around ``point``,
         in deterministic order.  Only the buckets overlapping the sphere's
         bounding box are visited, so the cost does not grow with the map."""
@@ -238,7 +233,7 @@ class ObjectMapStore:
             self._buckets.setdefault((ix // k, iy // k, iz // k), []).append(cell)
         self._indexed = len(self.cells)
 
-    def _cell_sphere_dist2(self, cell: CellKey, point: tuple[float, float, float]) -> float:
+    def _cell_sphere_dist2(self, cell: tuple[int, int, int], point: tuple[float, float, float]) -> float:
         res = self.resolution_m
         d2 = 0.0
         for idx, p in zip(cell, point):
@@ -248,21 +243,6 @@ class ObjectMapStore:
         return d2
 
     # -- export ---------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-serializable view: cell key string -> object dicts."""
-        out: dict[str, list[dict]] = {}
-        for cell in sorted(self.cells):
-            out[f"{cell.ix},{cell.iy},{cell.iz}"] = [
-                {
-                    "label": o.label,
-                    "confidence": o.confidence,
-                    "location": list(o.location),
-                    "extent": list(o.extent),
-                }
-                for o in sorted(self.cells[cell], key=DetectedObject.sort_key)
-            ]
-        return out
 
     def state_digest(self) -> str:
         """Hash of the full store contents; used to prove read-only paths."""

@@ -20,7 +20,6 @@ bit-identical delivery logs.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from dataclasses import dataclass
 
@@ -37,15 +36,13 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Link:
-    """Delivery delay inside a network (or between two of them).
+    """Delivery delay inside one network.
 
     Latency is fixed; jitter adds a seeded U(0, jitter_ms) draw per
     delivery.  Defaults are zero: co-located nodes exchange messages
     instantaneously unless a scenario says otherwise.
     """
 
-    from_net: str
-    to_net: str
     latency_ms: float = 0.0
     jitter_ms: float = 0.0
 
@@ -64,18 +61,6 @@ class DeliveryRecord:
     origin: str
     network: str
     published_ms: float
-
-    def to_log_line(self) -> str:
-        return json.dumps(
-            {
-                "time_ms": self.time_ms,
-                "from": self.frm,
-                "to": self.to,
-                "topic": self.topic,
-                "seq": self.seq,
-            },
-            sort_keys=True,
-        )
 
 
 class EventQueue:
@@ -132,7 +117,7 @@ class Fabric:
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
         self.queue = EventQueue()
-        self._links: dict[tuple[str, str], Link] = {}
+        self._links: dict[str, Link] = {}  # per network
         self._nodes: dict[str, SimNode] = {}
         self._memberships: dict[str, set[str]] = {}
         # (network, topic) -> (node name, origin prefix) per subscriber
@@ -147,7 +132,7 @@ class Fabric:
     # -- topology -----------------------------------------------------------
 
     def add_network(self, name: str, latency_ms: float = 0.0, jitter_ms: float = 0.0) -> None:
-        self._links[(name, name)] = Link(name, name, latency_ms, jitter_ms)
+        self._links[name] = Link(latency_ms, jitter_ms)
 
     def add_node(self, node: SimNode, networks: tuple[str, ...] | None = None) -> SimNode:
         if node.name in self._nodes:
@@ -155,7 +140,7 @@ class Fabric:
         nets = set(networks) if networks else {node.home_network}
         nets.add(node.home_network)
         for n in nets:
-            if (n, n) not in self._links:
+            if n not in self._links:
                 self.add_network(n)
         self._nodes[node.name] = node
         self._memberships[node.name] = nets
@@ -219,7 +204,7 @@ class Fabric:
             raise TopologyError(f"{sender} is not a member of network {network}")
 
         # add_node linked every network the sender is a member of
-        link = self._links[(network, network)]
+        link = self._links[network]
         origin = message.header.origin
         count = 0
         for to, prefix in self._subs.get((network, topic), ()):
@@ -249,6 +234,3 @@ class Fabric:
                 due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms
             ))
             self._nodes[d.to].on_message(self, due, d.network, d.wire_topic, d.message)
-
-    def log_jsonl(self) -> str:
-        return "\n".join(r.to_log_line() for r in self.deliveries)

@@ -368,6 +368,9 @@ def count_repeats(trace: Trace, car: str) -> int:
 
 # -- device profiles -----------------------------------------------------------
 
+# a detector run takes its device's mean latency scaled by U(1 - f, 1 + f)
+LATENCY_JITTER = 0.05
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -377,7 +380,6 @@ class DeviceProfile:
     device: str
     mean_latency_ms: dict[str, float]
     oom_models: frozenset[str] = frozenset()
-    jitter_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         for model, mean in self.mean_latency_ms.items():
@@ -388,8 +390,8 @@ class DeviceProfile:
         return set(self.mean_latency_ms) | set(self.oom_models)
 
     def latency_ms(self, model: str, rng: random.Random | None = None) -> float:
-        """Mean latency with a uniform +/- jitter_fraction draw when an rng
-        is supplied; raises OomError for models flagged out-of-memory."""
+        """Mean latency with a uniform +/- ``LATENCY_JITTER`` draw when an
+        rng is supplied; raises OomError for models flagged out-of-memory."""
         if model in self.oom_models:
             raise OomError(f"{model} does not fit on {self.device}")
         try:
@@ -398,10 +400,10 @@ class DeviceProfile:
             raise UnknownModelError(f"{self.device} has no entry for {model}") from None
         if rng is None:
             return mean
-        return mean * (1.0 + rng.uniform(-self.jitter_fraction, self.jitter_fraction))
+        return mean * (1.0 + rng.uniform(-LATENCY_JITTER, LATENCY_JITTER))
 
 
-def _profiles_from_dict(table: dict, jitter_fraction: float = 0.05) -> dict[str, DeviceProfile]:
+def _profiles_from_dict(table: dict) -> dict[str, DeviceProfile]:
     profiles = {}
     for device, models in table.items():
         means, ooms = {}, set()
@@ -410,7 +412,7 @@ def _profiles_from_dict(table: dict, jitter_fraction: float = 0.05) -> dict[str,
                 ooms.add(model)
             else:
                 means[model] = float(entry["mean_ms"])
-        profiles[device] = DeviceProfile(device, means, frozenset(ooms), jitter_fraction)
+        profiles[device] = DeviceProfile(device, means, frozenset(ooms))
     return profiles
 
 
@@ -489,8 +491,6 @@ class DetectorNode(SimNode):
         self.unknown_frames = 0
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
-        if wire_topic != self.request_wire:
-            return
         frame = self.frame_index.get(getattr(message.payload, "content_id", None))
         if frame is None:
             self.unknown_frames += 1

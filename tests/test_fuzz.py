@@ -146,6 +146,25 @@ def test_random_scenarios_hold_invariants():
     assert hits > 0  # the configs reach the cache-hit path
 
 
+# the detector does not fit on the car and there is no edge, so no request is
+# ever answered: the run ends with every request pending on three digests
+NEVER_ANSWERED = ScenarioConfig(
+    n_cars=1,
+    edge_devices=(),
+    model="DETR-ResNet-101-DC5",
+    synth=SynthSpec(route="loop", n_frames=30, overlap_fraction=0.9),
+    seed=7,
+)
+
+
+def test_invariants_hold_on_pending_tables_left_at_end():
+    check_invariants(NEVER_ANSWERED)
+    scenario, _ = _run(NEVER_ANSWERED, "DG")
+    db = scenario.genies["car1/genie"].db
+    assert db.pending_count() > 0  # check_genies saw a non-empty index
+    assert [len(r.waiters) for r in db.topic_map("/image").pending.values()] == [10, 10, 10]
+
+
 def test_random_scenario_reruns_identically():
     rng = random.Random("fuzz:repeat")
     config = random_config(rng)

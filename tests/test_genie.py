@@ -48,18 +48,18 @@ class TestEncapsulate:
     def test_unpairable_topics_rejected(self):
         spec = ServiceSpec(
             "odd",
-            (IMAGE, Topic("/lidar", PayloadKind.POINT_CLOUD)),
+            (IMAGE, Topic("/image2", PayloadKind.IMAGE)),
             (OBJECTS, Topic("/objects2", PayloadKind.OBJECTS), Topic("/objects3", PayloadKind.OBJECTS)),
         )
         with pytest.raises(EncapsulationError):
             encapsulate(spec)
 
     def test_multi_topic_pairing_by_position(self):
-        lidar = Topic("/lidar", PayloadKind.POINT_CLOUD)
-        objects3d = Topic("/objects3d", PayloadKind.OBJECTS)
-        encap = encapsulate(ServiceSpec("fusion", (IMAGE, lidar), (OBJECTS, objects3d)))
-        assert encap.routes == {"/image": OBJECTS, "/lidar": objects3d}
-        assert encap.rewritten["/lidar"] == "/lidar-local"
+        rear = Topic("/image2", PayloadKind.IMAGE)
+        objects2 = Topic("/objects2", PayloadKind.OBJECTS)
+        encap = encapsulate(ServiceSpec("pair", (IMAGE, rear), (OBJECTS, objects2)))
+        assert encap.routes == {"/image": OBJECTS, "/image2": objects2}
+        assert encap.rewritten["/image2"] == "/image2-local"
 
 
 class TestTopicCacheDB:

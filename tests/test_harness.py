@@ -1,5 +1,7 @@
 import json
 import statistics
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,6 @@ from geniesim.harness import (
     empirical_cdf,
     run_built_scenario,
     run_scenario,
-    with_phantoms,
 )
 from geniesim.workload import count_repeats, save_trace, synth_trace
 
@@ -61,7 +62,7 @@ class TestConfig:
 
     def test_phantom_ids_validated(self):
         with pytest.raises(ConfigError):
-            with_phantoms(small_loop(), ["car9"])
+            replace(small_loop(), phantom_cars=("car9",)).validate()
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ConfigError):
@@ -348,6 +349,15 @@ class TestCli:
             assert (out / mode / "summary.json").exists()
         comparison = json.loads((out / "comparison.json").read_text())
         assert comparison["improvement_vs_L"] > 0
+
+    def test_compare_means_are_the_summary_means(self, tmp_path):
+        # the demo's summed and fmean means differ in the last digits
+        demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+        assert cli_main(["compare", "--config", str(demo), "--out", str(tmp_path)]) == 0
+        comparison = json.loads((tmp_path / "comparison.json").read_text())
+        for mode in ("L", "R", "DG"):
+            summary = json.loads((tmp_path / mode / "summary.json").read_text())
+            assert comparison["mean_latency_ms"][mode] == summary["totals"]["latency_ms"]["mean"]
 
     def test_synth_then_run_from_file(self, tmp_path):
         trace_path = tmp_path / "trace.jsonl"

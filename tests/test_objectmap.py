@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from geniesim.model import ObjectList
 from geniesim.objectmap import (
-    CellKey,
     ObjectMapStore,
     UpdateRule,
     apply_update,
@@ -17,10 +16,10 @@ from conftest import obj, objects_message, image_message
 
 class TestQuantize:
     def test_inside_first_cell(self):
-        assert quantize((0.4, 0.4, 0.0), 0.5) == CellKey(0, 0, 0)
+        assert quantize((0.4, 0.4, 0.0), 0.5) == (0, 0, 0)
 
     def test_floor_not_truncate(self):
-        assert quantize((-0.1, 0.0, 0.0), 0.5) == CellKey(-1, 0, 0)
+        assert quantize((-0.1, 0.0, 0.0), 0.5) == (-1, 0, 0)
 
     def test_requires_positive_resolution(self):
         with pytest.raises(ValueError):
@@ -70,7 +69,7 @@ class TestIngest:
         msg = objects_message((obj("traffic_light", 0.3, (10.0, 20.0, 3.0)),))
         store.ingest(msg, now_ms=0.0)
         assert store.boost_records == []
-        assert CellKey(20, 40, 6) in store.cells
+        assert (20, 40, 6) in store.cells
         assert store.requests == 1 and store.hits == 0
 
     def test_resight_updates_confidence(self):
@@ -216,7 +215,7 @@ class TestCellsNear:
             for _ in range(6):
                 # direct writes between queries, as criterion 6 does
                 for _ in range(rng.randint(0, 30)):
-                    cell = CellKey(*(rng.randint(-span, span) for _ in range(3)))
+                    cell = tuple(rng.randint(-span, span) for _ in range(3))
                     store.cells.setdefault(cell, []).append(obj("x", 0.9, (0.2, 0.2, 0.2)))
                 points = self.boundary_points(rng, res, store._bucket_edge)
                 points += [tuple(rng.uniform(-span, span) * res for _ in range(3)) for _ in range(4)]
@@ -230,17 +229,17 @@ class TestCellsNear:
         store = ObjectMapStore(relevance_radius_m=3.0)
         assert store._cells_near((0.2, 0.2, 0.2)) == []
         store.ingest(objects_message((obj("car", 0.9, (-1.2, 0.7, 0.2)),)), 0.0)
-        assert store._cells_near((0.2, 0.2, 0.2)) == [CellKey(-3, 1, 0)]
-        store.cells.setdefault(CellKey(2, 0, 0), [])
-        assert store._cells_near((0.2, 0.2, 0.2)) == [CellKey(-3, 1, 0), CellKey(2, 0, 0)]
+        assert store._cells_near((0.2, 0.2, 0.2)) == [(-3, 1, 0)]
+        store.cells.setdefault((2, 0, 0), [])
+        assert store._cells_near((0.2, 0.2, 0.2)) == [(-3, 1, 0), (2, 0, 0)]
 
     def test_visits_at_most_27_buckets_however_large_the_map(self):
         store = ObjectMapStore(relevance_radius_m=15.0)
         store._buckets = _CountingDict()
         for i in range(5000):
-            store.cells.setdefault(CellKey(1000 + i, 1000 - i, i % 7), [])
-        store.cells.setdefault(CellKey(3, 4, 0), [])
-        assert store._cells_near((0.2, 0.2, 0.2)) == [CellKey(3, 4, 0)]
+            store.cells.setdefault((1000 + i, 1000 - i, i % 7), [])
+        store.cells.setdefault((3, 4, 0), [])
+        assert store._cells_near((0.2, 0.2, 0.2)) == [(3, 4, 0)]
         assert store._buckets.gets <= 27
 
 
@@ -290,16 +289,6 @@ class TestAscendMonotonicity:
             acc += delta
             totals.append(acc)
         assert all(b >= a for a, b in zip(totals, totals[1:]))
-
-
-def test_snapshot_is_json_serializable():
-    import json
-
-    store = ObjectMapStore()
-    store.ingest(objects_message((obj("car", 0.7, (1.2, 1.2, 0.2)),)), 0.0)
-    snap = store.snapshot()
-    parsed = json.loads(json.dumps(snap))
-    assert parsed["2,2,0"][0]["label"] == "car"
 
 
 def test_store_lookup_round_trip():

@@ -156,7 +156,7 @@ class TestSynth:
             for t in f.truths:
                 absolute = translate_location(t.offset, f.pose)
                 cell = quantize(absolute, 0.5)
-                by_label_scene.setdefault((t.label, cell.ix), set()).add(cell)
+                by_label_scene.setdefault((t.label, cell[0]), set()).add(cell)
         for cells in by_label_scene.values():
             assert len(cells) == 1
 
