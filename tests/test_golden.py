@@ -9,8 +9,11 @@ with a three-entry LRU and one in transparency mode; plus
 ``summary.json`` (key ``<cell>``) and one sha256 over the emitted
 ``boost.csv``, ``latency_cdf.csv`` and ``reuse.csv`` (key ``<cell>:csv``)
 against ``golden.json``, so every emitted file is pinned byte for byte.  A
-change that alters any output on purpose re-records the file and says why;
-the record run prints the keys whose digest changed:
+third sha256 over every field of every fabric ``DeliveryRecord`` (key
+``<cell>:deliveries``) pins the traffic itself, so a change that keeps the
+outputs but moves a delivery shows too.  A change that alters any of these
+on purpose re-records the file and says why; the record run prints the keys
+whose digest changed:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -21,15 +24,17 @@ import hashlib
 import json
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from geniesim.harness import (
+    MODES,
     ScenarioConfig,
     SynthSpec,
-    compare_baselines,
+    _scenario_trace,
+    build_scenario,
     emit_report,
-    run_scenario,
+    run_built_scenario,
 )
 
 HERE = Path(__file__).resolve().parent
@@ -90,11 +95,14 @@ CSV_FILES = ("boost.csv", "latency_cdf.csv", "reuse.csv")
 
 
 def compute_digests(work_dir: Path) -> dict[str, str]:
-    """Cell name -> sha256 of its emitted summary.json, and ``<cell>:csv``
-    -> sha256 over its emitted CSV files (each prefixed by name and size)."""
+    """Cell name -> sha256 of its emitted summary.json, ``<cell>:csv`` ->
+    sha256 over its emitted CSV files (each prefixed by name and size), and
+    ``<cell>:deliveries`` -> sha256 over its fabric delivery log."""
     digests = {}
 
-    def record(cell: str, report) -> None:
+    def record(cell: str, config: ScenarioConfig, mode: str = "DG", trace=None) -> None:
+        scenario = build_scenario(config, trace, mode)
+        report = run_built_scenario(scenario, mode)
         out_dir = work_dir / cell
         emit_report(report, out_dir)
         digests[cell] = hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
@@ -104,30 +112,31 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
             h.update(f"{name} {len(data)}\n".encode())
             h.update(data)
         digests[f"{cell}:csv"] = h.hexdigest()
+        h = hashlib.sha256()
+        for r in scenario.fabric.deliveries:
+            h.update(repr(tuple(getattr(r, f.name) for f in fields(r))).encode())
+        digests[f"{cell}:deliveries"] = h.hexdigest()
 
     for route in ROUTES:
         for cars in CARS:
             for edges in EDGES:
-                cell = f"{route}/{cars}cars/{'+'.join(edges)}"
-                report = run_scenario(_config(route, cars, edges))
-                record(cell, report)
+                record(f"{route}/{cars}cars/{'+'.join(edges)}", _config(route, cars, edges))
     for route, cars in FORCE_MISS:
         cell = f"{route}/{cars}cars/AGX+A4500/force_miss"
-        report = run_scenario(_config(route, cars, ("AGX", "A4500"), force_miss=True))
-        record(cell, report)
+        record(cell, _config(route, cars, ("AGX", "A4500"), force_miss=True))
     for suffix, overrides in SHORT_TTL:
-        cell = f"ttl{SHORT_TTL_MS:g}/{suffix}"
         config = _config("shared-corridor", 3, ("AGX", "A4500"), frames=40, overlap=0.6)
-        report = run_scenario(replace(config, pending_ttl_ms=SHORT_TTL_MS, **overrides))
-        record(cell, report)
+        config = replace(config, pending_ttl_ms=SHORT_TTL_MS, **overrides)
+        record(f"ttl{SHORT_TTL_MS:g}/{suffix}", config)
     route, cars, frames, overlap = REPEAT_HITS
     cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
-    report = run_scenario(_config(route, cars, ("AGX",), frames=frames, overlap=overlap))
-    record(cell, report)
+    record(cell, _config(route, cars, ("AGX",), frames=frames, overlap=overlap))
     baselines = {"demo": ScenarioConfig.from_json_file(DEMO), "jitter-phantom": JITTER_PHANTOM}
     for name, config in baselines.items():
-        for mode, report in compare_baselines(config).items():
-            record(f"{name}/{mode}", report)
+        # compare_baselines, unrolled to reach each mode's fabric
+        trace = _scenario_trace(config)
+        for mode in MODES:
+            record(f"{name}/{mode}", config, mode, trace)
     return digests
 
 
