@@ -16,12 +16,10 @@ from .model import (
 from .objectmap import ObjectMapStore, UpdateRule, quantize, share_filter
 from .genie import (
     DedupFilter,
-    Encapsulation,
     GenieNode,
     GenieRole,
     ServiceSpec,
     TopicCacheDB,
-    encapsulate,
 )
 from .simnet import Fabric, Link, SimNode
 from .workload import (

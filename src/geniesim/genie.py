@@ -1,19 +1,21 @@
 """Transparent caching interposer for pub/sub services.
 
-A caching node wraps an existing service node without touching it: the
-inner node's topics are rewritten to ``-local`` names so only the wrapper
-talks to it, the wrapper takes over the original names, and a ``-remote``
-variant of each topic is exposed on the shared edge network so wrappers of
-identical services can trade cached results.  A vehicle wrapper hears
-requests on the original names; an edge-resident wrapper (role ``REMOTE``,
-or placed on the edge network itself) serves only the ``-remote`` surface.
-Each wrapper hears ``-local`` answers unless it is a phantom, ``-remote``
-answers on the edge, and never the original answer names, which only it
-publishes.
+A caching node wraps an existing service node, declared by its
+``ServiceSpec``, without touching it: the inner node's topics are renamed
+to ``-local`` names so only the wrapper talks to it, the wrapper takes over
+the original names, and a ``-remote`` variant of each topic is exposed on
+the shared edge network so wrappers of identical services can trade cached
+results.  A vehicle wrapper hears requests on the original names; an
+edge-resident wrapper (role ``REMOTE``, or placed on the edge network
+itself) serves only the ``-remote`` surface.  Each wrapper hears ``-local``
+answers unless it is a phantom, ``-remote`` answers on the edge, and never
+the original answer names, which only it publishes.
 
-Message arrival follows one procedure:
+Message arrival follows one procedure, decided by topic: a message on a
+published (answer) topic is an answer or a stray, one on a subscribed
+topic is a request and a hit or a miss.
 
-  answer   the header matches a request we forwarded; absorb it into the
+  answer   its header key names a pending exchange; absorb it into the
            object map, store it as the cached value, and relay it to every
            requester waiting on that content digest.
   miss     unseen content; forward to the inner node on ``-local`` (never
@@ -24,14 +26,14 @@ Message arrival follows one procedure:
            map and send it straight back to the sender.  The augmented answer
            is kept on the entry and reused while the map's version is
            unchanged, so a repeat hit on an unchanged map does not augment.
-  stray    a message on an answer-only topic that answers no pending
-           exchange; dropped, never ingested, parked or re-requested.  From
-           the inner node (``-local``) it is late: a ``-remote`` answer
-           filled the exchange first, or the exchange expired.  Otherwise it
-           is an echo: an edge genie hears every answer on the edge and
-           counts other exchanges' answers here, and a vehicle genie, which
-           subscribes with its car's origin prefix (``attach``), counts
-           second answers to its own car's exchanges.
+  stray    its header key names no pending exchange; dropped, never
+           ingested, parked or re-requested.  From the inner node
+           (``-local``) it is late: a ``-remote`` answer filled the exchange
+           first, or the exchange expired.  Otherwise it is an echo: an
+           edge genie hears every answer on the edge and counts other
+           exchanges' answers here, and a vehicle genie, which subscribes
+           with its car's origin prefix (``attach``), counts second answers
+           to its own car's exchanges.
 
 A request whose header is already queued (a peer edge re-sharing the same
 upload) counts as a request and a miss but is not queued again, so each
@@ -75,67 +77,30 @@ class GenieRole(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class ServiceSpec:
-    """Declared surface of a node to be wrapped: what it subscribes to and
-    what it publishes."""
+    """Declared surface of a node to be wrapped: what it subscribes to
+    (requests) and what it publishes (answers).
+
+    Topics that already carry either wire suffix are rejected: they belong
+    to an existing wrapper.  A name may not be both a request and an answer
+    topic, since the wrapper tells the two apart by topic alone.
+    """
 
     name: str
     subscribes: tuple[Topic, ...]
     publishes: tuple[Topic, ...]
 
-
-@dataclass(frozen=True)
-class Encapsulation:
-    """Wiring plan produced by :func:`encapsulate`.
-
-    ``routes`` pairs each request topic with the answer topic the inner
-    node produces for it, which is how an incoming message is recognized
-    as the answer to an earlier query.
-    """
-
-    subscribed: tuple[Topic, ...]
-    published: tuple[Topic, ...]
-    rewritten: dict[str, str]
-    routes: dict[str, Topic]
-
-    def topics(self) -> tuple[Topic, ...]:
-        return self.subscribed + self.published
-
-
-def encapsulate(spec: ServiceSpec) -> Encapsulation:
-    """Build the wiring plan for wrapping ``spec``.
-
-    Every declared topic gets exactly one ``-local`` rewrite (its ``-remote``
-    name is derived by :meth:`GenieNode.subscriptions`).  Topics that already
-    carry either suffix are rejected: they belong to an existing wrapper.
-    """
-    topics = spec.subscribes + spec.publishes
-    seen: dict[str, Topic] = {}
-    for t in topics:
-        if t.name.endswith(LOCAL_SUFFIX) or t.name.endswith(REMOTE_SUFFIX):
-            raise EncapsulationError(f"topic {t.name} is already rewritten")
-        if t.name in seen and seen[t.name] != t:
-            raise EncapsulationError(f"conflicting declarations for topic {t.name}")
-        seen[t.name] = t
-
-    if not spec.publishes:
-        routes: dict[str, Topic] = {}
-    elif len(spec.publishes) == 1:
-        routes = {t.name: spec.publishes[0] for t in spec.subscribes}
-    elif len(spec.publishes) == len(spec.subscribes):
-        routes = {s.name: p for s, p in zip(spec.subscribes, spec.publishes)}
-    else:
-        raise EncapsulationError(
-            f"cannot pair {len(spec.subscribes)} inputs with "
-            f"{len(spec.publishes)} outputs for {spec.name}"
-        )
-
-    names = list(dict.fromkeys(t.name for t in topics))
-    return Encapsulation(
-        subscribed=spec.subscribes,
-        published=spec.publishes,
-        rewritten={n: n + LOCAL_SUFFIX for n in names},
-        routes=routes,
-    )
+    def __post_init__(self) -> None:
+        seen: dict[str, Topic] = {}
+        for t in self.subscribes + self.publishes:
+            if t.name.endswith(LOCAL_SUFFIX) or t.name.endswith(REMOTE_SUFFIX):
+                raise EncapsulationError(f"topic {t.name} already carries a wire suffix")
+            if seen.setdefault(t.name, t) != t:
+                raise EncapsulationError(f"conflicting declarations for topic {t.name}")
+        both = {t.name for t in self.subscribes} & {t.name for t in self.publishes}
+        if both:
+            raise EncapsulationError(
+                f"{self.name} both subscribes and publishes {sorted(both)}"
+            )
 
 
 # -- cache database -------------------------------------------------------------
@@ -347,7 +312,7 @@ class GenieNode(SimNode):
         self,
         name: str,
         home_network: str,
-        encapsulation: Encapsulation,
+        spec: ServiceSpec,
         role: GenieRole,
         edge_network: str | None = None,
         object_map: ObjectMapStore | None = None,
@@ -360,7 +325,7 @@ class GenieNode(SimNode):
         max_entries: int | None = None,
     ) -> None:
         super().__init__(name, home_network)
-        self.encapsulation = encapsulation
+        self.spec = spec
         self.role = role
         self.edge_network = edge_network
         self.object_map = object_map
@@ -371,11 +336,8 @@ class GenieNode(SimNode):
         self.answers_on_edge = role is GenieRole.REMOTE or home_network == edge_network
         self.db = TopicCacheDB(max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
-        self._topics = {t.name: t for t in encapsulation.topics()}
-        self._answer_names = {t.name for t in encapsulation.routes.values()}
-        # answer topics that are never requests: unmatched traffic on them
-        # answers an exchange that is not pending, and is not work for us
-        self._answer_only = self._answer_names - {t.name for t in encapsulation.subscribed}
+        self._topics = {t.name: t for t in spec.subscribes + spec.publishes}
+        self._answer_names = tuple(dict.fromkeys(t.name for t in spec.publishes))
 
     # -- wiring ---------------------------------------------------------------
 
@@ -387,18 +349,14 @@ class GenieNode(SimNode):
         """
         subs = []
         if not self.answers_on_edge:
-            subs += [(t.name, self.home_network) for t in self.encapsulation.subscribed]
+            subs += [(t.name, self.home_network) for t in self.spec.subscribes]
         if self.role is not GenieRole.PHANTOM:
-            subs += [
-                (self.encapsulation.rewritten[n], self.home_network) for n in self._answer_names
-            ]
+            subs += [(n + LOCAL_SUFFIX, self.home_network) for n in self._answer_names]
         if self.edge_network:
-            remote_answer = {n + REMOTE_SUFFIX for n in self._answer_names}
+            remote = list(self._answer_names)
             if self.answers_on_edge:
-                remote_answer.update(
-                    t.name + REMOTE_SUFFIX for t in self.encapsulation.subscribed
-                )
-            subs += [(n, self.edge_network) for n in sorted(remote_answer)]
+                remote += [t.name for t in self.spec.subscribes]
+            subs += [(n, self.edge_network) for n in sorted(n + REMOTE_SUFFIX for n in remote)]
         return subs
 
     def attach(self, net: Fabric, origin_prefix: str = "") -> None:
@@ -430,13 +388,12 @@ class GenieNode(SimNode):
             return
         self.expire(at)
 
-        pend = self._pending_answered_by(message)
-        if pend is not None:
-            self._handle_answer(net, at, flavor, pend, message)
-            return
-        if base in self._answer_only:
-            # not ingested: that would change objrr and the boost curve
-            if flavor == "local":
+        if base in self._answer_names:
+            pend = self.db.pending(message.header.key)
+            if pend is not None:
+                self._handle_answer(net, at, flavor, pend, message)
+            elif flavor == "local":
+                # not ingested: that would change objrr and the boost curve
                 self.counters.late_answers += 1
             else:
                 self.counters.echoes_ignored += 1
@@ -534,26 +491,6 @@ class GenieNode(SimNode):
         if wire_topic.endswith(REMOTE_SUFFIX):
             return wire_topic[: -len(REMOTE_SUFFIX)], "remote"
         return wire_topic, "original"
-
-    def _pending_answered_by(self, message: Message) -> tuple[str, str] | None:
-        """The pending request this message answers, if any.
-
-        A message only counts as an answer when its payload kind matches
-        the answer kind routed for the pending topic; when request and
-        answer kinds coincide, identical content is the request echoing
-        back, not an answer.
-        """
-        pend = self.db.pending(message.header.key)
-        if pend is None:
-            return None
-        name, digest = pend
-        kind = kind_of(message.payload)
-        route = self.encapsulation.routes.get(name)
-        if route is None or route.kind is not kind:
-            return None
-        if self.db.topic_map(name).topic.kind is kind and content_key(message, name) == digest:
-            return None
-        return pend
 
     def _answer_surface(self, answer_topic: str) -> tuple[str, str]:
         if self.answers_on_edge:

@@ -20,7 +20,7 @@ import statistics
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec, encapsulate
+from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
 from .model import LOCAL_SUFFIX, Header, ImageRef, Message, PayloadKind, Topic
 from .objectmap import ObjectMapStore, UpdateRule
 from .simnet import Fabric, SimNode
@@ -323,7 +323,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
     scenario = Scenario(config, trace, net, {}, {}, {})
     suffix = LOCAL_SUFFIX if mode == "DG" else ""
-    encap = encapsulate(detector_service())
+    spec = detector_service()
 
     def add_detector(name: str, network: str, device: str) -> None:
         detector = DetectorNode(
@@ -344,7 +344,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         genie = GenieNode(
             name,
             home,
-            encap,
+            spec,
             role,
             edge_network=EDGE_NET,
             object_map=config.object_map.build(),

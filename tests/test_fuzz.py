@@ -116,7 +116,7 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
             for name in db.topic_names():
                 assert db.entry_count(name) <= config.max_cache_entries + len(pending[name])
         # an answer is never parked or cached as if it were a request
-        assert not genie._answer_only & set(db.topic_names()), genie.name
+        assert not {t.name for t in genie.spec.publishes} & set(db.topic_names()), genie.name
         # every answer the inner node gave is accounted for
         if genie.role is not GenieRole.PHANTOM:
             detector = scenario.detectors[genie.name.replace("/genie", "/detector")]

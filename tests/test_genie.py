@@ -11,9 +11,8 @@ from geniesim.genie import (
     GenieRole,
     ServiceSpec,
     TopicCacheDB,
-    encapsulate,
 )
-from geniesim.model import Header, PayloadKind, Topic, content_key
+from geniesim.model import Header, Message, ObjectList, PayloadKind, Topic, content_key
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric, SimNode
 from conftest import IMAGE, OBJECTS, image_message, obj, objects_message
@@ -24,42 +23,60 @@ def detector_spec() -> ServiceSpec:
 
 
 class TestEncapsulate:
-    def test_detector_surface(self):
-        encap = encapsulate(detector_spec())
-        assert encap.rewritten == {"/image": "/image-local", "/objects": "/objects-local"}
-        assert encap.routes == {"/image": OBJECTS}
-
     def test_empty_spec_is_valid_noop(self):
-        encap = encapsulate(ServiceSpec("idle", (), ()))
-        assert encap.rewritten == {} and encap.routes == {}
+        genie = GenieNode("genie", "VN1", ServiceSpec("idle", (), ()), GenieRole.LOCAL, "EDGE")
+        assert genie.subscriptions() == []
 
     def test_already_rewritten_rejected(self):
-        bad = ServiceSpec(
-            "detector", (Topic("/image-local", PayloadKind.IMAGE),), (OBJECTS,)
-        )
         with pytest.raises(EncapsulationError):
-            encapsulate(bad)
-        bad = ServiceSpec(
-            "detector", (IMAGE,), (Topic("/objects-remote", PayloadKind.OBJECTS),)
-        )
+            ServiceSpec("detector", (Topic("/image-local", PayloadKind.IMAGE),), (OBJECTS,))
         with pytest.raises(EncapsulationError):
-            encapsulate(bad)
+            ServiceSpec("detector", (IMAGE,), (Topic("/objects-remote", PayloadKind.OBJECTS),))
 
-    def test_unpairable_topics_rejected(self):
-        spec = ServiceSpec(
-            "odd",
-            (IMAGE, Topic("/image2", PayloadKind.IMAGE)),
-            (OBJECTS, Topic("/objects2", PayloadKind.OBJECTS), Topic("/objects3", PayloadKind.OBJECTS)),
-        )
-        with pytest.raises(EncapsulationError):
-            encapsulate(spec)
+    def test_topic_both_subscribed_and_published_rejected(self):
+        # the wrapper tells answers from requests by topic alone
+        with pytest.raises(EncapsulationError, match="/image"):
+            ServiceSpec("echo", (IMAGE,), (IMAGE,))
+        with pytest.raises(EncapsulationError, match="/objects"):
+            ServiceSpec("chain", (IMAGE, OBJECTS), (OBJECTS,))
 
-    def test_multi_topic_pairing_by_position(self):
-        rear = Topic("/image2", PayloadKind.IMAGE)
+    def test_two_request_service_answers_each_requester(self):
+        image2 = Topic("/image2", PayloadKind.IMAGE)
         objects2 = Topic("/objects2", PayloadKind.OBJECTS)
-        encap = encapsulate(ServiceSpec("pair", (IMAGE, rear), (OBJECTS, objects2)))
-        assert encap.routes == {"/image": OBJECTS, "/image2": objects2}
-        assert encap.rewritten["/image2"] == "/image2-local"
+        net = Fabric(seed=0)
+        net.add_network("VN1")
+        net.add_node(SimNode("camera", "VN1"))
+        inner = _AnswerSink("inner", "VN1")
+        net.add_node(inner)
+        consumers = {}
+        for topic in ("/objects", "/objects2"):
+            consumers[topic] = _AnswerSink(f"consumer{topic}", "VN1")
+            net.add_node(consumers[topic])
+            net.subscribe(consumers[topic].name, topic, "VN1")
+        for wire in ("/image-local", "/image2-local"):
+            net.subscribe("inner", wire, "VN1")
+        spec = ServiceSpec("pair", (IMAGE, image2), (OBJECTS, objects2))
+        genie = GenieNode("genie", "VN1", spec, GenieRole.LOCAL)
+        genie.attach(net)
+        front = image_message("f0", origin="car1/front")
+        rear = replace(image_message("f0", origin="car1/rear"), topic=image2)
+        net.publish("camera", front, wire_topic="/image", network="VN1")
+        net.publish("camera", rear, wire_topic="/image2", network="VN1")
+        net.run_until(50.0)
+        assert sorted(w for _, w, _ in inner.received) == ["/image-local", "/image2-local"]
+        # the inner node answers the rear request first, each on its own topic
+        answers = {
+            "/objects2": Message(rear.header, objects2, ObjectList((obj("car", 0.7, (1, 0, 0)),))),
+            "/objects": Message(front.header, OBJECTS, ObjectList((obj("bike", 0.8, (2, 0, 0)),))),
+        }
+        for topic, answer in answers.items():
+            net.publish("inner", answer, wire_topic=topic + "-local", network="VN1", at=50.0)
+        net.run_until(200.0)
+        for topic, answer in answers.items():
+            [(_, wire, relayed)] = consumers[topic].received
+            assert wire == topic and relayed.via == "answer"
+            assert relayed.header == answer.header and relayed.payload == answer.payload
+        assert genie.counters.local_answers == 2 and genie.db.pending_count() == 0
 
 
 class TestTopicCacheDB:
@@ -281,7 +298,7 @@ def wire_local_genie(**genie_kwargs):
     net.add_node(spy)
     net.subscribe("edge-spy", "/image-remote", "EDGE")
     genie = GenieNode(
-        "genie", "VN1", encapsulate(detector_spec()), GenieRole.LOCAL,
+        "genie", "VN1", detector_spec(), GenieRole.LOCAL,
         edge_network="EDGE", **genie_kwargs,
     )
     genie.attach(net)
@@ -445,7 +462,7 @@ def wire_remote_genie(**genie_kwargs):
     net.add_node(peer)
     net.subscribe("peer-spy", "/image-remote", "EDGE")
     genie = GenieNode(
-        "edge-genie", "E1", encapsulate(detector_spec()), GenieRole.REMOTE,
+        "edge-genie", "E1", detector_spec(), GenieRole.REMOTE,
         edge_network="EDGE", **genie_kwargs,
     )
     genie.attach(net)
@@ -765,7 +782,7 @@ class TestSubscriptions:
     def test_only_names_another_node_publishes(self, home, role, expected):
         # no wrapper hears its own answer names; phantoms have no -local
         # answers; edge-resident wrappers serve only the -remote surface
-        genie = GenieNode("genie", home, encapsulate(detector_spec()), role, edge_network="EDGE")
+        genie = GenieNode("genie", home, detector_spec(), role, edge_network="EDGE")
         assert genie.subscriptions() == expected
         assert genie.answers_on_edge == (home != "VN-car1")
 
@@ -783,7 +800,7 @@ class TestPhantomRole:
         net.add_node(edge_spy)
         net.subscribe("edge-spy", "/image-remote", "EDGE")
         genie = GenieNode(
-            "genie", "VN2", encapsulate(detector_spec()), GenieRole.PHANTOM,
+            "genie", "VN2", detector_spec(), GenieRole.PHANTOM,
             edge_network="EDGE",
         )
         genie.attach(net)
