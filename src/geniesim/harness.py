@@ -25,6 +25,7 @@ from .model import LOCAL_SUFFIX, Header, ImageRef, Message, PayloadKind, Topic
 from .objectmap import ObjectMapStore, UpdateRule
 from .simnet import Fabric, SimNode
 from .workload import (
+    DEFAULT_PROFILES,
     DetectorNode,
     DeviceProfile,
     Trace,
@@ -112,6 +113,16 @@ class ScenarioConfig:
             raise ConfigError("n_cars must be >= 1")
         if self.deadline_ms <= 0:
             raise ConfigError("deadline_ms must be positive")
+        for name in (
+            "hit_overhead_ms",
+            "miss_overhead_ms",
+            "answer_overhead_ms",
+            "dedup_window_ms",
+            "pending_ttl_ms",
+            "drain_ms",
+        ):
+            if getattr(self, name) < 0:  # zero is valid: no delay, no window
+                raise ConfigError(f"{name} must be non-negative")
         if self.trace_file is None and self.synth is None:
             raise ConfigError("either trace_file or synth parameters are required")
         cars = {f"car{i + 1}" for i in range(self.n_cars)}
@@ -120,7 +131,10 @@ class ScenarioConfig:
             raise ConfigError(f"phantom cars not in scenario: {sorted(unknown)}")
 
     def resolve_profiles(self) -> dict[str, DeviceProfile]:
-        profiles = load_device_profiles(self.profiles_file)
+        profiles = (
+            DEFAULT_PROFILES if self.profiles_file is None
+            else load_device_profiles(self.profiles_file)
+        )
         for device in (self.car_device, *self.edge_devices):
             if device not in profiles:
                 raise ConfigError(f"unknown device profile: {device}")
@@ -183,12 +197,10 @@ class ConsumerNode(SimNode):
         self.origin = origin
         self.dedup = DedupFilter(dedup_window_ms)
         self.samples: dict[tuple[str, int], Sample] = {}
-        self.deliveries = 0
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
         if message.header.origin != self.origin:
             return
-        self.deliveries += 1
         if not self.dedup.offer(at, message):
             return
         key = message.header.key
@@ -576,7 +588,8 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
             car: {
                 "accepted": c.dedup.accepted,
                 "discarded": c.dedup.discarded,
-                "deliveries": c.deliveries,
+                # every delivery past the origin check is offered once
+                "deliveries": c.dedup.accepted + c.dedup.discarded,
             }
             for car, c in sorted(scenario.consumers.items())
         },

@@ -19,7 +19,7 @@ from geniesim.harness import (
     run_built_scenario,
     run_scenario,
 )
-from geniesim.workload import count_repeats, save_trace, synth_trace
+from geniesim.workload import DEFAULT_PROFILES, count_repeats, save_trace, synth_trace
 
 
 def small_loop(**overrides) -> ScenarioConfig:
@@ -67,6 +67,25 @@ class TestConfig:
     def test_bad_deadline_rejected(self):
         with pytest.raises(ConfigError):
             small_loop(deadline_ms=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "drain_ms",
+            "pending_ttl_ms",
+            "dedup_window_ms",
+            "hit_overhead_ms",
+            "miss_overhead_ms",
+            "answer_overhead_ms",
+        ],
+    )
+    def test_negative_duration_rejected(self, field):
+        small_loop(**{field: 0.0}).validate()
+        with pytest.raises(ConfigError, match=field):
+            small_loop(**{field: -1.0}).validate()
+
+    def test_packaged_profiles_are_not_reread(self):
+        assert small_loop().resolve_profiles() is DEFAULT_PROFILES
 
     def test_trace_car_count_must_match(self, tmp_path):
         trace = synth_trace(2, "disjoint", 5, seed=1)
