@@ -47,7 +47,7 @@ only to its own requester.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .model import (
@@ -81,8 +81,9 @@ class ServiceSpec:
     (requests) and what it publishes (answers).
 
     Topics that already carry either wire suffix are rejected: they belong
-    to an existing wrapper.  A name may not be both a request and an answer
-    topic, since the wrapper tells the two apart by topic alone.
+    to an existing wrapper.  Each name is declared once: a repeat would
+    subscribe the wrapper twice, and a name may not be both a request and an
+    answer topic, since the wrapper tells the two apart by topic alone.
     """
 
     name: str
@@ -90,17 +91,13 @@ class ServiceSpec:
     publishes: tuple[Topic, ...]
 
     def __post_init__(self) -> None:
-        seen: dict[str, Topic] = {}
+        seen: set[str] = set()
         for t in self.subscribes + self.publishes:
             if t.name.endswith(LOCAL_SUFFIX) or t.name.endswith(REMOTE_SUFFIX):
                 raise EncapsulationError(f"topic {t.name} already carries a wire suffix")
-            if seen.setdefault(t.name, t) != t:
-                raise EncapsulationError(f"conflicting declarations for topic {t.name}")
-        both = {t.name for t in self.subscribes} & {t.name for t in self.publishes}
-        if both:
-            raise EncapsulationError(
-                f"{self.name} both subscribes and publishes {sorted(both)}"
-            )
+            if t.name in seen:
+                raise EncapsulationError(f"{self.name} declares topic {t.name} twice")
+            seen.add(t.name)
 
 
 # -- cache database -------------------------------------------------------------
@@ -337,7 +334,7 @@ class GenieNode(SimNode):
         self.db = TopicCacheDB(max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
         self._topics = {t.name: t for t in spec.subscribes + spec.publishes}
-        self._answer_names = tuple(dict.fromkeys(t.name for t in spec.publishes))
+        self._answer_names = tuple(t.name for t in spec.publishes)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -450,13 +447,14 @@ class GenieNode(SimNode):
         if self.object_map is not None:
             self.object_map.ingest(message, at)
         topic_name, digest = pend
-        woken = self.db.fill(topic_name, digest, replace(message, via=None))
+        stored = Message(message.header, message.topic, message.payload)
+        woken = self.db.fill(topic_name, digest, stored)
         # peers that heard the same broadcast we did need no relay from us
         if self.answers_on_edge and flavor == "remote":
             return
         wire, network = self._answer_surface(message.topic.name)
         for waiter in woken:
-            out = replace(message, header=waiter, via="answer")
+            out = Message(waiter, message.topic, message.payload, via="answer")
             net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.answer_overhead_ms)
 
     def _serve_hit(self, net: Fabric, at: float, request: Message, entry: CachedValue) -> None:
@@ -478,7 +476,7 @@ class GenieNode(SimNode):
                 store.requests += requests
                 store.hits += hits
             payload = augmented
-        out = replace(result, header=request.header, payload=payload, via="hit")
+        out = Message(request.header, result.topic, payload, via="hit")
         wire, network = self._answer_surface(result.topic.name)
         net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)
 

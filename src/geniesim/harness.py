@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
-from .model import LOCAL_SUFFIX, Header, ImageRef, Message, PayloadKind, Topic
+from .model import LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic
 from .objectmap import ObjectMapStore, UpdateRule
 from .simnet import Fabric, SimNode
 from .workload import (
@@ -336,6 +336,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     scenario = Scenario(config, trace, net, {}, {}, {})
     suffix = LOCAL_SUFFIX if mode == "DG" else ""
     spec = detector_service()
+    detections: dict[str, ObjectList] = {}  # one detection per frame, shared
 
     def add_detector(name: str, network: str, device: str) -> None:
         detector = DetectorNode(
@@ -347,6 +348,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
             request_wire=IMAGE_TOPIC.name + suffix,
             answer_wire=OBJECTS_TOPIC.name + suffix,
             answer_topic=OBJECTS_TOPIC,
+            detections=detections,
         )
         net.add_node(detector)
         net.subscribe(name, detector.request_wire, network)

@@ -121,8 +121,9 @@ class DetectedObject:
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of range: {self.confidence}")
-        if any(e <= 0 for e in self.extent):
-            raise ValueError(f"extent must be positive: {self.extent}")
+        for e in self.extent:
+            if e <= 0:
+                raise ValueError(f"extent must be positive: {self.extent}")
 
     def sort_key(self) -> tuple:
         return (self.label, self.location, self.confidence, self.extent)

@@ -109,11 +109,12 @@ class ObjectMapStore:
         self.update_rule = UpdateRule(update_rule)
         self.relevance_radius_m = relevance_radius_m
         self.cells: dict[tuple[int, int, int], list[DetectedObject]] = {}
-        # spatial hash over ``cells``: cubes of ``_bucket_edge`` cells, at
-        # least the relevance radius wide, so a query's bounding box
-        # overlaps at most 3 buckets per axis
+        # spatial hash over ``cells``: 2-D columns of ``_bucket_edge`` x
+        # ``_bucket_edge`` cells, each spanning every z, at least the relevance
+        # radius wide, so a query's bounding box overlaps at most 3 x 3
+        # columns; z is checked per cell
         self._bucket_edge = max(1, math.ceil(relevance_radius_m / resolution_m))
-        self._buckets: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+        self._buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._indexed = 0
         self.requests = 0
         self.hits = 0
@@ -182,7 +183,10 @@ class ObjectMapStore:
                     if ident in present:
                         continue
                     present.add(ident)
-                    additions.append(replace(stored, from_map=True))
+                    additions.append(DetectedObject(
+                        stored.label, stored.confidence, stored.location, stored.extent,
+                        from_map=True,
+                    ))
                     found = True
             self.requests += 1
             if found:
@@ -192,28 +196,32 @@ class ObjectMapStore:
 
     def _cells_near(self, point: tuple[float, float, float]) -> list[tuple[int, int, int]]:
         """Occupied cells intersecting the relevance sphere around ``point``,
-        in deterministic order.  Only the buckets overlapping the sphere's
+        in deterministic order.  Only the columns overlapping the sphere's
         bounding box are visited, so the cost does not grow with the map."""
         r = self.relevance_radius_m
         res = self.resolution_m
-        lx, ly, lz = quantize((point[0] - r, point[1] - r, point[2] - r), res)
-        hx, hy, hz = quantize((point[0] + r, point[1] + r, point[2] + r), res)
+        px, py, pz = point
+        lx, ly, lz = quantize((px - r, py - r, pz - r), res)
+        hx, hy, hz = quantize((px + r, py + r, pz + r), res)
         self._index_new_cells()
         k = self._bucket_edge
-        keys = product(
-            range(lx // k, hx // k + 1), range(ly // k, hy // k + 1), range(lz // k, hz // k + 1)
-        )
+        keys = product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1))
         r2 = r * r
         out = []
         for bucket in map(self._buckets.get, keys):
             for cell in bucket or ():
                 ix, iy, iz = cell
-                if (
-                    lx <= ix <= hx
-                    and ly <= iy <= hy
-                    and lz <= iz <= hz
-                    and self._cell_sphere_dist2(cell, point) <= r2
-                ):
+                if not (lx <= ix <= hx and ly <= iy <= hy and lz <= iz <= hz):
+                    continue
+                # squared distance from the point to the cell's box, summed
+                # x, y, z; each axis is 0 when the point lies in the cell's span
+                lo, hi = ix * res, (ix + 1) * res
+                dx = px - lo if px < lo else px - hi if px > hi else 0.0
+                lo, hi = iy * res, (iy + 1) * res
+                dy = py - lo if py < lo else py - hi if py > hi else 0.0
+                lo, hi = iz * res, (iz + 1) * res
+                dz = pz - lo if pz < lo else pz - hi if pz > hi else 0.0
+                if dx ** 2 + dy ** 2 + dz ** 2 <= r2:
                     out.append(cell)
         out.sort()
         return out
@@ -229,18 +237,8 @@ class ObjectMapStore:
             return
         k = self._bucket_edge
         for cell in islice(reversed(self.cells), new):
-            ix, iy, iz = cell
-            self._buckets.setdefault((ix // k, iy // k, iz // k), []).append(cell)
+            self._buckets.setdefault((cell[0] // k, cell[1] // k), []).append(cell)
         self._indexed = len(self.cells)
-
-    def _cell_sphere_dist2(self, cell: tuple[int, int, int], point: tuple[float, float, float]) -> float:
-        res = self.resolution_m
-        d2 = 0.0
-        for idx, p in zip(cell, point):
-            lo, hi = idx * res, (idx + 1) * res
-            nearest = lo if p < lo else hi if p > hi else p  # clamp p to [lo, hi]
-            d2 += (p - nearest) ** 2
-        return d2
 
     # -- export ---------------------------------------------------------------
 

@@ -112,7 +112,12 @@ class _Delivery:
 
 
 class Fabric:
-    """Owns networks, nodes, subscriptions, the clock and the event heap."""
+    """Owns networks, nodes, subscriptions, the clock and the event heap.
+
+    Every delivery is logged as a plain tuple; :attr:`deliveries` reads the
+    log as frozen :class:`DeliveryRecord` objects, built on each read in
+    delivery order, in a new list that does not write back to the log.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
@@ -123,11 +128,15 @@ class Fabric:
         # (network, topic) -> (node name, origin prefix) per subscriber
         self._subs: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self._sub_index: set[tuple[str, str]] = set()  # (node, topic)
-        self.deliveries: list[DeliveryRecord] = []
+        self._log: list[tuple] = []  # DeliveryRecord fields per delivery
 
     @property
     def clock(self) -> float:
         return self.queue.clock
+
+    @property
+    def deliveries(self) -> list[DeliveryRecord]:
+        return [DeliveryRecord(*r) for r in self._log]
 
     # -- topology -----------------------------------------------------------
 
@@ -224,13 +233,12 @@ class Fabric:
 
     def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic
-        order, appending one record per delivery to ``deliveries``."""
+        order, logging one record per delivery (see :attr:`deliveries`)."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end} before clock {self.clock}")
+        log, nodes = self._log.append, self._nodes
         for due, item in self.queue.pop_due(t_end):
             d: _Delivery = item
             header = d.message.header
-            self.deliveries.append(DeliveryRecord(
-                due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms
-            ))
-            self._nodes[d.to].on_message(self, due, d.network, d.wire_topic, d.message)
+            log((due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms))
+            nodes[d.to].on_message(self, due, d.network, d.wire_topic, d.message)

@@ -439,24 +439,28 @@ def detector_stub(
     profile: DeviceProfile,
     model: str,
     rng: random.Random | None = None,
+    detections: dict[str, ObjectList] | None = None,
 ) -> tuple[ObjectList, float]:
     """Stand-in for a detection model: returns the frame's ground truths with
     locations translated to the absolute frame, and a sampled latency.
 
     Output bytes are a pure function of the frame content, hence of the
-    image id under exact-replay traces; only the latency draw varies.
+    image id under exact-replay traces; only the latency draw varies.  So a
+    frame is detected once per ``detections`` table (a scenario's detectors
+    share one): later calls return the same ``ObjectList``, and its
+    memoized content digest with it, but still draw their own latency.  An
+    out-of-memory model raises before anything is detected.
     """
     latency = profile.latency_ms(model, rng)
-    objects = tuple(
-        DetectedObject(
-            label=t.label,
-            confidence=t.confidence,
-            location=translate_location(t.offset, pose),
-            extent=t.extent,
-        )
-        for t in truths
-    )
-    return ObjectList(objects), latency
+    payload = None if detections is None else detections.get(image_id)
+    if payload is None:
+        payload = ObjectList(tuple(
+            DetectedObject(t.label, t.confidence, translate_location(t.offset, pose), t.extent)
+            for t in truths
+        ))
+        if detections is not None:
+            detections[image_id] = payload
+    return payload, latency
 
 
 class DetectorNode(SimNode):
@@ -465,7 +469,10 @@ class DetectorNode(SimNode):
     Requests are answered independently after the sampled model latency;
     there is no queueing or contention, which keeps per-request latency a
     function of the device profile alone.  The answer reuses the request
-    header so callers can correlate it.
+    header so callers can correlate it.  Detectors built with one
+    ``detections`` table (``build_scenario`` gives a scenario's detectors
+    one) detect each frame once per scenario and publish the same
+    ``ObjectList``; see :func:`detector_stub`.
     """
 
     def __init__(
@@ -478,6 +485,7 @@ class DetectorNode(SimNode):
         request_wire: str,
         answer_wire: str,
         answer_topic: Topic,
+        detections: dict[str, ObjectList] | None = None,
     ) -> None:
         super().__init__(name, home_network)
         self.profile = profile
@@ -486,6 +494,7 @@ class DetectorNode(SimNode):
         self.request_wire = request_wire
         self.answer_wire = answer_wire
         self.answer_topic = answer_topic
+        self.detections = {} if detections is None else detections
         self.invocations = 0
         self.oom_failures = 0
         self.unknown_frames = 0
@@ -497,7 +506,8 @@ class DetectorNode(SimNode):
             return
         try:
             payload, latency = detector_stub(
-                frame.image_id, frame.truths, frame.pose, self.profile, self.model, net.rng
+                frame.image_id, frame.truths, frame.pose, self.profile, self.model, net.rng,
+                self.detections,
             )
         except OomError:
             self.oom_failures += 1

@@ -40,6 +40,13 @@ class TestEncapsulate:
         with pytest.raises(EncapsulationError, match="/objects"):
             ServiceSpec("chain", (IMAGE, OBJECTS), (OBJECTS,))
 
+    def test_repeated_topic_rejected(self):
+        # a repeat would subscribe the wrapper to the same name twice
+        with pytest.raises(EncapsulationError, match="/image"):
+            ServiceSpec("d", (IMAGE, IMAGE), (OBJECTS,))
+        with pytest.raises(EncapsulationError, match="/objects"):
+            ServiceSpec("d", (IMAGE,), (OBJECTS, OBJECTS))
+
     def test_two_request_service_answers_each_requester(self):
         image2 = Topic("/image2", PayloadKind.IMAGE)
         objects2 = Topic("/objects2", PayloadKind.OBJECTS)

@@ -278,6 +278,13 @@ class TestBuildScenario:
         assert reports["L"].detector_invocations["car2/detector"] == 30
 
 
+    def test_a_scenarios_detectors_share_one_detection_table(self):
+        scenario = build_scenario(small_loop(n_cars=2, edge_devices=("AGX", "A4500")))
+        detectors = list(scenario.detectors.values())
+        assert len(detectors) == 4
+        assert all(d.detections is detectors[0].detections for d in detectors)
+
+
 class TestPhantoms:
     def test_phantom_starves_on_disjoint_route(self):
         config = ScenarioConfig(

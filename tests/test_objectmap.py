@@ -233,14 +233,14 @@ class TestCellsNear:
         store.cells.setdefault((2, 0, 0), [])
         assert store._cells_near((0.2, 0.2, 0.2)) == [(-3, 1, 0), (2, 0, 0)]
 
-    def test_visits_at_most_27_buckets_however_large_the_map(self):
+    def test_visits_at_most_9_buckets_however_large_the_map(self):
         store = ObjectMapStore(relevance_radius_m=15.0)
         store._buckets = _CountingDict()
         for i in range(5000):
             store.cells.setdefault((1000 + i, 1000 - i, i % 7), [])
         store.cells.setdefault((3, 4, 0), [])
         assert store._cells_near((0.2, 0.2, 0.2)) == [(3, 4, 0)]
-        assert store._buckets.gets <= 27
+        assert store._buckets.gets <= 9
 
 
 class TestShareFilter:

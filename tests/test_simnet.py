@@ -1,6 +1,8 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from geniesim.simnet import Fabric, Link, SimNode, TopologyError, UnknownNodeError
+from geniesim.simnet import DeliveryRecord, Fabric, Link, SimNode, TopologyError, UnknownNodeError
 from conftest import image_message
 
 
@@ -172,6 +174,22 @@ def test_origin_filter_keeps_every_other_delivery_time():
     for car in ("car1", "car2"):
         mine = [(at, key) for at, key in plain[f"{car}/genie"] if key[0] == f"{car}/camera"]
         assert filtered[f"{car}/genie"] == mine
+
+
+def test_deliveries_read_as_frozen_records_in_a_new_list():
+    net = Fabric(seed=0)
+    net.add_network("VN1", latency_ms=2.0)
+    net.add_node(SimNode("pub", "VN1"))
+    net.add_node(Recorder("sub", "VN1"))
+    net.subscribe("sub", "/image", "VN1")
+    net.publish("pub", image_message("f0", seq=3), wire_topic="/image", at=1.0)
+    net.run_until(10.0)
+    records = net.deliveries
+    assert records == [DeliveryRecord(3.0, "pub", "sub", "/image", 3, "car1/camera", "VN1", 1.0)]
+    with pytest.raises(FrozenInstanceError):
+        records[0].time_ms = 0.0
+    records.clear()
+    assert len(net.deliveries) == 1
 
 
 def test_causality_delivery_not_before_publish_plus_latency():

@@ -277,3 +277,68 @@ class TestDetectorNode:
         assert detector.oom_failures == 1
         assert detector.invocations == 0
         assert sink == []
+
+    MODEL = "DETR-ResNet-101-DC5"  # fits on A4500 and AGX, not on Nano
+
+    def _pair(self, devices):
+        """Two detectors on one network, sharing one detection table."""
+        trace = synth_trace(1, "loop", 3, seed=0)
+        net = Fabric(seed=5)
+        net.add_network("VN1")
+        net.add_node(SimNode("camera", "VN1"))
+        table = {}
+        detectors = []
+        for i, device in enumerate(devices):
+            detector = DetectorNode(
+                f"detector{i}",
+                "VN1",
+                DEFAULT_PROFILES[device],
+                self.MODEL,
+                trace.by_image,
+                request_wire="/image-local",
+                answer_wire="/objects-local",
+                answer_topic=OBJECTS,
+                detections=table,
+            )
+            net.add_node(detector)
+            net.subscribe(detector.name, "/image-local", "VN1")
+            detectors.append(detector)
+        sink = []
+
+        class Sink(SimNode):
+            def on_message(self, net, at, network, wire_topic, message):
+                sink.append((at, message))
+
+        net.add_node(Sink("sink", "VN1"))
+        net.subscribe("sink", "/objects-local", "VN1")
+        return trace, net, detectors, table, sink
+
+    def test_detectors_sharing_a_table_publish_one_object_list(self):
+        trace, net, detectors, table, sink = self._pair(("A4500", "AGX"))
+        frame = trace.frames[0]
+        net.publish("camera", image_message(frame.image_id), wire_topic="/image-local")
+        net.run_until(10_000.0)
+        (_, first), (_, second) = sink
+        assert first.payload is second.payload
+        assert table == {frame.image_id: first.payload}
+        assert [d.invocations for d in detectors] == [1, 1]
+
+    def test_each_invocation_draws_its_own_latency(self):
+        trace, net, detectors, table, sink = self._pair(("A4500", "A4500"))
+        net.publish("camera", image_message(trace.frames[0].image_id), wire_topic="/image-local")
+        net.run_until(10_000.0)
+        replica = random.Random(5)  # the fabric's rng; the network has no jitter
+        profile = DEFAULT_PROFILES["A4500"]
+        expected = sorted(profile.latency_ms(self.MODEL, replica) for _ in detectors)
+        assert expected[0] != expected[1]
+        assert [at for at, _ in sink] == expected
+
+    def test_oom_and_unknown_frames_leave_the_table_empty(self):
+        trace, net, detectors, table, sink = self._pair(("Nano", "Nano"))
+        net.publish("camera", image_message(trace.frames[0].image_id, seq=0), wire_topic="/image-local")
+        net.publish("camera", image_message("no-such-frame", seq=1), wire_topic="/image-local")
+        net.run_until(10_000.0)
+        assert table == {}
+        assert sink == []
+        for d in detectors:
+            assert (d.invocations, d.oom_failures, d.unknown_frames) == (0, 1, 1)
