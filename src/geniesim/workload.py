@@ -452,14 +452,14 @@ def detector_stub(
     out-of-memory model raises before anything is detected.
     """
     latency = profile.latency_ms(model, rng)
-    payload = None if detections is None else detections.get(image_id)
+    if detections is None:
+        detections = {}
+    payload = detections.get(image_id)
     if payload is None:
-        payload = ObjectList(tuple(
+        payload = detections[image_id] = ObjectList(tuple(
             DetectedObject(t.label, t.confidence, translate_location(t.offset, pose), t.extent)
             for t in truths
         ))
-        if detections is not None:
-            detections[image_id] = payload
     return payload, latency
 
 
