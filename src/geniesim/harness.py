@@ -105,7 +105,6 @@ class ScenarioConfig:
     drain_ms: float = 5000.0
     force_miss: bool = False
     max_cache_entries: int | None = None
-    image_bytes: int = 1_000_000
     profiles_file: str | None = None
 
     def validate(self) -> None:
@@ -289,7 +288,6 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
 
 def _replay(scenario: Scenario) -> None:
     """Turn every trace frame into a request on its car's image topic."""
-    config = scenario.config
     net = scenario.fabric
     seq: dict[str, int] = {}
     for frame in scenario.trace.frames:
@@ -297,11 +295,7 @@ def _replay(scenario: Scenario) -> None:
         n = seq.get(frame.car, 0)
         seq[frame.car] = n + 1
         header = Header(origin=origin, seq=n, stamp_ms=float(frame.t_ms))
-        message = Message(
-            header=header,
-            topic=IMAGE_TOPIC,
-            payload=ImageRef(frame.image_id, config.image_bytes),
-        )
+        message = Message(header=header, topic=IMAGE_TOPIC, payload=ImageRef(frame.image_id))
         net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=f"VN-{frame.car}", at=float(frame.t_ms))
 
 

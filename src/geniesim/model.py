@@ -134,7 +134,6 @@ class ImageRef:
     """Opaque handle to image content; no pixel data is ever stored."""
 
     content_id: str
-    size_bytes: int = 0
     _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 

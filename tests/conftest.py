@@ -17,7 +17,7 @@ OBJECTS = Topic("/objects", PayloadKind.OBJECTS)
 
 
 def image_message(content_id: str, origin: str = "car1/camera", seq: int = 0, stamp: float = 0.0) -> Message:
-    return Message(Header(origin, seq, stamp), IMAGE, ImageRef(content_id, 1000))
+    return Message(Header(origin, seq, stamp), IMAGE, ImageRef(content_id))
 
 
 def obj(label: str, conf: float, loc: tuple[float, float, float], from_map: bool = False) -> DetectedObject:

@@ -10,7 +10,6 @@ from geniesim import model
 from geniesim.model import (
     DetectedObject,
     Header,
-    ImageRef,
     Message,
     ObjectList,
     PayloadKind,
@@ -207,6 +206,3 @@ class TestPayloadBytes:
         b = objects_message((obj("b", 0.5, (1.3, 0.3, 0.3)), obj("a", 0.5, (0.3, 0.3, 0.3))))
         assert payload_bytes(a.payload) == payload_bytes(a.payload)
         assert payload_bytes(a.payload) != payload_bytes(b.payload)
-
-    def test_image_bytes_ignore_size(self):
-        assert payload_bytes(ImageRef("x", 10)) == payload_bytes(ImageRef("x", 999))
