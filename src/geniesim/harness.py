@@ -183,23 +183,16 @@ class Sample:
 
 class ConsumerNode(SimNode):
     """Downstream sink for one car: discards duplicate payloads, records the
-    first answer per request as a latency sample."""
+    first answer per request as a latency sample.  It subscribes with its
+    car's origin prefix, so it only ever hears that car's answers."""
 
-    def __init__(
-        self,
-        name: str,
-        home_network: str,
-        origin: str,
-        dedup_window_ms: float,
-    ) -> None:
+    def __init__(self, name: str, home_network: str, car: str, dedup_window_ms: float) -> None:
         super().__init__(name, home_network)
-        self.origin = origin
+        self.car = car
         self.dedup = DedupFilter(dedup_window_ms)
         self.samples: dict[tuple[str, int], Sample] = {}
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
-        if message.header.origin != self.origin:
-            return
         if not self.dedup.offer(at, message):
             return
         key = message.header.key
@@ -207,7 +200,7 @@ class ConsumerNode(SimNode):
             return
         t0 = message.header.stamp_ms
         self.samples[key] = Sample(
-            car=self.origin.split("/", 1)[0],
+            car=self.car,
             seq=key[1],
             latency_ms=at - t0,
             via=message.via or "direct",
@@ -306,12 +299,17 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
       L   the car's detector answers on the original topics; nothing leaves
           the vehicle.
       R   per-car relays carry every frame to one edge detector (the first
-          edge device) and its answer back; no caching anywhere.
+          edge device) and its answer back; no caching anywhere.  A car's
+          downlink hears on the edge only its own car's answers.
       DG  the distributed cache: per car a local wrapper and, unless the car
           is phantom, its detector on ``-local``; on the edge one wrapper and
           detector per edge device, plus a cache-only peer per phantom car.
           A car's wrapper hears on the edge only its own car's traffic; the
           edge wrappers and peers hear everything.
+
+    One rule keeps a car's answers with it in every mode: each car-side node
+    that hears answers (consumer, R downlink, DG wrapper) subscribes with the
+    car's origin prefix, so the fabric never delivers another car's answer.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -366,10 +364,12 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         genie.attach(net, origin_prefix)
         scenario.genies[name] = genie
 
-    def add_relay(name: str, home: str, src: tuple[str, str], dst: tuple[str, str]) -> None:
+    def add_relay(
+        name: str, home: str, src: tuple[str, str], dst: tuple[str, str], origin_prefix: str = ""
+    ) -> None:
         relay = RelayNode(name, home, {src: dst})
         net.add_node(relay, relay.networks())
-        net.subscribe(name, src[1], src[0])
+        net.subscribe(name, src[1], src[0], origin_prefix)
 
     if mode == "R":
         add_detector("edge/detector", EDGE_NET, config.edge_devices[0])
@@ -377,18 +377,19 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         vn = f"VN-{car}"
         net.add_network(vn, config.vn_latency_ms, config.vn_jitter_ms)
         net.add_node(SimNode(f"{car}/camera", vn))
-        consumer = ConsumerNode(f"{car}/consumer", vn, f"{car}/camera", config.dedup_window_ms)
+        own = f"{car}/"  # the origin prefix that keeps the car's answers with it
+        consumer = ConsumerNode(f"{car}/consumer", vn, car, config.dedup_window_ms)
         net.add_node(consumer)
-        net.subscribe(consumer.name, OBJECTS_TOPIC.name, vn)
+        net.subscribe(consumer.name, OBJECTS_TOPIC.name, vn, own)
         scenario.consumers[car] = consumer
         if mode == "R":
             add_relay(f"{car}/uplink", vn, (vn, IMAGE_TOPIC.name), (EDGE_NET, IMAGE_TOPIC.name))
-            add_relay(f"{car}/downlink", vn, (EDGE_NET, OBJECTS_TOPIC.name), (vn, OBJECTS_TOPIC.name))
+            add_relay(f"{car}/downlink", vn, (EDGE_NET, OBJECTS_TOPIC.name), (vn, OBJECTS_TOPIC.name), own)
         elif car in phantoms:
-            add_genie(f"{car}/genie", vn, GenieRole.PHANTOM, origin_prefix=f"{car}/")
+            add_genie(f"{car}/genie", vn, GenieRole.PHANTOM, origin_prefix=own)
         else:
             if mode == "DG":
-                add_genie(f"{car}/genie", vn, GenieRole.LOCAL, origin_prefix=f"{car}/")
+                add_genie(f"{car}/genie", vn, GenieRole.LOCAL, origin_prefix=own)
             add_detector(f"{car}/detector", vn, config.car_device)
 
     if mode == "DG":
@@ -584,7 +585,7 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
             car: {
                 "accepted": c.dedup.accepted,
                 "discarded": c.dedup.discarded,
-                # every delivery past the origin check is offered once
+                # every delivery to the consumer is offered once
                 "deliveries": c.dedup.accepted + c.dedup.discarded,
             }
             for car, c in sorted(scenario.consumers.items())

@@ -285,6 +285,50 @@ class TestBuildScenario:
         assert all(d.detections is detectors[0].detections for d in detectors)
 
 
+class TestOriginFilter:
+    """Each car-side node subscribes with its car's origin prefix, so the
+    fabric carries a car's answers to that car alone."""
+
+    @staticmethod
+    def corridor(cars: int) -> ScenarioConfig:
+        return ScenarioConfig(
+            n_cars=cars,
+            edge_devices=("AGX", "A4500"),
+            synth=SynthSpec(route="shared-corridor", n_frames=100, overlap_fraction=0.5),
+            seed=7,
+        )
+
+    def test_remote_traffic_grows_linearly_with_the_fleet(self):
+        per_frame = {}
+        for cars in (1, 4, 8):
+            scenario = build_scenario(self.corridor(cars), mode="R")
+            report = run_built_scenario(scenario, "R")
+            assert report.completed == report.total_requests == 100 * cars
+            per_frame[cars] = len(scenario.fabric.deliveries) / report.total_requests
+        # camera to uplink, uplink to detector, detector to downlink, downlink to consumer
+        assert per_frame == {1: 4.0, 4: 4.0, 8: 4.0}
+
+    def test_a_car_hears_only_its_own_exchanges(self):
+        config = replace(
+            self.corridor(3),
+            synth=SynthSpec(route="shared-corridor", n_frames=20, overlap_fraction=0.5),
+            phantom_cars=("car3",),
+            vn_jitter_ms=1.5,
+            edge_jitter_ms=4.0,
+        )
+        for mode in ("L", "R", "DG"):
+            scenario = build_scenario(config, mode=mode)
+            run_built_scenario(scenario, mode)
+            heard = {car: 0 for car in scenario.trace.cars}
+            for record in scenario.fabric.deliveries:
+                car = record.to.split("/", 1)[0]
+                if car in heard:
+                    assert record.origin.startswith(f"{car}/"), (mode, record)
+                    heard[car] += record.to == f"{car}/consumer"
+            # one answer per frame reaches each consumer, none from another car
+            assert heard == {"car1": 20, "car2": 20, "car3": 20}, mode
+
+
 class TestPhantoms:
     def test_phantom_starves_on_disjoint_route(self):
         config = ScenarioConfig(
