@@ -231,12 +231,13 @@ class TopicCacheDB:
         if self.max_entries is None:
             return
         while len(m.entries) > self.max_entries:
-            victim = None
-            for digest, entry in m.entries.items():
-                if entry.result is None:  # pending entries must survive
-                    continue
-                if victim is None or entry.last_hit_ms < m.entries[victim].last_hit_ms:
-                    victim = digest
+            # pending entries must survive; min() keeps the first of equal
+            # keys, so ties on the last hit go by park order
+            victim = min(
+                (d for d, e in m.entries.items() if e.result is not None),
+                key=lambda d: m.entries[d].last_hit_ms,
+                default=None,
+            )
             if victim is None:
                 return
             del m.entries[victim]

@@ -344,9 +344,9 @@ def synth_trace(
                         truths=_sighting_truths(rng, scene, view, conf_alpha, conf_beta),
                     )
                 )
-            slots: list[TraceFrame] = [replace(f, car=car) for f in shared_frames] + own
-            rng.shuffle(slots)
-            schedule = slots
+            # the schedule loop below stamps car and time on every frame
+            schedule = shared_frames + own
+            rng.shuffle(schedule)
 
         for i, frame in enumerate(schedule):
             frames.append(replace(frame, car=car, t_ms=start + i * frame_period_ms))

@@ -144,6 +144,17 @@ class TestTopicCacheDB:
         assert db.lookup("/image", "d2") is None
         assert db.lookup("/image", "d1") is not None
 
+    def test_lru_tie_evicts_the_first_parked(self):
+        db = TopicCacheDB(max_entries=2)
+        db.ensure_topic(IMAGE)
+        for i, digest in enumerate(("d1", "d2")):  # parked together, never hit
+            db.add_waiter("/image", digest, Header("a", i, 0.0), 5.0)
+            db.fill("/image", digest, objects_message((), seq=i))
+        db.add_waiter("/image", "d3", Header("a", 2, 0.0), 6.0)  # pending, survives
+        assert db.lookup("/image", "d1") is None
+        assert db.lookup("/image", "d2") is not None
+        assert db.lookup("/image", "d3").result is None
+
     @pytest.mark.parametrize("stores", [True, False])
     def test_repeat_joins_the_request_in_flight_only_with_storage(self, stores):
         db = TopicCacheDB(stores=stores)
