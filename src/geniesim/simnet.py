@@ -8,9 +8,10 @@ are ordinary topics by these rules; publishing one into the edge network
 reaches every edge subscriber whose origin filter admits it, except the
 sender (self-delivery is suppressed on every network).  A subscription's origin
 filter is a prefix of the message header's origin; the empty default admits
-everything, which is the broadcast the edge caching nodes rely on, and a
-vehicle's caching node subscribes with its own car's prefix so it hears
-only answers addressed to that car.
+everything, which is the broadcast the edge caching nodes rely on.  Every
+car-side node that hears answers (a vehicle's caching node, its consumer,
+its remote-baseline downlink relay) subscribes with its own car's prefix,
+so it hears only answers addressed to that car.
 
 The event loop is single-threaded: callbacks run to completion in
 (due_time, insertion_seq) order, so identical seeds and inputs replay to
