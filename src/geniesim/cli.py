@@ -6,9 +6,11 @@
                       --out trace.jsonl [--seed N]
     genie-sim report  --in DIR
 
-Config files are JSON mirroring ScenarioConfig field for field.  Exit code
-is 0 on success and nonzero with a diagnostic on config or validation
-errors.
+Config files are JSON mirroring ScenarioConfig field for field.  An
+unknown field or a value of the wrong type is rejected with its path (for
+example ``config.synth.n_frame``); an int is accepted for a float field.
+Exit code is 0 on success and 2 with a one-line ``error:`` diagnostic on an
+unreadable file, a config or trace error, or a failed validation.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from pathlib import Path
 
 from .harness import (
     MODES,
-    ConfigError,
     MetricsReport,
     ScenarioConfig,
     compare_baselines,
     emit_report,
     run_scenario,
 )
-from .workload import ROUTES, TraceError, save_trace, synth_trace
+from .workload import ROUTES, save_trace, synth_trace
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, TraceError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and TraceError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

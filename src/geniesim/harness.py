@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
 from .model import LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic
@@ -53,15 +54,6 @@ class ObjectMapParams:
     resolution_m: float = 0.5
     relevance_radius_m: float = 15.0
 
-    def build(self) -> ObjectMapStore:
-        return ObjectMapStore(
-            resolution_m=self.resolution_m,
-            confidence_threshold=self.confidence_threshold,
-            update_rate=self.update_rate,
-            update_rule=UpdateRule(self.update_rule),
-            relevance_radius_m=self.relevance_radius_m,
-        )
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -81,7 +73,8 @@ class ScenarioConfig:
     """Full description of one run; mirrors the CLI config file field for
     field.  ``edge_devices`` holds one profile name per edge caching node
     (a heterogeneous cluster mixes profiles); ``phantom_cars`` lists cars
-    that carry no detector and live off the collective cache."""
+    that carry no detector and live off the collective cache.  ``from_dict``
+    checks each value against the field annotations; ``validate`` checks ranges."""
 
     n_cars: int = 1
     car_device: str = "Nano"
@@ -119,9 +112,18 @@ class ScenarioConfig:
             "dedup_window_ms",
             "pending_ttl_ms",
             "drain_ms",
+            "vn_latency_ms",
+            "vn_jitter_ms",
+            "edge_latency_ms",
+            "edge_jitter_ms",
         ):
             if getattr(self, name) < 0:  # zero is valid: no delay, no window
                 raise ConfigError(f"{name} must be non-negative")
+        if self.max_cache_entries is not None and self.max_cache_entries < 1:
+            raise ConfigError("max_cache_entries must be >= 1")
+        rules = sorted(r.value for r in UpdateRule)
+        if self.object_map.update_rule not in rules:
+            raise ConfigError(f"object_map.update_rule must be one of {rules}")
         if self.trace_file is None and self.synth is None:
             raise ConfigError("either trace_file or synth parameters are required")
         cars = {f"car{i + 1}" for i in range(self.n_cars)}
@@ -142,31 +144,41 @@ class ScenarioConfig:
         return profiles
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["edge_devices"] = list(self.edge_devices)
-        d["phantom_cars"] = list(self.phantom_cars)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        if "object_map" in d and isinstance(d["object_map"], dict):
-            d["object_map"] = ObjectMapParams(**d["object_map"])
-        if "synth" in d and isinstance(d["synth"], dict):
-            d["synth"] = SynthSpec(**d["synth"])
-        if "edge_devices" in d:
-            d["edge_devices"] = tuple(d["edge_devices"])
-        if "phantom_cars" in d:
-            d["phantom_cars"] = tuple(d["phantom_cars"])
-        try:
-            return ScenarioConfig(**d)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _from_json(ScenarioConfig, d, "config")
 
     @staticmethod
     def from_json_file(path: str | Path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return ScenarioConfig.from_dict(json.load(fh))
+
+
+def _from_json(tp, value, path: str):
+    """Parsed JSON ``value`` as annotation ``tp``, or ``ConfigError`` naming
+    ``path``.  A tuple passes for a list, as ``to_dict`` leaves it; a float
+    field keeps an int as given, so ``summary.json`` echoes the file."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+        hints = get_type_hints(tp)
+        unknown = sorted(value.keys() - hints.keys())
+        if unknown:
+            raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+        return tp(**{k: _from_json(hints[k], v, f"{path}.{k}") for k, v in value.items()})
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _from_json(args[0], value, path)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+        return tuple(_from_json(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if tp is float else tp
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+    return value
 
 
 # -- fabric-side helper nodes ---------------------------------------------------
@@ -209,29 +221,18 @@ class ConsumerNode(SimNode):
 
 
 class RelayNode(SimNode):
-    """Stateless forwarder: re-publishes matched traffic onto another
-    (network, wire) with no processing delay."""
+    """Stateless forwarder with one ``{src: dst}`` rule between (network, wire)
+    pairs.  Its one subscription is ``src``, so it forwards all it hears."""
 
-    def __init__(
-        self,
-        name: str,
-        home_network: str,
-        rules: dict[tuple[str, str], tuple[str, str]],
-    ) -> None:
+    def __init__(self, name: str, home_network: str, rule: dict[tuple[str, str], tuple[str, str]]) -> None:
         super().__init__(name, home_network)
-        self.rules = rules
+        ((self.src, self.dst),) = rule.items()
 
     def networks(self) -> tuple[str, ...]:
-        nets = {self.home_network}
-        for (src_net, _), (dst_net, _) in self.rules.items():
-            nets.add(src_net)
-            nets.add(dst_net)
-        return tuple(sorted(nets))
+        return (self.src[0], self.dst[0])
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
-        rule = self.rules.get((network, wire_topic))
-        if rule is not None:
-            net.publish(self.name, message, wire_topic=rule[1], network=rule[0], at=at)
+        net.publish(self.name, message, wire_topic=self.dst[1], network=self.dst[0], at=at)
 
 
 # -- topology -----------------------------------------------------------------
@@ -264,19 +265,10 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
                 f"trace has {len(trace.cars)} cars but config says {config.n_cars}"
             )
         return trace
-    s = config.synth
-    return synth_trace(
-        n_cars=config.n_cars,
-        route=s.route,
-        n_frames=s.n_frames,
-        objects_per_frame=s.objects_per_frame,
-        overlap_fraction=s.overlap_fraction,
-        seed=config.seed if s.seed is None else s.seed,
-        frame_period_ms=s.frame_period_ms,
-        stagger_ms=s.stagger_ms,
-        conf_alpha=s.conf_alpha,
-        conf_beta=s.conf_beta,
-    )
+    synth = config.synth
+    if synth.seed is None:
+        synth = replace(synth, seed=config.seed)
+    return synth_trace(n_cars=config.n_cars, **asdict(synth))
 
 
 def _replay(scenario: Scenario) -> None:
@@ -329,6 +321,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     suffix = LOCAL_SUFFIX if mode == "DG" else ""
     spec = detector_service()
     detections: dict[str, ObjectList] = {}  # one detection per frame, shared
+    map_params = asdict(config.object_map)
 
     def add_detector(name: str, network: str, device: str) -> None:
         detector = DetectorNode(
@@ -353,7 +346,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
             spec,
             role,
             edge_network=EDGE_NET,
-            object_map=config.object_map.build(),
+            object_map=ObjectMapStore(**map_params),
             hit_overhead_ms=config.hit_overhead_ms,
             miss_overhead_ms=config.miss_overhead_ms,
             answer_overhead_ms=config.answer_overhead_ms,

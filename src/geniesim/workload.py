@@ -410,8 +410,10 @@ def _profiles_from_dict(table: dict) -> dict[str, DeviceProfile]:
         for model, entry in models.items():
             if entry.get("oom"):
                 ooms.add(model)
-            else:
+            elif "mean_ms" in entry:
                 means[model] = float(entry["mean_ms"])
+            else:
+                raise ValueError(f"device profile {device}/{model} has neither oom nor mean_ms")
         profiles[device] = DeviceProfile(device, means, frozenset(ooms))
     return profiles
 

@@ -1,4 +1,5 @@
 import json
+import re
 import statistics
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ from geniesim.cli import main as cli_main
 from geniesim.harness import (
     ConfigError,
     ObjectMapParams,
+    RelayNode,
     ScenarioConfig,
     SynthSpec,
     build_genie_scenario,
@@ -20,6 +22,8 @@ from geniesim.harness import (
     run_scenario,
 )
 from geniesim.workload import DEFAULT_PROFILES, count_repeats, save_trace, synth_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_loop(**overrides) -> ScenarioConfig:
@@ -38,15 +42,20 @@ class TestConfig:
             edge_devices=("AGX", "A4500"),
             phantom_cars=(),
             object_map=ObjectMapParams(update_rule="ascend"),
+            synth=SynthSpec(route="loop", n_frames=30, overlap_fraction=0.5, seed=None),
+            max_cache_entries=8,
+            trace_file="trace.jsonl",
         )
         again = ScenarioConfig.from_dict(config.to_dict())
         assert again == config
 
     def test_json_file_round_trip(self, tmp_path):
-        config = small_loop()
+        config = small_loop(edge_latency_ms=5)  # an int in a float field stays an int
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config.to_dict()))
-        assert ScenarioConfig.from_json_file(path) == config
+        loaded = ScenarioConfig.from_json_file(path)
+        assert loaded == config
+        assert json.dumps(loaded.to_dict()) == path.read_text()
 
     def test_unknown_device_rejected_before_simulation(self):
         with pytest.raises(ConfigError, match="unknown device"):
@@ -77,6 +86,10 @@ class TestConfig:
             "hit_overhead_ms",
             "miss_overhead_ms",
             "answer_overhead_ms",
+            "vn_latency_ms",
+            "vn_jitter_ms",
+            "edge_latency_ms",
+            "edge_jitter_ms",
         ],
     )
     def test_negative_duration_rejected(self, field):
@@ -98,6 +111,25 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"warp_drive": True})
+
+    def test_documented_configs_load(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"A minimal `scenario.json`:\s*```json\n(.*?)```", readme, re.S)
+        docs = [example.group(1)] + [p.read_text() for p in sorted(ROOT.glob("scenarios/*.json"))]
+        assert len(docs) > 1
+        for text in docs:
+            ScenarioConfig.from_dict(json.loads(text)).validate()
+
+    def test_demo_config_loads_unchanged(self):
+        assert ScenarioConfig.from_json_file(ROOT / "scenarios" / "demo.json") == ScenarioConfig(
+            n_cars=2,
+            car_device="Nano",
+            edge_devices=("AGX", "A4500"),
+            model="DETR-ResNet-50",
+            synth=SynthSpec(route="shared-corridor", n_frames=200, overlap_fraction=0.5),
+            seed=7,
+            edge_latency_ms=5.0,
+        )
 
 
 class TestRunScenario:
@@ -285,6 +317,17 @@ class TestBuildScenario:
         assert all(d.detections is detectors[0].detections for d in detectors)
 
 
+class TestRelayNode:
+    @pytest.mark.parametrize(
+        "rule",
+        [{}, {("VN1", "/image"): ("EDGE", "/image"), ("EDGE", "/objects"): ("VN1", "/objects")}],
+        ids=["no-rule", "two-rules"],
+    )
+    def test_a_relay_has_exactly_one_rule(self, rule):
+        with pytest.raises(ValueError):
+            RelayNode("bridge", "VN1", rule)
+
+
 class TestOriginFilter:
     """Each car-side node subscribes with its car's origin prefix, so the
     fabric carries a car's answers to that car alone."""
@@ -393,6 +436,39 @@ class TestEmitReport:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+SYNTH = {"route": "loop", "n_frames": 30, "overlap_fraction": 0.5}
+LOOP = {"synth": SYNTH}
+
+# (file content, the path its error line must name); None is a directory
+BAD_FILES = [
+    pytest.param({**LOOP, "n_cars": "2"}, "config.n_cars", id="n_cars-string"),
+    pytest.param({**LOOP, "deadline_ms": "33"}, "config.deadline_ms", id="deadline-string"),
+    pytest.param({"synth": {**SYNTH, "n_frames": "5"}}, "config.synth.n_frames", id="n_frames-string"),
+    pytest.param({"synth": {**SYNTH, "n_frame": 5}}, "config.synth.n_frame", id="synth-typo"),
+    pytest.param({**LOOP, "object_map": {"thresh": 0.5}}, "config.object_map.thresh", id="map-typo"),
+    pytest.param({"synth": "loop"}, "config.synth", id="synth-string"),
+    pytest.param([1, 2], "config:", id="top-level-list"),
+    pytest.param({**LOOP, "edge_devices": "AGX"}, "config.edge_devices", id="edge-string"),
+    pytest.param({**LOOP, "phantom_cars": "car1"}, "config.phantom_cars", id="phantoms-string"),
+    pytest.param({**LOOP, "phantom_cars": [1]}, "config.phantom_cars[0]", id="phantom-int"),
+    pytest.param({**LOOP, "force_miss": "no"}, "config.force_miss", id="force_miss-string"),
+    pytest.param({**LOOP, "seed": 1.5}, "config.seed", id="seed-float"),
+    *(
+        pytest.param({**LOOP, name: -1}, name, id=f"{name}-negative")
+        for name in ("vn_latency_ms", "vn_jitter_ms", "edge_latency_ms", "edge_jitter_ms")
+    ),
+    pytest.param({**LOOP, "max_cache_entries": 0}, "max_cache_entries", id="lru-zero"),
+    pytest.param({**LOOP, "max_cache_entries": -1}, "max_cache_entries", id="lru-negative"),
+    pytest.param(
+        {**LOOP, "object_map": {"update_rule": "bogus"}}, "object_map.update_rule", id="rule-unknown"
+    ),
+    pytest.param(
+        {**LOOP, "profiles_file": "profiles.json"}, "Nano/DETR-ResNet-50", id="profile-without-mean"
+    ),
+    pytest.param(None, "scenario.d", id="directory"),
+]
+
+
 class TestCli:
     def _config_file(self, tmp_path):
         # loop period must exceed the dedup window or repeats answer as
@@ -422,7 +498,7 @@ class TestCli:
 
     def test_compare_means_are_the_summary_means(self, tmp_path):
         # the demo's summed and fmean means differ in the last digits
-        demo = Path(__file__).resolve().parent.parent / "scenarios" / "demo.json"
+        demo = ROOT / "scenarios" / "demo.json"
         assert cli_main(["compare", "--config", str(demo), "--out", str(tmp_path)]) == 0
         comparison = json.loads((tmp_path / "comparison.json").read_text())
         for mode in ("L", "R", "DG"):
@@ -447,6 +523,23 @@ class TestCli:
         path.write_text(json.dumps({"n_cars": 0, "synth": {"route": "loop"}}))
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, names", BAD_FILES)
+    def test_bad_file_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys, content, names):
+        monkeypatch.chdir(tmp_path)
+        # the table the profile-without-mean case names: neither mean_ms nor oom
+        Path("profiles.json").write_text(json.dumps({"Nano": {"DETR-ResNet-50": {}}}))
+        if content is None:
+            path = tmp_path / "scenario.d"
+            path.mkdir()
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(content))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert names in err[0]
 
     def test_seed_override(self, tmp_path):
         config = self._config_file(tmp_path)
