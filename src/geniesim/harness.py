@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -126,6 +127,8 @@ class ScenarioConfig:
             raise ConfigError(f"object_map.update_rule must be one of {rules}")
         if self.trace_file is None and self.synth is None:
             raise ConfigError("either trace_file or synth parameters are required")
+        if self.synth is not None and self.synth.objects_per_frame < 0:
+            raise ConfigError("config.synth.objects_per_frame must be non-negative")
         cars = {f"car{i + 1}" for i in range(self.n_cars)}
         unknown = set(self.phantom_cars) - cars
         if unknown and self.trace_file is None:
@@ -178,6 +181,8 @@ def _from_json(tp, value, path: str):
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+    if tp is float and not math.isfinite(value):  # json.load accepts NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     return value
 
 
@@ -302,6 +307,10 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     One rule keeps a car's answers with it in every mode: each car-side node
     that hears answers (consumer, R downlink, DG wrapper) subscribes with the
     car's origin prefix, so the fabric never delivers another car's answer.
+
+    The fabric counts deliveries but records none: no output reads the
+    log.  Call ``scenario.fabric.record_deliveries()`` before the run to
+    keep it.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -315,6 +324,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     if unknown:
         raise ConfigError(f"phantom cars not in trace: {sorted(unknown)}")
     net = Fabric(seed=config.seed)
+    net.on_delivery = None
     if mode != "L":
         net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
     scenario = Scenario(config, trace, net, {}, {}, {})
@@ -406,9 +416,14 @@ build_genie_scenario = build_scenario
 
 def empirical_cdf(values: list[float]) -> list[tuple[float, float]]:
     """Sorted samples paired with their cumulative fraction."""
+    return list(_cdf_rows(values))
+
+
+def _cdf_rows(values: list[float]) -> Iterator[tuple[float, float]]:
+    """:func:`empirical_cdf`'s rows, one at a time."""
     ordered = sorted(values)
     n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
+    return ((v, (i + 1) / n) for i, v in enumerate(ordered))
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -469,12 +484,14 @@ class MetricsReport:
 
     def boost_curve(self) -> list[tuple[int, float, float, float]]:
         """(event index, time, delta, cumulative total) over all maps."""
-        rows = []
+        return list(self._boost_rows())
+
+    def _boost_rows(self) -> Iterator[tuple[int, float, float, float]]:
+        """:meth:`boost_curve`'s rows, one at a time."""
         total = 0.0
         for i, (t, _, delta) in enumerate(self.boost_events):
             total += delta
-            rows.append((i, t, delta, total))
-        return rows
+            yield i, t, delta, total
 
     def summary_dict(self) -> dict:
         lat = self.latencies()
@@ -613,6 +630,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_csv(path: Path, header: str, rows: Iterable[str]) -> Path:
+    """Write ``header`` and each row as one line, row by row as ``rows``
+    yields them, so no copy of the whole file is ever held."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+    return path
+
+
 def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
     """Write latency_cdf.csv, reuse.csv, boost.csv and summary.json.
 
@@ -621,17 +648,14 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
-    cdf_path = out / "latency_cdf.csv"
-    lines = ["latency_ms,cum_fraction"]
-    for value, fraction in empirical_cdf(report.latencies()):
-        lines.append(f"{_fmt(value)},{_fmt(fraction)}")
-    cdf_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(cdf_path)
+    cdf_path = _write_csv(
+        out / "latency_cdf.csv",
+        "latency_ms,cum_fraction",
+        (f"{_fmt(v)},{_fmt(fraction)}" for v, fraction in _cdf_rows(report.latencies())),
+    )
 
-    reuse_path = out / "reuse.csv"
-    lines = ["genie,scope,img_requests,img_hits,imgrr,obj_requests,obj_hits,objrr"]
+    lines = []
     ratios: dict[str, list[tuple[float, float]]] = {"local": [], "remote": []}
     for name in sorted(report.per_genie):
         stats = report.per_genie[name]
@@ -654,23 +678,25 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
             lines.append(
                 f"aggregate/{scope}/{stat},{scope},,,{_fmt(fn(imgs))},,,{_fmt(fn(objs))}"
             )
-    reuse_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(reuse_path)
+    reuse_path = _write_csv(
+        out / "reuse.csv",
+        "genie,scope,img_requests,img_hits,imgrr,obj_requests,obj_hits,objrr",
+        lines,
+    )
 
-    boost_path = out / "boost.csv"
-    lines = ["event_index,time_ms,genie,delta,cumulative_total,cumulative_mean"]
-    for i, t, delta, total in report.boost_curve():
-        genie = report.boost_events[i][1]
-        lines.append(
-            f"{i},{_fmt(t)},{genie},{_fmt(delta)},{_fmt(total)},{_fmt(total / (i + 1))}"
-        )
-    boost_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    written.append(boost_path)
+    events = report.boost_events
+    boost_path = _write_csv(
+        out / "boost.csv",
+        "event_index,time_ms,genie,delta,cumulative_total,cumulative_mean",
+        (
+            f"{i},{_fmt(t)},{events[i][1]},{_fmt(delta)},{_fmt(total)},{_fmt(total / (i + 1))}"
+            for i, t, delta, total in report._boost_rows()
+        ),
+    )
 
     summary_path = out / "summary.json"
     summary_path.write_text(
         json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    written.append(summary_path)
-    return written
+    return [cdf_path, reuse_path, boost_path, summary_path]

@@ -15,13 +15,18 @@ so it hears only answers addressed to that car.
 
 The event loop is single-threaded: callbacks run to completion in
 (due_time, insertion_seq) order, so identical seeds and inputs replay to
-bit-identical delivery logs.
+bit-identical delivery logs.  ``Fabric.delivered`` counts every delivery;
+the fabric records each one only through its ``on_delivery`` hook, which a
+hand-built ``Fabric()`` connects to its own log (``Fabric.deliveries``).
+``harness.build_scenario`` disconnects it, so a caller that wants a built
+scenario's log calls ``scenario.fabric.record_deliveries()`` before the run.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .model import Message
@@ -115,9 +120,14 @@ class _Delivery:
 class Fabric:
     """Owns networks, nodes, subscriptions, the clock and the event heap.
 
-    Every delivery is logged as a plain tuple; :attr:`deliveries` reads the
-    log as frozen :class:`DeliveryRecord` objects, built on each read in
-    delivery order, in a new list that does not write back to the log.
+    :attr:`delivered` counts every delivery.  :attr:`on_delivery` is the one
+    delivery hook: when set, it is called with each delivery's
+    :class:`DeliveryRecord` fields as one plain tuple, just before the
+    receiving node runs.  A new fabric connects it to its own log; set it
+    to ``None`` to record nothing.
+    :attr:`deliveries` reads the log as frozen :class:`DeliveryRecord`
+    objects, built on each read in delivery order, in a new list that does
+    not write back to the log; it is empty while nothing was recorded.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -130,6 +140,13 @@ class Fabric:
         self._subs: dict[tuple[str, str], list[tuple[str, str]]] = {}
         self._sub_index: set[tuple[str, str]] = set()  # (node, topic)
         self._log: list[tuple] = []  # DeliveryRecord fields per delivery
+        self.delivered = 0
+        self.on_delivery: Callable[[tuple], object] | None = self._log.append
+
+    def record_deliveries(self) -> None:
+        """Connect :attr:`on_delivery` to the fabric's own log, as a new
+        fabric does."""
+        self.on_delivery = self._log.append
 
     @property
     def clock(self) -> float:
@@ -234,12 +251,15 @@ class Fabric:
 
     def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic
-        order, logging one record per delivery (see :attr:`deliveries`)."""
+        order, counting each delivery and passing its record to the
+        :attr:`on_delivery` hook as it stood when the call began."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end} before clock {self.clock}")
-        log, nodes = self._log.append, self._nodes
+        hook, nodes = self.on_delivery, self._nodes
         for due, item in self.queue.pop_due(t_end):
             d: _Delivery = item
-            header = d.message.header
-            log((due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms))
+            self.delivered += 1
+            if hook is not None:
+                header = d.message.header
+                hook((due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms))
             nodes[d.to].on_message(self, due, d.network, d.wire_topic, d.message)

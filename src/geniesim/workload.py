@@ -278,6 +278,8 @@ def synth_trace(
         raise ValueError("disjoint routes cannot overlap")
     if n_cars < 1 or n_frames < 1:
         raise ValueError("need at least one car and one frame")
+    if objects_per_frame < 0:
+        raise ValueError(f"objects_per_frame must be non-negative: {objects_per_frame}")
 
     n_shared = round(overlap_fraction * n_frames)
     n_own = n_frames - n_shared
@@ -404,10 +406,17 @@ class DeviceProfile:
 
 
 def _profiles_from_dict(table: dict) -> dict[str, DeviceProfile]:
+    def require_object(value, what: str) -> None:
+        if not isinstance(value, dict):
+            raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+
+    require_object(table, "device profile table")
     profiles = {}
     for device, models in table.items():
+        require_object(models, f"device profile {device}")
         means, ooms = {}, set()
         for model, entry in models.items():
+            require_object(entry, f"device profile {device}/{model}")
             if entry.get("oom"):
                 ooms.add(model)
             elif "mean_ms" in entry:

@@ -17,6 +17,7 @@ from geniesim.harness import (
     ScenarioConfig,
     SynthSpec,
     build_scenario,
+    emit_report,
     run_built_scenario,
 )
 from geniesim.model import ObjectList
@@ -62,6 +63,7 @@ def random_config(rng: random.Random) -> ScenarioConfig:
 
 def _run(config: ScenarioConfig, mode: str):
     scenario = build_scenario(config, mode=mode)
+    scenario.fabric.record_deliveries()
     return scenario, run_built_scenario(scenario, mode)
 
 
@@ -78,6 +80,7 @@ def check_invariants(config: ScenarioConfig) -> int:
         for sample in report.samples:
             assert sample.latency_ms >= 0.0, mode
         cars = set(scenario.trace.cars)
+        assert len(scenario.fabric.deliveries) == scenario.fabric.delivered > 0, mode
         for record in scenario.fabric.deliveries:
             assert record.time_ms >= record.published_ms, mode
             # a car-side node hears only its own car's exchanges, in every mode
@@ -225,6 +228,25 @@ HIT_HEAVY = {
         synth=SynthSpec(route="shared-corridor", n_frames=60, overlap_fraction=0.5),
     ),
 }
+
+
+def test_recording_deliveries_leaves_every_emitted_file_unchanged(tmp_path):
+    configs = {m: random_config(random.Random(f"fuzz:{m}")) for m in MASTER_SEEDS}
+    configs["corridor"] = HIT_HEAVY["corridor"]
+    for name, config in configs.items():
+        for mode in MODES:
+            if mode == "R" and not config.edge_devices:
+                continue
+            emitted = {}
+            for record in (False, True):
+                scenario = build_scenario(config, mode=mode)
+                if record:
+                    scenario.fabric.record_deliveries()
+                out = tmp_path / f"{name}-{mode}-{record}"
+                files = emit_report(run_built_scenario(scenario, mode), out)
+                emitted[record] = {path.name: path.read_bytes() for path in files}
+            assert len(emitted[True]) == 4
+            assert emitted[True] == emitted[False], (name, mode)
 
 
 def test_memoized_hits_match_always_augmenting_reference(monkeypatch):

@@ -587,7 +587,7 @@ class TestEchoIgnored:
             car_requests.update(
                 g.counters.requests for n, g in scenario.genies.items() if n.startswith("car")
             )
-            per_frame[cars] = len(scenario.fabric.deliveries) / (cars * frames)
+            per_frame[cars] = scenario.fabric.delivered / (cars * frames)
         assert len(car_requests) == 1  # a car's work does not grow with the fleet
         assert per_frame[8] <= 3 * per_frame[1]
 
@@ -609,7 +609,7 @@ class TestAddressedEdgeAnswers:
         )
         scenario = build_scenario(config)
         run_built_scenario(scenario, "DG")
-        return scenario, len(scenario.fabric.deliveries) / (cars * frames)
+        return scenario, scenario.fabric.delivered / (cars * frames)
 
     def test_disjoint_traffic_per_frame_is_flat(self):
         per_frame = {}
@@ -966,6 +966,7 @@ class TestOneAnswerPerExchange:
             edge_latency_ms=edge_latency_ms,
         )
         scenario = build_genie_scenario(config)
+        scenario.fabric.record_deliveries()
         run_built_scenario(scenario, "DG")
         return scenario
 

@@ -102,6 +102,7 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
 
     def record(cell: str, config: ScenarioConfig, mode: str = "DG", trace=None) -> None:
         scenario = build_scenario(config, trace, mode)
+        scenario.fabric.record_deliveries()
         report = run_built_scenario(scenario, mode)
         out_dir = work_dir / cell
         emit_report(report, out_dir)

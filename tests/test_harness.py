@@ -1,6 +1,7 @@
 import json
 import re
 import statistics
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from geniesim.cli import main as cli_main
 from geniesim.harness import (
+    MODES,
     ConfigError,
     ObjectMapParams,
     RelayNode,
@@ -316,6 +318,13 @@ class TestBuildScenario:
         assert len(detectors) == 4
         assert all(d.detections is detectors[0].detections for d in detectors)
 
+    def test_a_built_fabric_counts_deliveries_but_records_none(self):
+        for mode in MODES:
+            scenario = build_scenario(small_loop(), mode=mode)
+            run_built_scenario(scenario, mode)
+            assert scenario.fabric.delivered > 0, mode
+            assert scenario.fabric.deliveries == [], mode
+
 
 class TestRelayNode:
     @pytest.mark.parametrize(
@@ -347,7 +356,7 @@ class TestOriginFilter:
             scenario = build_scenario(self.corridor(cars), mode="R")
             report = run_built_scenario(scenario, "R")
             assert report.completed == report.total_requests == 100 * cars
-            per_frame[cars] = len(scenario.fabric.deliveries) / report.total_requests
+            per_frame[cars] = scenario.fabric.delivered / report.total_requests
         # camera to uplink, uplink to detector, detector to downlink, downlink to consumer
         assert per_frame == {1: 4.0, 4: 4.0, 8: 4.0}
 
@@ -361,6 +370,7 @@ class TestOriginFilter:
         )
         for mode in ("L", "R", "DG"):
             scenario = build_scenario(config, mode=mode)
+            scenario.fabric.record_deliveries()
             run_built_scenario(scenario, mode)
             heard = {car: 0 for car in scenario.trace.cars}
             for record in scenario.fabric.deliveries:
@@ -435,9 +445,41 @@ class TestEmitReport:
         for name in ("latency_cdf.csv", "reuse.csv", "boost.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_emission_holds_less_memory_than_the_boost_file(self, tmp_path):
+        # the benchmark's corridor run: boost.csv is about 200 KB, and rows
+        # go to the file as they are formatted, never into one string first
+        config = ScenarioConfig(
+            n_cars=4,
+            edge_devices=("AGX", "A4500"),
+            synth=SynthSpec(route="shared-corridor", n_frames=100, overlap_fraction=0.5),
+            seed=7,
+            edge_latency_ms=5.0,
+        )
+        report = run_scenario(config)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emit_report(report, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < (tmp_path / "boost.csv").stat().st_size
+
 
 SYNTH = {"route": "loop", "n_frames": 30, "overlap_fraction": 0.5}
 LOOP = {"synth": SYNTH}
+
+# malformed device profile tables: file name -> (table, what the error names)
+PROFILE_TABLES = {
+    "profile-without-mean.json": ({"Nano": {"DETR-ResNet-50": {}}}, "Nano/DETR-ResNet-50"),
+    "profile-table-list.json": ([{"Nano": {}}], "device profile table"),
+    "profile-device-list.json": ({"Nano": [1]}, "device profile Nano"),
+    "profile-entry-number.json": ({"Nano": {"DETR-ResNet-50": 5}}, "Nano/DETR-ResNet-50"),
+}
 
 # (file content, the path its error line must name); None is a directory
 BAD_FILES = [
@@ -453,6 +495,13 @@ BAD_FILES = [
     pytest.param({**LOOP, "phantom_cars": [1]}, "config.phantom_cars[0]", id="phantom-int"),
     pytest.param({**LOOP, "force_miss": "no"}, "config.force_miss", id="force_miss-string"),
     pytest.param({**LOOP, "seed": 1.5}, "config.seed", id="seed-float"),
+    pytest.param({**LOOP, "deadline_ms": float("nan")}, "config.deadline_ms", id="deadline-nan"),
+    pytest.param({**LOOP, "hit_overhead_ms": float("inf")}, "config.hit_overhead_ms", id="overhead-inf"),
+    pytest.param({**LOOP, "drain_ms": float("-inf")}, "config.drain_ms", id="drain-minus-inf"),
+    pytest.param(
+        {"synth": {**SYNTH, "objects_per_frame": -1}}, "config.synth.objects_per_frame",
+        id="objects-negative",
+    ),
     *(
         pytest.param({**LOOP, name: -1}, name, id=f"{name}-negative")
         for name in ("vn_latency_ms", "vn_jitter_ms", "edge_latency_ms", "edge_jitter_ms")
@@ -462,8 +511,9 @@ BAD_FILES = [
     pytest.param(
         {**LOOP, "object_map": {"update_rule": "bogus"}}, "object_map.update_rule", id="rule-unknown"
     ),
-    pytest.param(
-        {**LOOP, "profiles_file": "profiles.json"}, "Nano/DETR-ResNet-50", id="profile-without-mean"
+    *(
+        pytest.param({**LOOP, "profiles_file": name}, names, id=name.removesuffix(".json"))
+        for name, (_, names) in PROFILE_TABLES.items()
     ),
     pytest.param(None, "scenario.d", id="directory"),
 ]
@@ -527,8 +577,8 @@ class TestCli:
     @pytest.mark.parametrize("content, names", BAD_FILES)
     def test_bad_file_exits_with_one_error_line(self, tmp_path, monkeypatch, capsys, content, names):
         monkeypatch.chdir(tmp_path)
-        # the table the profile-without-mean case names: neither mean_ms nor oom
-        Path("profiles.json").write_text(json.dumps({"Nano": {"DETR-ResNet-50": {}}}))
+        for name, (table, _) in PROFILE_TABLES.items():
+            Path(name).write_text(json.dumps(table))
         if content is None:
             path = tmp_path / "scenario.d"
             path.mkdir()

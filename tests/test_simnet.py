@@ -192,6 +192,29 @@ def test_deliveries_read_as_frozen_records_in_a_new_list():
     assert len(net.deliveries) == 1
 
 
+def test_delivery_hook_is_the_only_recorder_and_the_count_is_always_kept():
+    own, silent, hooked = (Fabric(seed=0) for _ in range(3))
+    silent.on_delivery = None
+    sink: list[tuple] = []
+    hooked.on_delivery = sink.append
+    for net in (own, silent, hooked):
+        net.add_node(SimNode("pub", "VN1"))
+        net.add_node(Recorder("sub", "VN1"))
+        net.subscribe("sub", "/image", "VN1")
+        for i in range(3):
+            net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", at=float(i))
+        net.run_until(10.0)
+        assert net.delivered == 3
+    assert len(own.deliveries) == 3
+    assert silent.deliveries == hooked.deliveries == []
+    assert [DeliveryRecord(*r) for r in sink] == own.deliveries
+    silent.record_deliveries()  # connects the fabric's own log from here on
+    silent.publish("pub", image_message("f3", seq=3), wire_topic="/image", at=20.0)
+    silent.run_until(20.0)
+    assert silent.delivered == 4
+    assert [r.seq for r in silent.deliveries] == [3]
+
+
 def test_causality_delivery_not_before_publish_plus_latency():
     net = Fabric(seed=1)
     net.add_network("EDGE", latency_ms=2.5, jitter_ms=1.0)

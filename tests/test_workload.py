@@ -121,6 +121,11 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_trace(2, "disjoint", 10, overlap_fraction=0.5)
 
+    def test_negative_objects_per_frame_rejected(self):
+        assert synth_trace(1, "loop", 5, objects_per_frame=0).frames
+        with pytest.raises(ValueError, match="objects_per_frame"):
+            synth_trace(1, "loop", 5, objects_per_frame=-1)
+
     def test_shared_corridor_shared_ids(self):
         trace = synth_trace(3, "shared-corridor", 50, overlap_fraction=0.4, seed=4)
         shared = {f.image_id for f in trace.by_car["car1"]} & {
