@@ -11,9 +11,11 @@ itself) serves only the ``-remote`` surface.  Each wrapper hears ``-local``
 answers unless it is a phantom, ``-remote`` answers on the edge, and never
 the original answer names, which only it publishes.
 
-Message arrival follows one procedure, decided by topic: a message on a
-published (answer) topic is an answer or a stray, one on a subscribed
-topic is a request and a hit or a miss.
+Message arrival follows one procedure, decided by one wire table built
+with the node: it maps each wire heard to its topic and to whether it
+carries requests or ``-local``/``-remote`` answers.  A message on a wire not
+in it, or of the wrong payload kind, is malformed and dropped.  An answer
+is an answer or a stray, a request a hit or a miss.
 
   answer   its header key names a pending exchange; absorb it into the
            object map, store it as the cached value, and relay it to every
@@ -41,7 +43,8 @@ exchange is answered once.  Cache keys are content digests; headers only
 identify in-flight exchanges, and one header names one pending exchange.
 
 Transparency mode (``cache_enabled=False``) runs the same procedure over a
-cache DB that never stores: every request is forwarded and each answer goes
+cache DB that never stores: every request is forwarded and parked as its
+own pending exchange, which expires on its own clock, and each answer goes
 only to its own requester.
 """
 
@@ -114,11 +117,14 @@ class CachedValue:
     waiters: list[Header] = field(default_factory=list)  # requesters owed an answer
 
 
+Slot = str | tuple[str, int]  # a pending record's key: digest, or header key if not storing
+
+
 @dataclass(slots=True)
 class _TopicMap:
     topic: Topic
     entries: dict[str, CachedValue] = field(default_factory=dict)  # what lookups see
-    pending: dict[str, CachedValue] = field(default_factory=dict)  # in flight, park order
+    pending: dict[Slot, CachedValue] = field(default_factory=dict)  # in flight, park order
     requests: int = 0
     hits: int = 0
     misses: int = 0
@@ -126,22 +132,24 @@ class _TopicMap:
 
 class TopicCacheDB:
     """Per-topic hash maps from content digests to one record each, plus one
-    pending index from request header key to (topic, digest).
+    pending index from request header key to the (topic, slot) of its record.
 
-    With ``stores=False`` (transparency mode) no record enters ``entries``:
-    every lookup misses, no repeat coalesces, and each answer wakes only the
-    requester whose header key it carries.
+    Caching parks one record per digest, under the digest: repeats coalesce
+    on it, and its answer stays in ``entries``.  With ``stores=False``
+    (transparency mode) each exchange parks its own record under its header
+    key: every lookup misses and each answer wakes only its own requester.
     """
 
     def __init__(self, max_entries: int | None = None, stores: bool = True) -> None:
         self._maps: dict[str, _TopicMap] = {}
-        self._pending: dict[tuple[str, int], tuple[str, str]] = {}
+        self._pending: dict[tuple[str, int], tuple[str, Slot]] = {}
         self.max_entries = max_entries
         self.stores = stores
 
     def ensure_topic(self, topic: Topic) -> None:
         """Create the hash map for a never-seen topic; later calls for the
-        same topic are no-ops, so every arrival may call it."""
+        same topic are no-ops.  ``GenieNode`` creates the maps of its
+        request topics once, when it is built."""
         if topic.name not in self._maps:
             self._maps[topic.name] = _TopicMap(topic)
 
@@ -154,71 +162,64 @@ class TopicCacheDB:
     def lookup(self, name: str, digest: str) -> CachedValue | None:
         return self._maps[name].entries.get(digest)
 
-    def pending(self, key: tuple[str, int]) -> tuple[str, str] | None:
-        """(topic, digest) the header key is queued on, if any."""
+    def pending(self, key: tuple[str, int]) -> tuple[str, Slot] | None:
+        """(topic, slot) the header key is queued on, if any; pass both to
+        :meth:`fill`."""
         return self._pending.get(key)
 
     def add_waiter(self, name: str, digest: str, header: Header, now: float) -> bool:
-        """Queue ``header`` on the digest; return whether it joined a request
-        in flight.  Without storage nothing joins: a repeat re-parks the
-        digest at the back with a new clock, earlier waiters included.  A
-        header key is queued at most once (callers check :meth:`pending`)."""
+        """Queue ``header`` on its pending record, parked at ``now`` if new;
+        return whether it joined a request in flight, which only a caching DB
+        has.  A header key is queued at most once (callers check
+        :meth:`pending`)."""
         m = self._maps[name]
-        record = m.pending.get(digest)
-        in_flight = record is not None and self.stores
+        slot = digest if self.stores else header.key
+        record = m.pending.get(slot)
+        in_flight = record is not None
         if record is None:
-            record = m.pending[digest] = CachedValue(None, now, now)
+            record = m.pending[slot] = CachedValue(None, now, now)
             if self.stores:
                 m.entries[digest] = record
-        elif not in_flight:
-            record.created_ms = now
-            m.pending[digest] = m.pending.pop(digest)
         record.waiters.append(header)
-        self._pending[header.key] = (name, digest)
+        self._pending[header.key] = (name, slot)
         self._evict(m)
         return in_flight
 
-    def fill(self, name: str, digest: str, result: Message) -> list[Header]:
-        """Store ``result`` on the pending digest and detach its waiters (a
-        digest no longer pending wakes nobody: the first answer wins).  Without
-        storage only the waiter whose header key ``result`` carries wakes."""
-        m = self._maps[name]
-        record = m.pending.get(digest)
+    def fill(self, name: str, slot: Slot, result: Message) -> list[Header]:
+        """Answer the pending record in ``slot`` and detach all its waiters;
+        a caching DB also keeps ``result`` as the stored answer.  A slot no
+        longer pending wakes nobody: the first answer wins."""
+        record = self._maps[name].pending.pop(slot, None)
         if record is None:
             return []
         if self.stores:
             record.result = result
-            woken, record.waiters = record.waiters, []
-        else:
-            woken = [w for w in record.waiters if w.key == result.header.key]
-            record.waiters = [w for w in record.waiters if w.key != result.header.key]
-        if not record.waiters:
-            del m.pending[digest]
-        for w in woken:
+        for w in record.waiters:
             self._pending.pop(w.key, None)
+        woken, record.waiters = record.waiters, []
         return woken
 
     def purge_expired(self, now: float, ttl_ms: float) -> int:
-        """Drop pending requests older than the TTL with their records, so a
-        later repeat re-requests; returns the number of waiters dropped.
+        """Drop pending records older than the TTL, so a later repeat
+        re-requests; returns the number of waiters dropped.
 
         Callers pass a nondecreasing ``now`` (``GenieNode`` passes the fabric
-        clock) and a re-park moves a digest to the back, so ``pending`` is in
+        clock) and a record never moves once parked, so ``pending`` is in
         park-time order and the walk stops at the first live record: the
         cost is O(expired + topics), not O(pending).
         """
         removed = 0
         for m in self._maps.values():
             stale = []
-            for digest, record in m.pending.items():
+            for slot, record in m.pending.items():
                 if now - record.created_ms <= ttl_ms:
                     break
-                stale.append(digest)
-            for digest in stale:
-                for w in m.pending.pop(digest).waiters:
+                stale.append(slot)
+            for slot in stale:
+                for w in m.pending.pop(slot).waiters:
                     self._pending.pop(w.key, None)
                     removed += 1
-                m.entries.pop(digest, None)
+                m.entries.pop(slot, None)
         return removed
 
     def pending_count(self) -> int:
@@ -333,29 +334,31 @@ class GenieNode(SimNode):
         self.pending_ttl_ms = pending_ttl_ms
         self.answers_on_edge = role is GenieRole.REMOTE or home_network == edge_network
         self.db = TopicCacheDB(max_entries, stores=cache_enabled)
+        for t in spec.subscribes:
+            self.db.ensure_topic(t)
         self.counters = GenieCounters()
-        self._topics = {t.name: t for t in spec.subscribes + spec.publishes}
-        self._answer_names = tuple(t.name for t in spec.publishes)
+        # wire -> (network, topic, answer flavour) for each name this node
+        # hears, in subscription order; the flavour is None for a request
+        self._wires: dict[str, tuple[str, Topic, str | None]] = {}
+        if not self.answers_on_edge:
+            self._wires |= {t.name: (home_network, t, None) for t in spec.subscribes}
+        if role is not GenieRole.PHANTOM:
+            self._wires |= {t.name + LOCAL_SUFFIX: (home_network, t, "local") for t in spec.publishes}
+        if edge_network:
+            remote = {t.name + REMOTE_SUFFIX: (edge_network, t, "remote") for t in spec.publishes}
+            if self.answers_on_edge:
+                remote |= {t.name + REMOTE_SUFFIX: (edge_network, t, None) for t in spec.subscribes}
+            self._wires |= sorted(remote.items())
 
     # -- wiring ---------------------------------------------------------------
 
     def subscriptions(self) -> list[tuple[str, str]]:
-        """(topic, network) pairs this node listens on, as the module
-        docstring lists them: only names some other node publishes.  A
-        vehicle wrapper uploads requests; it does not serve other vehicles'
-        uploads, so only an edge-resident wrapper hears ``-remote`` requests.
-        """
-        subs = []
-        if not self.answers_on_edge:
-            subs += [(t.name, self.home_network) for t in self.spec.subscribes]
-        if self.role is not GenieRole.PHANTOM:
-            subs += [(n + LOCAL_SUFFIX, self.home_network) for n in self._answer_names]
-        if self.edge_network:
-            remote = list(self._answer_names)
-            if self.answers_on_edge:
-                remote += [t.name for t in self.spec.subscribes]
-            subs += [(n, self.edge_network) for n in sorted(n + REMOTE_SUFFIX for n in remote)]
-        return subs
+        """(wire, network) pairs this node listens on, as the module docstring
+        lists them: only names some other node publishes, the ``-remote``
+        ones sorted.  A vehicle wrapper uploads requests; it does not serve
+        other vehicles' uploads, so only an edge-resident wrapper hears
+        ``-remote`` requests."""
+        return [(wire, network) for wire, (network, _, _) in self._wires.items()]
 
     def attach(self, net: Fabric, origin_prefix: str = "") -> None:
         """Join the fabric and subscribe.  With ``origin_prefix`` (a vehicle
@@ -379,14 +382,14 @@ class GenieNode(SimNode):
         self.counters.expired += self.db.purge_expired(now, self.pending_ttl_ms)
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
-        base, flavor = self._split(wire_topic)
-        topic = self._topics.get(base)
-        if topic is None or kind_of(message.payload) is not topic.kind:
+        heard = self._wires.get(wire_topic)
+        if heard is None or kind_of(message.payload) is not heard[1].kind:
             self.counters.malformed_dropped += 1
             return
+        _, topic, flavor = heard
         self.expire(at)
 
-        if base in self._answer_names:
+        if flavor is not None:
             pend = self.db.pending(message.header.key)
             if pend is not None:
                 self._handle_answer(net, at, flavor, pend, message)
@@ -397,7 +400,7 @@ class GenieNode(SimNode):
                 self.counters.echoes_ignored += 1
             return
 
-        self.db.ensure_topic(topic)
+        base = topic.name
         tm = self.db.topic_map(base)
         digest = content_key(message, base)
         self.counters.requests += 1
@@ -439,7 +442,7 @@ class GenieNode(SimNode):
             )
 
     def _handle_answer(
-        self, net: Fabric, at: float, flavor: str, pend: tuple[str, str], message: Message
+        self, net: Fabric, at: float, flavor: str, pend: tuple[str, Slot], message: Message
     ) -> None:
         if flavor == "remote":
             self.counters.remote_answers += 1
@@ -447,9 +450,8 @@ class GenieNode(SimNode):
             self.counters.local_answers += 1
         if self.object_map is not None:
             self.object_map.ingest(message, at)
-        topic_name, digest = pend
         stored = Message(message.header, message.topic, message.payload)
-        woken = self.db.fill(topic_name, digest, stored)
+        woken = self.db.fill(*pend, stored)
         # peers that heard the same broadcast we did need no relay from us
         if self.answers_on_edge and flavor == "remote":
             return
@@ -482,14 +484,6 @@ class GenieNode(SimNode):
         net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)
 
     # -- helpers ------------------------------------------------------------------
-
-    @staticmethod
-    def _split(wire_topic: str) -> tuple[str, str]:
-        if wire_topic.endswith(LOCAL_SUFFIX):
-            return wire_topic[: -len(LOCAL_SUFFIX)], "local"
-        if wire_topic.endswith(REMOTE_SUFFIX):
-            return wire_topic[: -len(REMOTE_SUFFIX)], "remote"
-        return wire_topic, "original"
 
     def _answer_surface(self, answer_topic: str) -> tuple[str, str]:
         if self.answers_on_edge:

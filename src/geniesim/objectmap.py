@@ -103,6 +103,8 @@ class ObjectMapStore:
             raise ValueError("confidence_threshold must be in [0, 1]")
         if not 0.0 < update_rate <= 1.0:
             raise ValueError("update_rate must be in (0, 1]")
+        if relevance_radius_m < 0:  # zero is valid: augment adds nothing
+            raise ValueError("relevance_radius_m must be non-negative")
         self.resolution_m = resolution_m
         self.confidence_threshold = confidence_threshold
         self.update_rate = update_rate

@@ -385,8 +385,8 @@ class DeviceProfile:
 
     def __post_init__(self) -> None:
         for model, mean in self.mean_latency_ms.items():
-            if mean <= 0:
-                raise ValueError(f"{self.device}/{model}: latency must be positive")
+            if not 0 < mean < math.inf:  # also false for NaN
+                raise ValueError(f"{self.device}/{model}: latency must be finite and positive, got {mean}")
 
     def models(self) -> set[str]:
         return set(self.mean_latency_ms) | set(self.oom_models)
@@ -419,10 +419,10 @@ def _profiles_from_dict(table: dict) -> dict[str, DeviceProfile]:
             require_object(entry, f"device profile {device}/{model}")
             if entry.get("oom"):
                 ooms.add(model)
-            elif "mean_ms" in entry:
-                means[model] = float(entry["mean_ms"])
+            elif type(mean := entry.get("mean_ms")) in (int, float):  # not a bool or a string
+                means[model] = float(mean)
             else:
-                raise ValueError(f"device profile {device}/{model} has neither oom nor mean_ms")
+                raise ValueError(f"device profile {device}/{model} needs oom or a numeric mean_ms, got {mean!r}")
         profiles[device] = DeviceProfile(device, means, frozenset(ooms))
     return profiles
 

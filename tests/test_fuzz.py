@@ -7,9 +7,14 @@ hunting for something specific.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import geniesim
 from geniesim.genie import GenieNode, GenieRole
 from geniesim.harness import (
     MODES,
@@ -263,3 +268,35 @@ def test_memoized_hits_match_always_augmenting_reference(monkeypatch):
         assert counts == ref_counts, master
         reused += ref_augments - augments
     assert reused > 0  # the memo's reuse branch ran
+
+
+# run in a fresh interpreter: argv[1] is {name: config dict}, argv[2] the out dir
+EMIT_EVERY_MODE = """
+import json, sys
+from geniesim.harness import MODES, ScenarioConfig, build_scenario, emit_report, run_built_scenario
+for name, data in json.loads(sys.argv[1]).items():
+    config = ScenarioConfig.from_dict(data)
+    for mode in MODES:
+        if mode != "R" or config.edge_devices:
+            report = run_built_scenario(build_scenario(config, mode=mode), mode)
+            emit_report(report, f"{sys.argv[2]}/{name}/{mode}")
+"""
+
+
+def test_emitted_files_do_not_depend_on_the_hash_seed(tmp_path):
+    # the hash seed moves the iteration order of sets of strings, never of
+    # dicts such as the genies' wire tables; no such order may reach an output
+    configs = {
+        "fuzz:3": random_config(random.Random("fuzz:3")),
+        "fuzz:11/force_miss": replace(random_config(random.Random("fuzz:11")), force_miss=True),
+    }
+    arg = json.dumps({name: config.to_dict() for name, config in configs.items()})
+    src = str(Path(geniesim.__file__).parents[1])
+    emitted = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / seed
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", EMIT_EVERY_MODE, arg, str(out)], env=env, check=True)
+        emitted[seed] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert len(emitted["0"]) == 2 * 3 * 4  # two configs, three modes, four files
+    assert emitted["0"] == emitted["12345"]

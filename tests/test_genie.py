@@ -167,13 +167,15 @@ class TestTopicCacheDB:
         db = TopicCacheDB(stores=False)
         db.ensure_topic(IMAGE)
         db.add_waiter("/image", "d1", Header("car1/camera", 0, 0.0), 0.0)
-        assert [w.seq for w in db.fill("/image", "d1", objects_message(()))] == [0]
+        pend = db.pending(("car1/camera", 0))
+        assert [w.seq for w in db.fill(*pend, objects_message(()))] == [0]
         assert db.lookup("/image", "d1") is None
         assert db.entry_count("/image") == 0
 
 
 class TestPendingExpiryOrder:
-    """Pending order in transparency mode, where a repeat re-parks."""
+    """Pending order in transparency mode, where each exchange parks its own
+    record and keeps its own clock."""
 
     TTL = 5000.0
 
@@ -188,8 +190,13 @@ class TestPendingExpiryOrder:
         db.add_waiter("/image", digest, Header("a", seq, 0.0), now)
 
     @staticmethod
-    def answer(seq):
-        return objects_message((), origin="a", seq=seq)
+    def fill(db, seq):
+        return db.fill(*db.pending(("a", seq)), objects_message((), origin="a", seq=seq))
+
+    @staticmethod
+    def parked(db):
+        """The seq of each pending record's requester, in park order."""
+        return [w.seq for r in db.topic_map("/image").pending.values() for w in r.waiters]
 
     def test_purge_stops_at_first_live_entry(self):
         db = self.db()
@@ -197,37 +204,39 @@ class TestPendingExpiryOrder:
             self.park(db, f"d{t}", t, float(t))
         assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 2
         assert db.pending_count() == 1
-        assert list(db.topic_map("/image").pending) == ["d2"]
+        assert self.parked(db) == [2]
 
-    def test_reparked_digest_moves_to_back(self):
+    def test_repeat_after_fill_parks_at_the_back(self):
         db = self.db()
         self.park(db, "d1", 0, 0.0)
         self.park(db, "d2", 1, 1.0)
-        assert db.fill("/image", "d1", self.answer(0))
+        assert self.fill(db, 0)
         self.park(db, "d1", 2, 3.0)
-        assert list(db.topic_map("/image").pending) == ["d2", "d1"]
+        assert self.parked(db) == [1, 2]
         assert db.purge_expired(now=self.TTL + 2.0, ttl_ms=self.TTL) == 1
         assert db.pending_count() == 1
         assert db.purge_expired(now=self.TTL + 3.5, ttl_ms=self.TTL) == 1
         assert db.pending_count() == 0
 
-    def test_second_waiter_on_unstored_digest_restarts_its_clock(self):
+    def test_repeat_on_one_digest_keeps_the_earlier_clock(self):
         db = self.db()
         self.park(db, "d1", 0, 0.0)
         self.park(db, "d2", 1, 1.0)
         self.park(db, "d1", 2, 2.0)
-        assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 1
-        assert db.pending_count() == 2
+        assert self.parked(db) == [0, 1, 2]
+        assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 2
+        assert self.parked(db) == [2]
 
-    def test_fill_only_last_waiter_leaves_the_order(self):
+    def test_fill_leaves_park_order_intact(self):
         db = self.db()
         self.park(db, "d1", 0, 0.0)
         self.park(db, "d2", 1, 1.0)
-        woken = db.fill("/image", "d1", self.answer(0))
-        assert [w.key for w in woken] == [("a", 0)]
-        assert list(db.topic_map("/image").pending) == ["d2"]
+        self.park(db, "d1", 2, 2.0)
+        assert [w.key for w in self.fill(db, 0)] == [("a", 0)]
+        assert self.parked(db) == [1, 2]
         assert db.purge_expired(now=self.TTL + 0.5, ttl_ms=self.TTL) == 0
-        assert db.pending_count() == 1
+        assert db.purge_expired(now=self.TTL + 1.5, ttl_ms=self.TTL) == 1
+        assert self.parked(db) == [2]
 
 
 class TestDedupFilter:
@@ -783,7 +792,7 @@ class TestHitMemo:
 
 
 class TestSubscriptions:
-    @pytest.mark.parametrize(
+    ROLES = pytest.mark.parametrize(
         "home, role, expected",
         [
             ("VN-car1", GenieRole.LOCAL, [
@@ -797,12 +806,36 @@ class TestSubscriptions:
         ],
         ids=["vehicle-local", "edge-remote", "vehicle-phantom", "edge-phantom"],
     )
+
+    @ROLES
     def test_only_names_another_node_publishes(self, home, role, expected):
         # no wrapper hears its own answer names; phantoms have no -local
         # answers; edge-resident wrappers serve only the -remote surface
         genie = GenieNode("genie", home, detector_spec(), role, edge_network="EDGE")
         assert genie.subscriptions() == expected
         assert genie.answers_on_edge == (home != "VN-car1")
+
+    @ROLES
+    def test_an_unheard_wire_is_malformed_and_publishes_nothing(self, home, role, expected, monkeypatch):
+        # e.g. the original /objects, which only the wrapper itself publishes
+        net = Fabric(seed=0)
+        genie = GenieNode("genie", home, detector_spec(), role, edge_network="EDGE")
+        genie.attach(net)
+        published = spy_publishes(net, genie.name, monkeypatch)
+        unheard = [
+            base + suffix
+            for base in ("/image", "/objects")
+            for suffix in ("", "-local", "-remote")
+            if (base + suffix, home) not in expected and (base + suffix, "EDGE") not in expected
+        ]
+        assert "/objects" in unheard
+        for seq, wire in enumerate(unheard):
+            message = image_message("f0", seq=seq) if wire.startswith("/image") else objects_message((), seq=seq)
+            genie.on_message(net, 0.0, home, wire, message)
+        net.run_until(100.0)
+        assert genie.counters.malformed_dropped == len(unheard)
+        assert published == []
+        assert genie.counters.requests == genie.counters.echoes_ignored == genie.db.pending_count() == 0
 
 
 class TestPhantomRole:
@@ -833,6 +866,21 @@ class TestPhantomRole:
 
 
 class TestTransparency:
+    def test_each_exchange_expires_on_its_own_clock(self):
+        # a repeat on the same content is its own exchange: it must not
+        # extend the first one's expiry
+        net, genie, inner, consumer, spy = wire_local_genie(cache_enabled=False, pending_ttl_ms=1000.0)
+        for seq, t in ((0, 0.0), (1, 2.0)):
+            net.publish("camera", image_message("f0", seq=seq, stamp=t), wire_topic="/image", network="VN1", at=t)
+        net.run_until(10.0)
+        assert len(inner.received) == len(spy.received) == 2  # nothing coalesces
+        genie.expire(1001.0)
+        assert genie.counters.expired == 1
+        assert genie.db.pending(("car1/camera", 0)) is None
+        assert genie.db.pending(("car1/camera", 1)) is not None
+        genie.expire(1003.0)
+        assert genie.counters.expired == 2 and genie.db.pending_count() == 0
+
     def test_forced_miss_echoes_terminate_between_edge_peers(self):
         # with caching disabled there are no parked entries to absorb the
         # re-broadcasts two edge peers bounce at each other; the pending key

@@ -53,9 +53,11 @@ REPEAT_HITS = ("loop", 1, 60, 0.9)
 SEED = 7
 # (cell suffix, config overrides) on one corridor whose TTL is short enough
 # that some pending requests expire before their answers come: "lru3" evicts
-# (ties on last-hit time break by park order) and "force_miss" re-parks a
-# digest when a second requester queues on it.  Dropping the re-park's clock
-# restart changes no digest; test_genie.py's TestPendingExpiryOrder catches it
+# (ties on last-hit time break by park order) and "force_miss" parks each
+# exchange on its own record with its own clock, even when another request
+# for the same content is pending.  Its digests are the same under a shared
+# record that each repeat re-parks, so test_genie.py's TestPendingExpiryOrder
+# and TestTransparency pin the rule
 SHORT_TTL_MS = 34.0
 SHORT_TTL = (("lru3", {"max_cache_entries": 3}), ("force_miss", {"force_miss": True}))
 # L/R/DG over one jittered corridor with a phantom car: jitter makes each

@@ -479,6 +479,12 @@ PROFILE_TABLES = {
     "profile-table-list.json": ([{"Nano": {}}], "device profile table"),
     "profile-device-list.json": ({"Nano": [1]}, "device profile Nano"),
     "profile-entry-number.json": ({"Nano": {"DETR-ResNet-50": 5}}, "Nano/DETR-ResNet-50"),
+    **{
+        f"profile-mean-{name}.json": ({"Nano": {"DETR-ResNet-50": {"mean_ms": mean}}}, "Nano/DETR-ResNet-50")
+        for name, mean in (
+            ("nan", float("nan")), ("infinity", float("inf")), ("list", [5]), ("string", "5"), ("bool", True),
+        )
+    },
 }
 
 # (file content, the path its error line must name); None is a directory
@@ -510,6 +516,9 @@ BAD_FILES = [
     pytest.param({**LOOP, "max_cache_entries": -1}, "max_cache_entries", id="lru-negative"),
     pytest.param(
         {**LOOP, "object_map": {"update_rule": "bogus"}}, "object_map.update_rule", id="rule-unknown"
+    ),
+    pytest.param(
+        {**LOOP, "object_map": {"relevance_radius_m": -1}}, "relevance_radius_m", id="radius-negative"
     ),
     *(
         pytest.param({**LOOP, "profiles_file": name}, names, id=name.removesuffix(".json"))

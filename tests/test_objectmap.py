@@ -142,6 +142,13 @@ class TestAugment:
         out = store.augment(ObjectList((obj("car", 0.9, (0.2, 0.2, 0.2)),)))
         assert len(out.objects) == 1
 
+    def test_negative_radius_rejected_and_zero_adds_nothing(self):
+        with pytest.raises(ValueError, match="relevance_radius_m"):
+            ObjectMapStore(relevance_radius_m=-1.0)
+        store = ObjectMapStore(confidence_threshold=0.6, relevance_radius_m=0.0)
+        store.ingest(objects_message((obj("pole", 0.9, (0.7, 0.2, 0.2)),)), 0.0)
+        assert len(store.augment(ObjectList((obj("car", 0.9, (0.2, 0.2, 0.2)),))).objects) == 1
+
     def test_read_only(self):
         store = ObjectMapStore()
         for i in range(10):
