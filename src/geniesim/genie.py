@@ -21,9 +21,10 @@ is an answer or a stray, a request a hit or a miss.
            object map, store it as the cached value, and relay it to every
            requester waiting on that content digest.
   miss     unseen content; forward to the inner node on ``-local`` (never
-           for phantoms, which wrap nothing) and to peers on ``-remote``,
-           then park the digest as one pending record that concurrent
-           repeats queue on instead of re-broadcasting.
+           for phantoms, which wrap nothing).  Only a vehicle wrapper also
+           uploads it on ``-remote``: every edge wrapper hears that one
+           upload, so none re-shares it.  Then park the digest as one
+           pending record that concurrent repeats queue on.
   hit      known content with a stored answer; augment it from the object
            map and send it straight back to the sender.  The augmented answer
            is kept on the entry and reused while the map's version is
@@ -37,10 +38,8 @@ is an answer or a stray, a request a hit or a miss.
            with its car's origin prefix (``attach``), counts second answers
            to its own car's exchanges.
 
-A request whose header is already queued (a peer edge re-sharing the same
-upload) counts as a request and a miss but is not queued again, so each
-exchange is answered once.  Cache keys are content digests; headers only
-identify in-flight exchanges, and one header names one pending exchange.
+Cache keys are content digests; headers only identify in-flight
+exchanges, and one header names one pending exchange.
 
 Transparency mode (``cache_enabled=False``) runs the same procedure over a
 cache DB that never stores: every request is forwarded and parked as its
@@ -170,8 +169,9 @@ class TopicCacheDB:
     def add_waiter(self, name: str, digest: str, header: Header, now: float) -> bool:
         """Queue ``header`` on its pending record, parked at ``now`` if new;
         return whether it joined a request in flight, which only a caching DB
-        has.  A header key is queued at most once (callers check
-        :meth:`pending`)."""
+        has.  Each header arrives once (only vehicles upload, and no edge
+        wrapper re-shares), so callers queue it without checking
+        :meth:`pending`."""
         m = self._maps[name]
         slot = digest if self.stores else header.key
         record = m.pending.get(slot)
@@ -416,10 +416,6 @@ class GenieNode(SimNode):
 
         self.counters.misses += 1
         tm.misses += 1
-        if self.db.pending(message.header.key) is not None:
-            # the same exchange again (a peer edge's re-share): one waiter,
-            # one answer
-            return
         in_flight = self.db.add_waiter(base, digest, message.header, at)
         self.counters.pending_peak = max(self.counters.pending_peak, self.db.pending_count())
         if in_flight:
@@ -432,7 +428,7 @@ class GenieNode(SimNode):
                 network=self.home_network,
                 at=at + self.miss_overhead_ms,
             )
-        if self.edge_network:
+        if self.edge_network and not self.answers_on_edge:
             net.publish(
                 self.name,
                 message,

@@ -2,6 +2,7 @@
 their hit answers against a reference that augments on every hit.
 
 Each config runs in the L, R and DG modes; the cache checks apply to DG.
+Between runs, L output must not depend on anything about the edge.
 The generator is seeded, so failures reproduce; widen MASTER_SEEDS when
 hunting for something specific.
 """
@@ -25,7 +26,7 @@ from geniesim.harness import (
     emit_report,
     run_built_scenario,
 )
-from geniesim.model import ObjectList
+from geniesim.model import REMOTE_SUFFIX, ObjectList
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric
 
@@ -135,6 +136,19 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
             c = genie.counters
             assert c.local_answers + c.late_answers == detector.invocations, genie.name
 
+    # only vehicles upload: an edge-resident genie publishes no request, so
+    # no genie hears one request header twice
+    requests = {t.name for g in scenario.genies.values() for t in g.spec.subscribes}
+    requests |= {name + REMOTE_SUFFIX for name in requests}
+    edge = {name for name, g in scenario.genies.items() if g.answers_on_edge}
+    heard = set()
+    for d in scenario.fabric.deliveries:
+        if d.topic in requests:
+            assert d.frm not in edge, d
+            if d.to in scenario.genies:
+                assert (d.to, d.origin, d.seq) not in heard, d
+                heard.add((d.to, d.origin, d.seq))
+
     if config.object_map.update_rule == "ascend":
         totals = [total for *_, total in report.boost_curve()]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
@@ -169,6 +183,29 @@ def test_invariants_hold_on_pending_tables_left_at_end():
     db = scenario.genies["car1/genie"].db
     assert db.pending_count() > 0  # check_genies saw a non-empty index
     assert [len(r.waiters) for r in db.topic_map("/image").pending.values()] == [10, 10, 10]
+
+
+# each changes only the edge, which a car running its own detector never uses;
+# every edge device listed has every model the configs draw
+EDGE_VARIANTS = {
+    "no-edge": {"edge_devices": ()},
+    "other-edge": {"edge_devices": ("Orin", "A4500", "AGX")},
+    "edge-latency": {"edge_latency_ms": 13.0},
+    "edge-jitter": {"edge_jitter_ms": 4.5},
+}
+
+
+def test_local_mode_output_does_not_depend_on_the_edge():
+    def local_summary(config):
+        summary = run_built_scenario(build_scenario(config, mode="L"), "L").summary_dict()
+        del summary["config"]
+        return summary
+
+    for master in MASTER_SEEDS:
+        config = random_config(random.Random(f"fuzz:{master}"))
+        expected = local_summary(config)
+        for name, change in EDGE_VARIANTS.items():
+            assert local_summary(replace(config, **change)) == expected, (master, name)
 
 
 def test_random_scenario_reruns_identically():

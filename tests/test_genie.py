@@ -506,7 +506,7 @@ class TestRemoteRole:
             r for r in net.deliveries
             if r.frm == "edge-genie" and r.to == "peer-spy" and r.topic == "/image-remote"
         ]
-        assert len(reshared) == 1  # miss is re-shared with other peers
+        assert reshared == []  # every edge peer heard the car's upload itself
 
     def test_hit_served_on_edge_surface_reheaded_to_requester(self):
         net, genie, inner, requester, peer = wire_remote_genie(object_map=ObjectMapStore())
@@ -882,9 +882,8 @@ class TestTransparency:
         assert genie.counters.expired == 2 and genie.db.pending_count() == 0
 
     def test_forced_miss_echoes_terminate_between_edge_peers(self):
-        # with caching disabled there are no parked entries to absorb the
-        # re-broadcasts two edge peers bounce at each other; the pending key
-        # must stop the loop
+        # with caching disabled no parked entry coalesces repeats; the run
+        # ends because edge peers never re-share an upload to each other
         from geniesim.harness import ScenarioConfig, SynthSpec, run_scenario
 
         config = ScenarioConfig(
@@ -1003,7 +1002,7 @@ class TestLateAnswer:
 
 class TestOneAnswerPerExchange:
     @staticmethod
-    def run(route, cars, frames, edges, overlap=0.5, edge_latency_ms=0.0):
+    def run(route, cars, frames, edges, overlap=0.5, edge_latency_ms=0.0, **config_kwargs):
         from geniesim.harness import ScenarioConfig, SynthSpec, build_genie_scenario, run_built_scenario
 
         config = ScenarioConfig(
@@ -1012,6 +1011,7 @@ class TestOneAnswerPerExchange:
             synth=SynthSpec(route=route, n_frames=frames, overlap_fraction=overlap),
             seed=7,
             edge_latency_ms=edge_latency_ms,
+            **config_kwargs,
         )
         scenario = build_genie_scenario(config)
         scenario.fabric.record_deliveries()
@@ -1031,9 +1031,31 @@ class TestOneAnswerPerExchange:
         assert scenario.genies["edge1/genie"].counters.late_answers == frames
         for name in ("edge1/genie", "edge2/genie"):
             genie = scenario.genies[name]
-            # a car upload plus the peer edge's re-share of it, both misses
-            assert genie.counters.requests == genie.counters.misses == 2 * frames
+            # the car's upload only: neither edge re-shares it to the other
+            assert genie.counters.requests == genie.counters.misses == frames
             assert genie.db.topic_names() == ("/image",)
+
+    @pytest.mark.parametrize(
+        "route, cars, frames, config_kwargs",
+        [
+            # the bench corridor: 4 cars' uploads, some of them hits
+            ("shared-corridor", 4, 100, {}),
+            # transparency with the TTL below the 10 ms edge round trip: every
+            # exchange expires unanswered, and an edge re-share would bounce
+            # between the two edges until the drain ends
+            ("loop", 1, 40, {"pending_ttl_ms": 5.0, "force_miss": True}),
+        ],
+        ids=["bench-corridor", "short-ttl-transparency"],
+    )
+    def test_each_edge_genie_counts_one_request_per_upload(self, route, cars, frames, config_kwargs):
+        scenario = self.run(route, cars, frames, ("AGX", "A4500"), edge_latency_ms=5.0, **config_kwargs)
+        for name in ("edge1/genie", "edge2/genie"):
+            uploads = sum(
+                1 for d in scenario.fabric.deliveries
+                if d.to == name and d.topic == "/image-remote" and d.frm.startswith("car")
+            )
+            assert uploads == cars * frames, name
+            assert scenario.genies[name].counters.requests == uploads, name
 
     @pytest.mark.parametrize(
         "route, cars, edges, overlap, edge_latency_ms",

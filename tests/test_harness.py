@@ -600,6 +600,15 @@ class TestCli:
         assert err[0].startswith("error:")
         assert names in err[0]
 
+    @pytest.mark.parametrize("summary", [None, "{not json"], ids=["missing", "malformed"])
+    def test_unreadable_summary_exits_with_one_error_line(self, tmp_path, capsys, summary):
+        if summary is not None:
+            (tmp_path / "summary.json").write_text(summary)
+        assert cli_main(["report", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+
     def test_seed_override(self, tmp_path):
         config = self._config_file(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
