@@ -1038,7 +1038,7 @@ class TestOneAnswerPerExchange:
     @pytest.mark.parametrize(
         "route, cars, frames, config_kwargs",
         [
-            # the bench corridor: 4 cars' uploads, some of them hits
+            # the bench corridor: 400 uploads, some of them edge hits
             ("shared-corridor", 4, 100, {}),
             # transparency with the TTL below the 10 ms edge round trip: every
             # exchange expires unanswered, and an edge re-share would bounce
