@@ -132,6 +132,7 @@ class _TopicMap:
 class TopicCacheDB:
     """Per-topic hash maps from content digests to one record each, plus one
     pending index from request header key to the (topic, slot) of its record.
+    The DB is built with its topics, one map each, and adds none later.
 
     Caching parks one record per digest, under the digest: repeats coalesce
     on it, and its answer stays in ``entries``.  With ``stores=False``
@@ -139,18 +140,11 @@ class TopicCacheDB:
     key: every lookup misses and each answer wakes only its own requester.
     """
 
-    def __init__(self, max_entries: int | None = None, stores: bool = True) -> None:
-        self._maps: dict[str, _TopicMap] = {}
+    def __init__(self, topics: tuple[Topic, ...], max_entries: int | None = None, stores: bool = True) -> None:
+        self._maps = {t.name: _TopicMap(t) for t in topics}
         self._pending: dict[tuple[str, int], tuple[str, Slot]] = {}
         self.max_entries = max_entries
         self.stores = stores
-
-    def ensure_topic(self, topic: Topic) -> None:
-        """Create the hash map for a never-seen topic; later calls for the
-        same topic are no-ops.  ``GenieNode`` creates the maps of its
-        request topics once, when it is built."""
-        if topic.name not in self._maps:
-            self._maps[topic.name] = _TopicMap(topic)
 
     def topic_map(self, name: str) -> _TopicMap:
         return self._maps[name]
@@ -303,8 +297,10 @@ class GenieCounters:
 class GenieNode(SimNode):
     """The caching interposer node.
 
-    One per wrapped service (or per phantom assignment).  All state is
-    owned by the node and mutated only inside its event callbacks.
+    One per wrapped service (or per phantom assignment).  Every genie has
+    an edge network and an object map: it builds its own empty map unless
+    it is given one.  All state is owned by the node and mutated only inside
+    its event callbacks.
     """
 
     def __init__(
@@ -313,7 +309,7 @@ class GenieNode(SimNode):
         home_network: str,
         spec: ServiceSpec,
         role: GenieRole,
-        edge_network: str | None = None,
+        edge_network: str,
         object_map: ObjectMapStore | None = None,
         *,
         hit_overhead_ms: float = 8.8,
@@ -327,15 +323,13 @@ class GenieNode(SimNode):
         self.spec = spec
         self.role = role
         self.edge_network = edge_network
-        self.object_map = object_map
+        self.object_map = ObjectMapStore() if object_map is None else object_map
         self.hit_overhead_ms = hit_overhead_ms
         self.miss_overhead_ms = miss_overhead_ms
         self.answer_overhead_ms = answer_overhead_ms
         self.pending_ttl_ms = pending_ttl_ms
         self.answers_on_edge = role is GenieRole.REMOTE or home_network == edge_network
-        self.db = TopicCacheDB(max_entries, stores=cache_enabled)
-        for t in spec.subscribes:
-            self.db.ensure_topic(t)
+        self.db = TopicCacheDB(spec.subscribes, max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
         # wire -> (network, topic, answer flavour) for each name this node
         # hears, in subscription order; the flavour is None for a request
@@ -344,11 +338,10 @@ class GenieNode(SimNode):
             self._wires |= {t.name: (home_network, t, None) for t in spec.subscribes}
         if role is not GenieRole.PHANTOM:
             self._wires |= {t.name + LOCAL_SUFFIX: (home_network, t, "local") for t in spec.publishes}
-        if edge_network:
-            remote = {t.name + REMOTE_SUFFIX: (edge_network, t, "remote") for t in spec.publishes}
-            if self.answers_on_edge:
-                remote |= {t.name + REMOTE_SUFFIX: (edge_network, t, None) for t in spec.subscribes}
-            self._wires |= sorted(remote.items())
+        remote = {t.name + REMOTE_SUFFIX: (edge_network, t, "remote") for t in spec.publishes}
+        if self.answers_on_edge:
+            remote |= {t.name + REMOTE_SUFFIX: (edge_network, t, None) for t in spec.subscribes}
+        self._wires |= sorted(remote.items())
 
     # -- wiring ---------------------------------------------------------------
 
@@ -364,10 +357,7 @@ class GenieNode(SimNode):
         """Join the fabric and subscribe.  With ``origin_prefix`` (a vehicle
         wrapper's own car) the edge subscriptions deliver only traffic of
         that origin, so other vehicles' answers never reach this node."""
-        networks = (self.home_network,) + (
-            (self.edge_network,) if self.edge_network else ()
-        )
-        net.add_node(self, networks)
+        net.add_node(self, (self.home_network, self.edge_network))
         for topic, network in self.subscriptions():
             prefix = origin_prefix if network == self.edge_network else ""
             net.subscribe(self.name, topic, network, origin_prefix=prefix)
@@ -428,7 +418,7 @@ class GenieNode(SimNode):
                 network=self.home_network,
                 at=at + self.miss_overhead_ms,
             )
-        if self.edge_network and not self.answers_on_edge:
+        if not self.answers_on_edge:
             net.publish(
                 self.name,
                 message,
@@ -444,8 +434,7 @@ class GenieNode(SimNode):
             self.counters.remote_answers += 1
         else:
             self.counters.local_answers += 1
-        if self.object_map is not None:
-            self.object_map.ingest(message, at)
+        self.object_map.ingest(message, at)
         stored = Message(message.header, message.topic, message.payload)
         woken = self.db.fill(*pend, stored)
         # peers that heard the same broadcast we did need no relay from us
@@ -460,7 +449,7 @@ class GenieNode(SimNode):
         result = entry.result
         payload = result.payload
         store = self.object_map
-        if isinstance(payload, ObjectList) and store is not None:
+        if isinstance(payload, ObjectList):
             if entry.augmented is None or entry.augmented[0] != store.version:
                 requests, hits = store.requests, store.hits
                 # augment adds only objects at or above the map's share threshold

@@ -129,6 +129,9 @@ class ScenarioConfig:
             raise ConfigError("either trace_file or synth parameters are required")
         if self.synth is not None and self.synth.objects_per_frame < 0:
             raise ConfigError("config.synth.objects_per_frame must be non-negative")
+        for i, car in enumerate(self.phantom_cars):
+            if car in self.phantom_cars[:i]:
+                raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")
         cars = {f"car{i + 1}" for i in range(self.n_cars)}
         unknown = set(self.phantom_cars) - cars
         if unknown and self.trace_file is None:
@@ -564,12 +567,10 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         stats = genie.counters_dict()
         img = genie.reuse_counts(PayloadKind.IMAGE)
         store = genie.object_map
-        obj = (store.hits, store.requests) if store is not None else (0, 0)
-        stats["reuse"] = {"image": (img[0], img[1]), "object": obj}
-        stats["object_map_size"] = len(store) if store is not None else 0
+        stats["reuse"] = {"image": (img[0], img[1]), "object": (store.hits, store.requests)}
+        stats["object_map_size"] = len(store)
         per_genie[name] = stats
-        if store is not None:
-            boost.extend((t, name, delta) for t, delta in store.boost_records)
+        boost.extend((t, name, delta) for t, delta in store.boost_records)
     boost.sort(key=lambda e: (e[0], e[1]))
     return MetricsReport(
         config=scenario.config,

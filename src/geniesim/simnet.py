@@ -13,6 +13,9 @@ car-side node that hears answers (a vehicle's caching node, its consumer,
 its remote-baseline downlink relay) subscribes with its own car's prefix,
 so it hears only answers addressed to that car.
 
+Nothing is implied: every subscription names its network, and every
+publish names its sender, wire topic, network and time.
+
 The event loop is single-threaded: callbacks run to completion in
 (due_time, insertion_seq) order, so identical seeds and inputs replay to
 bit-identical delivery logs.  ``Fabric.delivered`` counts every delivery;
@@ -173,24 +176,17 @@ class Fabric:
         self._memberships[node.name] = nets
         return node
 
-    def subscribe(
-        self,
-        node_name: str,
-        topic_name: str,
-        network: str | None = None,
-        origin_prefix: str = "",
-    ) -> None:
-        """Deliver ``topic_name`` on ``network`` (default: the node's home)
-        to the node.  With ``origin_prefix``, only messages whose header
+    def subscribe(self, node_name: str, topic_name: str, network: str, origin_prefix: str = "") -> None:
+        """Deliver ``topic_name`` on ``network``, one the node is a member
+        of, to the node.  With ``origin_prefix``, only messages whose header
         origin starts with it are delivered."""
-        node = self._require(node_name)
-        net = network or node.home_network
-        if net not in self._memberships[node_name]:
-            raise TopologyError(f"{node_name} is not a member of network {net}")
+        self._require(node_name)
+        if network not in self._memberships[node_name]:
+            raise TopologyError(f"{node_name} is not a member of network {network}")
         if (node_name, topic_name) in self._sub_index:
             raise TopologyError(f"{node_name} already subscribed to {topic_name}")
         self._sub_index.add((node_name, topic_name))
-        self._subs.setdefault((net, topic_name), []).append((node_name, origin_prefix))
+        self._subs.setdefault((network, topic_name), []).append((node_name, origin_prefix))
 
     def _require(self, node_name: str) -> SimNode:
         try:
@@ -200,41 +196,27 @@ class Fabric:
 
     # -- traffic ------------------------------------------------------------
 
-    def publish(
-        self,
-        sender: str,
-        message: Message,
-        wire_topic: str | None = None,
-        network: str | None = None,
-        at: float | None = None,
-    ) -> int:
-        """Schedule one delivery per matching subscriber; returns the count.
+    def publish(self, sender: str, message: Message, wire_topic: str, network: str, at: float) -> int:
+        """Schedule one delivery per subscriber of ``wire_topic`` on
+        ``network``, sent at ``at``; returns the count.
 
-        The sender never receives its own publish.  A subscriber whose origin
-        prefix the message's origin lacks takes its jitter draw and is then
-        skipped, so the filter never moves another delivery's time.  ``at``
-        defaults to the current clock and may not lie in the past.
+        The sender must be a member of ``network``, and ``at`` may not lie
+        in the past.  The sender never receives its own publish.  A
+        subscriber whose origin prefix the message's origin lacks takes its
+        jitter draw and is then skipped, so the filter never moves another
+        delivery's time.
         """
-        node = self._require(sender)
-        when = self.clock if at is None else at
-        if when < self.clock:
-            raise ValueError(f"publish at {when} before clock {self.clock}")
-        topic = wire_topic or message.topic.name
-        if network is None:
-            nets = self._memberships[sender]
-            if len(nets) != 1:
-                raise TopologyError(
-                    f"{sender} belongs to {sorted(nets)}; publish needs an explicit network"
-                )
-            network = next(iter(nets))
-        elif network not in self._memberships[sender]:
+        self._require(sender)
+        if at < self.clock:
+            raise ValueError(f"publish at {at} before clock {self.clock}")
+        if network not in self._memberships[sender]:
             raise TopologyError(f"{sender} is not a member of network {network}")
 
         # add_node linked every network the sender is a member of
         link = self._links[network]
         origin = message.header.origin
         count = 0
-        for to, prefix in self._subs.get((network, topic), ()):
+        for to, prefix in self._subs.get((network, wire_topic), ()):
             if to == sender:
                 continue
             delay = link.latency_ms
@@ -243,8 +225,8 @@ class Fabric:
             if prefix and not origin.startswith(prefix):
                 continue
             self.queue.push(
-                when + delay,
-                _Delivery(to, sender, network, topic, message, when),
+                at + delay,
+                _Delivery(to, sender, network, wire_topic, message, at),
             )
             count += 1
         return count

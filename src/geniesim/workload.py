@@ -10,6 +10,9 @@ a device-dependent latency.  Traces are JSON lines, one frame per line:
      "truths": [{"label": str, "conf": f, "loc": [x, y, z],
                  "extent": [dx, dy, dz]}]}
 
+A ``car`` name may not contain ``/``: a car's answers stay with it by the
+origin prefix ``<car>/``, which would also admit those of ``<car>/x``.
+
 ``loc`` is relative to the vehicle; the detector translates it to absolute
 coordinates through the frame pose.  Real datasets (e.g. KITTI) can be
 converted offline into this schema; this package never decodes sensor data.
@@ -155,6 +158,8 @@ def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"line {lineno}: malformed frame: {exc}") from exc
+    if "/" in frame.car:
+        raise TraceError(f"line {lineno}: car name {frame.car!r} may not contain '/'")
     for t in frame.truths:
         if not 0.0 <= t.confidence <= 1.0:
             raise TraceError(

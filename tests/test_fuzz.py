@@ -2,7 +2,10 @@
 their hit answers against a reference that augments on every hit.
 
 Each config runs in the L, R and DG modes; the cache checks apply to DG.
-Between runs, L output must not depend on anything about the edge.
+Between runs, metamorphic relations hold: L output must not depend on
+anything about the edge, R output only on the first edge device, L and R
+output not on phantom cars, DG output not on a cache bound no run fills,
+and no mode's output on whether the trace was read back from a file.
 The generator is seeded, so failures reproduce; widen MASTER_SEEDS when
 hunting for something specific.
 """
@@ -22,6 +25,7 @@ from geniesim.harness import (
     ObjectMapParams,
     ScenarioConfig,
     SynthSpec,
+    _scenario_trace,
     build_scenario,
     emit_report,
     run_built_scenario,
@@ -29,6 +33,7 @@ from geniesim.harness import (
 from geniesim.model import REMOTE_SUFFIX, ObjectList
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric
+from geniesim.workload import save_trace
 
 MASTER_SEEDS = range(12)
 
@@ -206,6 +211,62 @@ def test_local_mode_output_does_not_depend_on_the_edge():
         expected = local_summary(config)
         for name, change in EDGE_VARIANTS.items():
             assert local_summary(replace(config, **change)) == expected, (master, name)
+
+
+# 3 routes x {1, 3} cars x 6 seeds on a jittered two-edge fleet; odd seeds
+# also expire pending requests after 34 ms
+RELATION_CONFIGS = [
+    ScenarioConfig(
+        n_cars=cars,
+        edge_devices=("AGX", "A4500"),
+        synth=SynthSpec(route=route, n_frames=20, overlap_fraction=0.0 if route == "disjoint" else 0.5),
+        seed=seed,
+        edge_latency_ms=3.0,
+        edge_jitter_ms=2.0,
+        vn_jitter_ms=1.0,
+        pending_ttl_ms=34.0 if seed % 2 else 10_000.0,
+    )
+    for route in ("loop", "shared-corridor", "disjoint")
+    for cars in (1, 3)
+    for seed in range(6)
+]
+
+
+def summary_less_config(config: ScenarioConfig, mode: str) -> dict:
+    summary = run_built_scenario(build_scenario(config, mode=mode), mode).summary_dict()
+    del summary["config"]
+    return summary
+
+
+def test_remote_mode_output_uses_only_the_first_edge_device():
+    for i, config in enumerate(RELATION_CONFIGS):
+        other = replace(config, edge_devices=("AGX", "Orin"))
+        assert summary_less_config(other, "R") == summary_less_config(config, "R"), i
+
+
+def test_phantoms_change_only_the_distributed_cache():
+    for i, config in enumerate(RELATION_CONFIGS):
+        phantom = replace(config, phantom_cars=(f"car{config.n_cars}",))
+        for mode in ("L", "R"):
+            assert summary_less_config(phantom, mode) == summary_less_config(config, mode), (i, mode)
+
+
+def test_a_cache_bound_no_run_fills_changes_nothing():
+    moved = 0
+    for i, config in enumerate(RELATION_CONFIGS):
+        expected = summary_less_config(config, "DG")
+        assert summary_less_config(replace(config, max_cache_entries=10_000), "DG") == expected, i
+        moved += summary_less_config(replace(config, max_cache_entries=2), "DG") != expected
+    assert moved > 0  # the bound reaches the caches: a small one evicts
+
+
+def test_outputs_do_not_depend_on_reading_the_trace_back(tmp_path):
+    for i, config in enumerate(RELATION_CONFIGS):
+        path = tmp_path / f"trace{i}.jsonl"
+        save_trace(_scenario_trace(config), path)
+        replayed = replace(config, synth=None, trace_file=str(path))
+        for mode in MODES:
+            assert summary_less_config(replayed, mode) == summary_less_config(config, mode), (i, mode)
 
 
 def test_random_scenario_reruns_identically():

@@ -63,12 +63,12 @@ class TestEncapsulate:
         for wire in ("/image-local", "/image2-local"):
             net.subscribe("inner", wire, "VN1")
         spec = ServiceSpec("pair", (IMAGE, image2), (OBJECTS, objects2))
-        genie = GenieNode("genie", "VN1", spec, GenieRole.LOCAL)
+        genie = GenieNode("genie", "VN1", spec, GenieRole.LOCAL, "EDGE")
         genie.attach(net)
         front = image_message("f0", origin="car1/front")
         rear = replace(image_message("f0", origin="car1/rear"), topic=image2)
-        net.publish("camera", front, wire_topic="/image", network="VN1")
-        net.publish("camera", rear, wire_topic="/image2", network="VN1")
+        net.publish("camera", front, wire_topic="/image", network="VN1", at=0.0)
+        net.publish("camera", rear, wire_topic="/image2", network="VN1", at=0.0)
         net.run_until(50.0)
         assert sorted(w for _, w, _ in inner.received) == ["/image-local", "/image2-local"]
         # the inner node answers the rear request first, each on its own topic
@@ -87,17 +87,8 @@ class TestEncapsulate:
 
 
 class TestTopicCacheDB:
-    def test_build_idempotent(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
-        db.add_waiter("/image", "d1", Header("n", 0, 0.0), 0.0)
-        db.ensure_topic(IMAGE)  # second build leaves the map untouched
-        assert db.entry_count("/image") == 1
-
     def test_topics_keep_independent_key_spaces(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
-        db.ensure_topic(Topic("/image2", PayloadKind.IMAGE))
+        db = TopicCacheDB((IMAGE, Topic("/image2", PayloadKind.IMAGE)))
         msg_a = image_message("same-content")
         db.add_waiter("/image", content_key(msg_a, "/image"), Header("a", 0, 0.0), 0.0)
         db.fill("/image", content_key(msg_a, "/image"), objects_message(()))
@@ -105,8 +96,7 @@ class TestTopicCacheDB:
         assert db.lookup("/image2", content_key(msg_a, "/image")) is None
 
     def test_pending_expiry_removes_empty_entry(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,))
         db.add_waiter("/image", "d1", Header("n", 0, 0.0), 0.0)
         assert db.pending_count() == 1
         db.purge_expired(now=5001.0, ttl_ms=5000.0)
@@ -114,8 +104,7 @@ class TestTopicCacheDB:
         assert db.entry_count("/image") == 0
 
     def test_fill_detaches_all_waiters(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,))
         h1, h2 = Header("a", 0, 0.0), Header("a", 1, 0.0)
         db.add_waiter("/image", "d1", h1, 0.0)
         db.add_waiter("/image", "d1", h2, 0.0)
@@ -124,8 +113,7 @@ class TestTopicCacheDB:
         assert db.pending_count() == 0
 
     def test_first_answer_wins(self):
-        db = TopicCacheDB()
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,))
         db.add_waiter("/image", "d1", Header("a", 0, 0.0), 0.0)
         first = objects_message((obj("car", 0.5, (0.2, 0.2, 0.2)),))
         db.fill("/image", "d1", first)
@@ -133,8 +121,7 @@ class TestTopicCacheDB:
         assert db.lookup("/image", "d1").result is first
 
     def test_lru_bound_evicts_least_recently_hit(self):
-        db = TopicCacheDB(max_entries=2)
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,), max_entries=2)
         for i, digest in enumerate(("d1", "d2", "d3")):
             db.add_waiter("/image", digest, Header("a", i, 0.0), float(i))
             db.fill("/image", digest, objects_message((), seq=i))
@@ -145,8 +132,7 @@ class TestTopicCacheDB:
         assert db.lookup("/image", "d1") is not None
 
     def test_lru_tie_evicts_the_first_parked(self):
-        db = TopicCacheDB(max_entries=2)
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,), max_entries=2)
         for i, digest in enumerate(("d1", "d2")):  # parked together, never hit
             db.add_waiter("/image", digest, Header("a", i, 0.0), 5.0)
             db.fill("/image", digest, objects_message((), seq=i))
@@ -157,15 +143,13 @@ class TestTopicCacheDB:
 
     @pytest.mark.parametrize("stores", [True, False])
     def test_repeat_joins_the_request_in_flight_only_with_storage(self, stores):
-        db = TopicCacheDB(stores=stores)
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,), stores=stores)
         assert db.add_waiter("/image", "d1", Header("a", 0, 0.0), 0.0) is False
         assert db.add_waiter("/image", "d1", Header("a", 1, 0.0), 1.0) is stores
         assert db.pending_count() == 2
 
     def test_unstored_answer_is_not_looked_up(self):
-        db = TopicCacheDB(stores=False)
-        db.ensure_topic(IMAGE)
+        db = TopicCacheDB((IMAGE,), stores=False)
         db.add_waiter("/image", "d1", Header("car1/camera", 0, 0.0), 0.0)
         pend = db.pending(("car1/camera", 0))
         assert [w.seq for w in db.fill(*pend, objects_message(()))] == [0]
@@ -181,9 +165,7 @@ class TestPendingExpiryOrder:
 
     @staticmethod
     def db():
-        db = TopicCacheDB(stores=False)
-        db.ensure_topic(IMAGE)
-        return db
+        return TopicCacheDB((IMAGE,), stores=False)
 
     @staticmethod
     def park(db, digest, seq, now):
@@ -336,7 +318,7 @@ class TestArrivalProcedure:
     def test_miss_forwards_local_and_remote_and_parks_digest(self):
         net, genie, inner, consumer, spy = wire_local_genie()
         msg = image_message("f0")
-        net.publish("camera", msg, wire_topic="/image", network="VN1")
+        net.publish("camera", msg, wire_topic="/image", network="VN1", at=0.0)
         net.run_until(100.0)
         assert len(inner.received) == 1  # shared with the wrapped node
         assert len(spy.received) == 1  # shared with remote peers
@@ -347,7 +329,7 @@ class TestArrivalProcedure:
     def test_miss_answer_relayed_to_consumer_and_cached(self):
         net, genie, inner, consumer, spy = wire_local_genie()
         msg = image_message("f0")
-        net.publish("camera", msg, wire_topic="/image", network="VN1")
+        net.publish("camera", msg, wire_topic="/image", network="VN1", at=0.0)
         net.run_until(50.0)
         answer = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
         net.publish("inner", answer, wire_topic="/objects-local", network="VN1", at=50.0)
@@ -361,7 +343,7 @@ class TestArrivalProcedure:
         net, genie, inner, consumer, spy = wire_local_genie(
             object_map=ObjectMapStore(), hit_overhead_ms=8.8
         )
-        net.publish("camera", image_message("f0", seq=0), wire_topic="/image", network="VN1")
+        net.publish("camera", image_message("f0", seq=0), wire_topic="/image", network="VN1", at=0.0)
         net.run_until(50.0)
         answer = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
         net.publish("inner", answer, wire_topic="/objects-local", network="VN1", at=50.0)
@@ -379,7 +361,7 @@ class TestArrivalProcedure:
 
     def test_unmatched_local_answer_is_late_and_dropped(self, monkeypatch):
         net, genie, inner, consumer, spy = wire_local_genie()
-        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
         net.run_until(10.0)
         published = spy_publishes(net, genie.name, monkeypatch)
         stray = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),), seq=77)
@@ -431,12 +413,12 @@ class TestArrivalProcedure:
     def test_malformed_message_dropped_with_diagnostic(self):
         net, genie, inner, consumer, spy = wire_local_genie()
         wrong = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
-        net.publish("camera", wrong, wire_topic="/image", network="VN1")  # objects on an image wire
+        net.publish("camera", wrong, wire_topic="/image", network="VN1", at=0.0)  # objects on an image wire
         net.run_until(10.0)
         assert genie.counters.malformed_dropped == 1
         assert genie.counters.requests == 0
         unknown = image_message("f0")
-        net.publish("camera", unknown, wire_topic="/unheard-of", network="VN1")
+        net.publish("camera", unknown, wire_topic="/unheard-of", network="VN1", at=10.0)
         net.run_until(20.0)
         assert genie.counters.malformed_dropped == 1  # not even subscribed; nothing happens
 
@@ -499,7 +481,7 @@ def wire_remote_genie(**genie_kwargs):
 class TestRemoteRole:
     def test_uploaded_miss_reaches_edge_detector(self):
         net, genie, inner, requester, peer = wire_remote_genie()
-        net.publish("car-side", image_message("f0"), wire_topic="/image-remote", network="EDGE")
+        net.publish("car-side", image_message("f0"), wire_topic="/image-remote", network="EDGE", at=0.0)
         net.run_until(100.0)
         assert len(inner.received) == 1
         reshared = [
@@ -510,7 +492,7 @@ class TestRemoteRole:
 
     def test_hit_served_on_edge_surface_reheaded_to_requester(self):
         net, genie, inner, requester, peer = wire_remote_genie(object_map=ObjectMapStore())
-        net.publish("car-side", image_message("f0", seq=0), wire_topic="/image-remote", network="EDGE")
+        net.publish("car-side", image_message("f0", seq=0), wire_topic="/image-remote", network="EDGE", at=0.0)
         net.run_until(10.0)
         answer = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),), seq=0)
         net.publish("edge-detector", answer, wire_topic="/objects-local", network="E1", at=10.0)
@@ -534,7 +516,7 @@ class TestRemoteRole:
         # broadcast, the other fills its cache silently
         net, genie, inner, requester, peer = wire_remote_genie()
         request = image_message("f0", seq=0)
-        net.publish("car-side", request, wire_topic="/image-remote", network="EDGE")
+        net.publish("car-side", request, wire_topic="/image-remote", network="EDGE", at=0.0)
         net.run_until(10.0)
         answer = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),), seq=0)
         net.publish("car-side", answer, wire_topic="/objects-remote", network="EDGE", at=10.0)
@@ -554,9 +536,9 @@ class TestEchoIgnored:
         net, genie, *_ = wire()
         net.add_node(SimNode("other-car", "EDGE"))
         if genie.role is GenieRole.LOCAL:
-            net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+            net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
         else:
-            net.publish("other-car", image_message("f0"), wire_topic="/image-remote", network="EDGE")
+            net.publish("other-car", image_message("f0"), wire_topic="/image-remote", network="EDGE", at=0.0)
         net.run_until(10.0)
         requests, pending = genie.counters.requests, genie.db.pending_count()
         assert pending == 1
@@ -958,7 +940,7 @@ class TestLateAnswer:
     def answered_remotely(self, **genie_kwargs):
         net, genie, inner, consumer, spy = wire_local_genie(**genie_kwargs)
         net.add_node(SimNode("edge", "EDGE"))
-        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
         net.run_until(10.0)
         net.publish("edge", self.ANSWER, wire_topic="/objects-remote", network="EDGE", at=10.0)
         net.run_until(20.0)
@@ -985,7 +967,7 @@ class TestLateAnswer:
 
     def test_answer_after_expiry_is_late_not_a_request(self, monkeypatch):
         net, genie, inner, consumer, spy = wire_local_genie(pending_ttl_ms=1000.0)
-        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1")
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
         net.run_until(10.0)
         published = spy_publishes(net, genie.name, monkeypatch)
         # the answer's arrival purges the exchange it answers

@@ -499,6 +499,9 @@ BAD_FILES = [
     pytest.param({**LOOP, "edge_devices": "AGX"}, "config.edge_devices", id="edge-string"),
     pytest.param({**LOOP, "phantom_cars": "car1"}, "config.phantom_cars", id="phantoms-string"),
     pytest.param({**LOOP, "phantom_cars": [1]}, "config.phantom_cars[0]", id="phantom-int"),
+    pytest.param(
+        {**LOOP, "n_cars": 2, "phantom_cars": ["car2", "car2"]}, "config.phantom_cars[1]", id="phantom-twice"
+    ),
     pytest.param({**LOOP, "force_miss": "no"}, "config.force_miss", id="force_miss-string"),
     pytest.param({**LOOP, "seed": 1.5}, "config.seed", id="seed-float"),
     pytest.param({**LOOP, "deadline_ms": float("nan")}, "config.deadline_ms", id="deadline-nan"),

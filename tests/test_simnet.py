@@ -21,7 +21,7 @@ def test_single_subscriber_delivery_at_latency():
     net.add_node(SimNode("pub", "VN1"))
     sub = net.add_node(Recorder("sub", "VN1"))
     net.subscribe("sub", "/image-local", "VN1")
-    count = net.publish("pub", image_message("f0"), wire_topic="/image-local", at=10.0)
+    count = net.publish("pub", image_message("f0"), wire_topic="/image-local", network="VN1", at=10.0)
     assert count == 1
     net.run_until(100.0)
     assert [r[0] for r in sub.received] == [12.0]
@@ -33,7 +33,7 @@ def test_edge_broadcast_excludes_sender():
     genies = [net.add_node(Recorder(f"remote{i}/genie", "EDGE")) for i in range(3)]
     for g in genies:
         net.subscribe(g.name, "/objects-remote", "EDGE")
-    count = net.publish("remote0/genie", image_message("f0"), wire_topic="/objects-remote")
+    count = net.publish("remote0/genie", image_message("f0"), wire_topic="/objects-remote", network="EDGE", at=0.0)
     assert count == 2
     net.run_until(1.0)
     assert not genies[0].received
@@ -44,13 +44,13 @@ def test_zero_subscribers_no_error():
     net = Fabric(seed=0)
     net.add_network("VN1")
     net.add_node(SimNode("pub", "VN1"))
-    assert net.publish("pub", image_message("f0"), wire_topic="/nowhere") == 0
+    assert net.publish("pub", image_message("f0"), wire_topic="/nowhere", network="VN1", at=0.0) == 0
 
 
 def test_unknown_sender_rejected():
     net = Fabric(seed=0)
     with pytest.raises(UnknownNodeError):
-        net.publish("ghost", image_message("f0"))
+        net.publish("ghost", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
 
 
 def test_same_due_time_preserves_insertion_order():
@@ -60,7 +60,7 @@ def test_same_due_time_preserves_insertion_order():
     sub = net.add_node(Recorder("sub", "VN1"))
     net.subscribe("sub", "/image", "VN1")
     for i in range(5):
-        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", at=7.0)
+        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", network="VN1", at=7.0)
     net.run_until(7.0)
     assert [r[3].header.seq for r in sub.received] == [0, 1, 2, 3, 4]
 
@@ -85,7 +85,7 @@ def test_publish_in_past_rejected():
     net.add_node(SimNode("pub", "VN1"))
     net.run_until(10.0)
     with pytest.raises(ValueError):
-        net.publish("pub", image_message("f0"), wire_topic="/image", at=5.0)
+        net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=5.0)
 
 
 def test_duplicate_subscription_rejected():
@@ -103,7 +103,7 @@ def test_isolation_between_virtual_networks():
     net.add_node(SimNode("pub", "VN1"))
     outsider = net.add_node(Recorder("outsider", "VN2"))
     net.subscribe("outsider", "/image", "VN2")
-    assert net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1") == 0
+    assert net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0) == 0
     net.run_until(10.0)
     assert outsider.received == []
 
@@ -114,7 +114,7 @@ def test_membership_required_for_publish_network():
     net.add_network("EDGE")
     net.add_node(SimNode("pub", "VN1"))
     with pytest.raises(TopologyError):
-        net.publish("pub", image_message("f0"), wire_topic="/t", network="EDGE")
+        net.publish("pub", image_message("f0"), wire_topic="/t", network="EDGE", at=0.0)
 
 
 def _jittery_run(seed: int) -> list:
@@ -125,7 +125,7 @@ def _jittery_run(seed: int) -> list:
     for s in subs:
         net.subscribe(s.name, "/objects-remote", "EDGE")
     for i in range(25):
-        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/objects-remote", at=float(i))
+        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/objects-remote", network="EDGE", at=float(i))
     net.run_until(1000.0)
     return net.deliveries
 
@@ -152,7 +152,7 @@ def _edge_answers(prefixes: dict[str, str]) -> dict[str, list[tuple[float, tuple
         net.subscribe(name, "/objects-remote", "EDGE", origin_prefix=prefix)
     for i in range(30):
         message = image_message(f"f{i}", origin=ORIGINS[i % 3], seq=i)
-        net.publish("edge1/genie", message, wire_topic="/objects-remote", at=float(i))
+        net.publish("edge1/genie", message, wire_topic="/objects-remote", network="EDGE", at=float(i))
     net.run_until(1000.0)
     return {name: [(at, m.header.key) for at, _, _, m in sub.received] for name, sub in subs.items()}
 
@@ -182,7 +182,7 @@ def test_deliveries_read_as_frozen_records_in_a_new_list():
     net.add_node(SimNode("pub", "VN1"))
     net.add_node(Recorder("sub", "VN1"))
     net.subscribe("sub", "/image", "VN1")
-    net.publish("pub", image_message("f0", seq=3), wire_topic="/image", at=1.0)
+    net.publish("pub", image_message("f0", seq=3), wire_topic="/image", network="VN1", at=1.0)
     net.run_until(10.0)
     records = net.deliveries
     assert records == [DeliveryRecord(3.0, "pub", "sub", "/image", 3, "car1/camera", "VN1", 1.0)]
@@ -202,14 +202,14 @@ def test_delivery_hook_is_the_only_recorder_and_the_count_is_always_kept():
         net.add_node(Recorder("sub", "VN1"))
         net.subscribe("sub", "/image", "VN1")
         for i in range(3):
-            net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", at=float(i))
+            net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", network="VN1", at=float(i))
         net.run_until(10.0)
         assert net.delivered == 3
     assert len(own.deliveries) == 3
     assert silent.deliveries == hooked.deliveries == []
     assert [DeliveryRecord(*r) for r in sink] == own.deliveries
     silent.record_deliveries()  # connects the fabric's own log from here on
-    silent.publish("pub", image_message("f3", seq=3), wire_topic="/image", at=20.0)
+    silent.publish("pub", image_message("f3", seq=3), wire_topic="/image", network="VN1", at=20.0)
     silent.run_until(20.0)
     assert silent.delivered == 4
     assert [r.seq for r in silent.deliveries] == [3]
@@ -222,7 +222,7 @@ def test_causality_delivery_not_before_publish_plus_latency():
     sub = net.add_node(Recorder("sub", "EDGE"))
     net.subscribe("sub", "/image", "EDGE")
     for i in range(20):
-        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", at=float(i * 3))
+        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", network="EDGE", at=float(i * 3))
     net.run_until(500.0)
     assert net.deliveries
     for r in net.deliveries:

@@ -187,6 +187,17 @@ class TestTraceIO:
         save_trace(trace, path)
         assert load_trace(path).cars == ("car1", "car2")
 
+    def test_car_name_with_slash_rejected(self, tmp_path):
+        # "car1/" is car1's origin prefix, so it would admit car1/x's answers
+        trace = synth_trace(2, "disjoint", 5, seed=1)
+        path = tmp_path / "t.jsonl"
+        save_trace(trace, path)
+        lines = path.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if '"car2"' in line)
+        path.write_text("\n".join(line.replace('"car2"', '"car1/x"') for line in lines) + "\n")
+        with pytest.raises(TraceError, match=f"^line {lineno}: car name 'car1/x' may not contain '/'$"):
+            load_trace(path)
+
     def test_confidence_out_of_range_names_frame(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -268,7 +279,7 @@ class TestDetectorNode:
         trace, net, detector, sink = self._wire()
         frame = trace.frames[0]
         msg = image_message(frame.image_id, seq=17)
-        net.publish("camera", msg, wire_topic="/image-local")
+        net.publish("camera", msg, wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
         assert detector.invocations == 1
         (at, answer), = sink
@@ -277,7 +288,7 @@ class TestDetectorNode:
 
     def test_oom_yields_failure_no_answer(self):
         trace, net, detector, sink = self._wire("Nano")
-        net.publish("camera", image_message(trace.frames[0].image_id), wire_topic="/image-local")
+        net.publish("camera", image_message(trace.frames[0].image_id), wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
         assert detector.oom_failures == 1
         assert detector.invocations == 0
@@ -321,7 +332,7 @@ class TestDetectorNode:
     def test_detectors_sharing_a_table_publish_one_object_list(self):
         trace, net, detectors, table, sink = self._pair(("A4500", "AGX"))
         frame = trace.frames[0]
-        net.publish("camera", image_message(frame.image_id), wire_topic="/image-local")
+        net.publish("camera", image_message(frame.image_id), wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
         (_, first), (_, second) = sink
         assert first.payload is second.payload
@@ -330,7 +341,7 @@ class TestDetectorNode:
 
     def test_each_invocation_draws_its_own_latency(self):
         trace, net, detectors, table, sink = self._pair(("A4500", "A4500"))
-        net.publish("camera", image_message(trace.frames[0].image_id), wire_topic="/image-local")
+        net.publish("camera", image_message(trace.frames[0].image_id), wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
         replica = random.Random(5)  # the fabric's rng; the network has no jitter
         profile = DEFAULT_PROFILES["A4500"]
@@ -340,8 +351,8 @@ class TestDetectorNode:
 
     def test_oom_and_unknown_frames_leave_the_table_empty(self):
         trace, net, detectors, table, sink = self._pair(("Nano", "Nano"))
-        net.publish("camera", image_message(trace.frames[0].image_id, seq=0), wire_topic="/image-local")
-        net.publish("camera", image_message("no-such-frame", seq=1), wire_topic="/image-local")
+        net.publish("camera", image_message(trace.frames[0].image_id, seq=0), wire_topic="/image-local", network="VN1", at=0.0)
+        net.publish("camera", image_message("no-such-frame", seq=1), wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
         assert table == {}
         assert sink == []
