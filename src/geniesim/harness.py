@@ -280,15 +280,20 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
 
 
 def _replay(scenario: Scenario) -> None:
-    """Turn every trace frame into a request on its car's image topic."""
+    """Turn every trace frame into a request on its car's image topic.  Frames
+    of one image share one ``ImageRef``, so its digest is computed once."""
     net = scenario.fabric
     seq: dict[str, int] = {}
+    images: dict[str, ImageRef] = {}
     for frame in scenario.trace.frames:
         origin = f"{frame.car}/camera"
         n = seq.get(frame.car, 0)
         seq[frame.car] = n + 1
         header = Header(origin=origin, seq=n, stamp_ms=float(frame.t_ms))
-        message = Message(header=header, topic=IMAGE_TOPIC, payload=ImageRef(frame.image_id))
+        image = images.get(frame.image_id)
+        if image is None:
+            image = images[frame.image_id] = ImageRef(frame.image_id)
+        message = Message(header=header, topic=IMAGE_TOPIC, payload=image)
         net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=f"VN-{frame.car}", at=float(frame.t_ms))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
@@ -122,7 +123,7 @@ class DetectedObject:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of range: {self.confidence}")
         for e in self.extent:
-            if e <= 0:
+            if not e > 0:
                 raise ValueError(f"extent must be positive: {self.extent}")
 
     def sort_key(self) -> tuple:
@@ -212,13 +213,22 @@ def payload_bytes(payload: Payload) -> bytes:
     return "\x1e".join(parts).encode()
 
 
+# confidence, location and extent of one object, as IEEE-754 doubles
+_OBJECT_FLOATS = struct.Struct("<7d")
+
+
 def content_key(message: Message, topic_name: str | None = None) -> str:
     """Stable digest of (topic name, payload content identity).
 
     Header and ``via`` never participate.  Object lists are canonically
     sorted by (label, location) first, so object order does not matter,
     and map-appended objects are excluded so an augmented answer digests
-    the same as the plain one.
+    the same as the plain one.  Each object is hashed as its length-prefixed
+    UTF-8 label and the packed IEEE-754 bits of its seven floats, so two
+    lists digest equal exactly when their sorted :func:`_object_token`
+    strings are equal: ``repr`` is injective on doubles too, and both tell
+    ``0.0`` from ``-0.0``.  Only NaN's many bit patterns share one ``repr``;
+    the trace loader refuses non-finite numbers, so no NaN reaches a payload.
 
     Payloads are immutable, so the digest is memoized with its topic name
     in the payload's own ``_digest`` slot, which no identity check sees.  A
@@ -231,10 +241,14 @@ def content_key(message: Message, topic_name: str | None = None) -> str:
     if memo is not None and memo[0] == name:
         return memo[1]
     if isinstance(payload, ImageRef):
-        body = f"{kind_of(payload).value}|{payload.content_id}"
+        body = f"{name}\x1f{kind_of(payload).value}|{payload.content_id}".encode()
     else:
-        objs = sorted(core_objects(payload), key=DetectedObject.sort_key)
-        body = "\x1e".join([PayloadKind.OBJECTS.value] + [_object_token(o) for o in objs])
-    digest = hashlib.sha256(f"{name}\x1f{body}".encode()).hexdigest()
+        parts = [f"{name}\x1f{PayloadKind.OBJECTS.value}".encode()]
+        pack = _OBJECT_FLOATS.pack
+        for o in sorted(core_objects(payload), key=DetectedObject.sort_key):
+            label = o.label.encode()
+            parts += (len(label).to_bytes(4, "little"), label, pack(o.confidence, *o.location, *o.extent))
+        body = b"".join(parts)
+    digest = hashlib.sha256(body).hexdigest()
     object.__setattr__(payload, "_digest", (name, digest))
     return digest

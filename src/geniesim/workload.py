@@ -156,17 +156,25 @@ def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
             image_id=str(d["image_id"]),
             truths=truths,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"line {lineno}: malformed frame: {exc}") from exc
     if "/" in frame.car:
         raise TraceError(f"line {lineno}: car name {frame.car!r} may not contain '/'")
+    # an infinite yaw normalizes to NaN, so checking the pose catches both
+    if not all(map(math.isfinite, (frame.pose.x, frame.pose.y, frame.pose.z, frame.pose.yaw))):
+        raise TraceError(f"line {lineno}: non-finite pose (image {frame.image_id!r})")
     for t in frame.truths:
         if not 0.0 <= t.confidence <= 1.0:
             raise TraceError(
                 f"line {lineno}: confidence {t.confidence} out of range "
                 f"(car {frame.car!r}, image {frame.image_id!r})"
             )
-        if len(t.offset) != 3 or len(t.extent) != 3 or any(e <= 0 for e in t.extent):
+        if (
+            len(t.offset) != 3
+            or len(t.extent) != 3
+            or any(not e > 0 for e in t.extent)
+            or not all(map(math.isfinite, t.offset + t.extent))
+        ):
             raise TraceError(f"line {lineno}: bad loc/extent (image {frame.image_id!r})")
     return frame
 

@@ -603,6 +603,41 @@ class TestCli:
         assert err[0].startswith("error:")
         assert names in err[0]
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("truths", 0, "loc", 1), float("nan"), id="loc-nan"),
+            pytest.param(("truths", 0, "loc", 2), float("-inf"), id="loc-minus-inf"),
+            pytest.param(("truths", 0, "extent", 0), float("nan"), id="extent-nan"),
+            pytest.param(("truths", 0, "extent", 2), float("inf"), id="extent-inf"),
+            pytest.param(("truths", 0, "conf"), float("nan"), id="conf-nan"),
+            *(
+                pytest.param(("pose", axis), value, id=f"pose-{axis}-{name}")
+                for axis in ("x", "y", "z", "yaw")
+                for name, value in (("nan", float("nan")), ("inf", float("inf")))
+            ),
+            pytest.param(("t_ms",), float("inf"), id="t_ms-inf"),
+        ],
+    )
+    def test_non_finite_trace_number_exits_with_one_error_line(self, tmp_path, capsys, path, value):
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 3, seed=1), trace_path)
+        lines = trace_path.read_text().splitlines()
+        frame = json.loads(lines[1])
+        *parents, last = path
+        target = frame
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        lines[1] = json.dumps(frame)
+        trace_path.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(ScenarioConfig(n_cars=1, trace_file=str(trace_path)).to_dict()))
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: line 2: ")
+
     @pytest.mark.parametrize("summary", [None, "{not json"], ids=["missing", "malformed"])
     def test_unreadable_summary_exits_with_one_error_line(self, tmp_path, capsys, summary):
         if summary is not None:

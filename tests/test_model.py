@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import struct
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from geniesim import model
+from geniesim import harness, model
 from geniesim.model import (
     DetectedObject,
     Header,
@@ -15,6 +16,7 @@ from geniesim.model import (
     PayloadKind,
     Pose,
     Topic,
+    _object_token,
     content_key,
     core_objects,
     inverse_translate,
@@ -122,6 +124,98 @@ class TestContentKeyMemo:
         assert msg.payload == replace(msg.payload) and msg == replace(msg, payload=replace(msg.payload))
 
 
+TINY = 5e-324  # the smallest subnormal
+# each pool mixes signed zeros, subnormals, huge and infinite values, so
+# bit-level and repr-level identity are tested where they could part
+CONFIDENCES = (0.0, -0.0, TINY, 2.2250738585072014e-308, 0.5, 0.1 + 0.2, 0.3, 1.0)
+COORDINATES = (0.0, -0.0, TINY, -TINY, 1.5, -1.5, 1e-300, 1.7976931348623157e308, -1e308, math.inf, -math.inf)
+EXTENTS = (TINY, 1e-310, 0.4, 1.0, 1e308, math.inf)
+LABELS = ("", "a", "ab", "car", "pole", "é", "\x1f", "stop sign", "0.5")
+
+
+def random_object(rng: random.Random) -> DetectedObject:
+    return DetectedObject(
+        rng.choice(LABELS),
+        rng.choice(CONFIDENCES),
+        tuple(rng.choice(COORDINATES) for _ in range(3)),
+        tuple(rng.choice(EXTENTS) for _ in range(3)),
+    )
+
+
+def variant(rng: random.Random, objs: list[DetectedObject]) -> list[DetectedObject]:
+    """A shuffled copy of ``objs`` with one field sometimes redrawn, and
+    map-appended extras sometimes added."""
+    out = list(objs)
+    if out and rng.random() < 0.6:
+        i = rng.randrange(len(out))
+        field_name, pool = rng.choice(
+            [("label", LABELS), ("confidence", CONFIDENCES), ("location", COORDINATES), ("extent", EXTENTS)]
+        )
+        if field_name in ("location", "extent"):
+            values = list(getattr(out[i], field_name))
+            values[rng.randrange(3)] = rng.choice(pool)
+            out[i] = replace(out[i], **{field_name: tuple(values)})
+        else:
+            out[i] = replace(out[i], **{field_name: rng.choice(pool)})
+    out += [replace(random_object(rng), from_map=True) for _ in range(rng.randrange(3))]
+    rng.shuffle(out)
+    return out
+
+
+def sorted_tokens(objs: list[DetectedObject]) -> list[str]:
+    """The text each core object was digested from before packed floats."""
+    return [_object_token(o) for o in sorted((o for o in objs if not o.from_map), key=DetectedObject.sort_key)]
+
+
+class TestContentKeyEquivalence:
+    def test_packed_key_equal_exactly_when_repr_tokens_equal(self):
+        rng = random.Random(21)
+        outcomes = set()
+        for _ in range(3000):
+            a = [random_object(rng) for _ in range(rng.randrange(4))]
+            b = variant(rng, a)
+            same_tokens = sorted_tokens(a) == sorted_tokens(b)
+            same_key = content_key(objects_message(tuple(a))) == content_key(objects_message(tuple(b)))
+            assert same_key == same_tokens, (a, b)
+            outcomes.add(same_key)
+        assert outcomes == {True, False}
+
+    def test_label_bytes_are_length_prefixed(self):
+        # unprefixed, both lists would hash the same bytes: b's first label
+        # takes in a's first confidence, and a's second label splits into
+        # b's last extent and b's second label
+        conf = struct.unpack("<d", b"AAAAAAA?")[0]
+        extent = struct.unpack("<d", b"xAAAAAA@")[0]
+        tail = DetectedObject("y", 0.5, (6.0, 7.0, 8.0), (1.0, 1.0, 1.0))
+        a = (DetectedObject("x", conf, (0.25, 1.0, 2.0), (3.0, 4.0, 5.0)), replace(tail, label="xAAAAAA@y"))
+        b = (DetectedObject("xAAAAAAA?", 0.25, (1.0, 2.0, 3.0), (4.0, 5.0, extent)), tail)
+
+        def unprefixed(objs):
+            return b"".join(
+                o.label.encode() + struct.pack("<7d", o.confidence, *o.location, *o.extent) for o in objs
+            )
+
+        assert unprefixed(a) == unprefixed(b)
+        assert content_key(objects_message(a)) != content_key(objects_message(b))
+
+    def test_replayed_frames_share_one_image_ref(self, monkeypatch):
+        config = harness.ScenarioConfig(
+            n_cars=2, synth=harness.SynthSpec(route="shared-corridor", n_frames=20, overlap_fraction=0.5), seed=3
+        )
+        scenario = harness.build_scenario(config)
+        published = []
+        monkeypatch.setattr(
+            type(scenario.fabric), "publish", lambda net, sender, message, **kw: published.append(message)
+        )
+        harness._replay(scenario)
+        assert len(published) == len(scenario.trace.frames)
+        refs: dict[str, list] = {}
+        for message in published:
+            refs.setdefault(message.payload.content_id, []).append(message.payload)
+        assert len(refs) < len(published)
+        assert all(ref is same[0] for same in refs.values() for ref in same)
+
+
 class TestTranslate:
     def test_origin_maps_to_pose_position(self):
         assert translate_location((0.0, 0.0, 0.0), Pose(10.0, 5.0, 0.0, 0.0)) == (10.0, 5.0, 0.0)
@@ -176,8 +270,9 @@ class TestTypes:
             DetectedObject("car", -0.1, (0, 0, 0), (1, 1, 1))
 
     def test_extent_positive(self):
-        with pytest.raises(ValueError):
-            DetectedObject("car", 0.5, (0, 0, 0), (1, 0, 1))
+        for bad in (0, -0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                DetectedObject("car", 0.5, (0, 0, 0), (1, bad, 1))
 
     def test_negative_stamp_rejected(self):
         with pytest.raises(ValueError):
