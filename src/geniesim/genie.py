@@ -200,8 +200,12 @@ class TopicCacheDB:
         Callers pass a nondecreasing ``now`` (``GenieNode`` passes the fabric
         clock) and a record never moves once parked, so ``pending`` is in
         park-time order and the walk stops at the first live record: the
-        cost is O(expired + topics), not O(pending).
+        cost is O(expired + topics), not O(pending).  Every pending record
+        holds at least one waiter, and each waiter is in ``_pending``, so an
+        empty ``_pending`` means nothing is pending and the walk is skipped.
         """
+        if not self._pending:
+            return 0
         removed = 0
         for m in self._maps.values():
             stale = []

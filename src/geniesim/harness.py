@@ -23,7 +23,9 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
-from .model import LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic
+from .model import (
+    LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic, translate_location,
+)
 from .objectmap import ObjectMapStore, UpdateRule
 from .simnet import Fabric, SimNode
 from .workload import (
@@ -272,11 +274,30 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
             raise ConfigError(
                 f"trace has {len(trace.cars)} cars but config says {config.n_cars}"
             )
+        _check_map_range(trace, config.object_map)
         return trace
     synth = config.synth
     if synth.seed is None:
         synth = replace(synth, seed=config.seed)
     return synth_trace(n_cars=config.n_cars, **asdict(synth))
+
+
+def _check_map_range(trace: Trace, params: ObjectMapParams) -> None:
+    """Refuse a trace whose objects the object map cannot place: each
+    coordinate of an object's absolute location, plus or minus the relevance
+    radius, divided by the cell size, must be finite, or quantizing it
+    overflows mid-run.  The loader checks each number only on its own."""
+    r, res = params.relevance_radius_m, params.resolution_m
+    if res <= 0:  # ObjectMapStore refuses the resolution itself
+        return
+    for frame in trace.frames:
+        for t in frame.truths:
+            location = translate_location(t.offset, frame.pose)
+            if not all(math.isfinite((c - r) / res) and math.isfinite((c + r) / res) for c in location):
+                raise ConfigError(
+                    f"car {frame.car!r}, image {frame.image_id!r}: object location {location} "
+                    f"is out of the object map's range at resolution_m {res}"
+                )
 
 
 def _replay(scenario: Scenario) -> None:

@@ -113,10 +113,11 @@ class ObjectMapStore:
         self.cells: dict[tuple[int, int, int], list[DetectedObject]] = {}
         # spatial hash over ``cells``: 2-D columns of ``_bucket_edge`` x
         # ``_bucket_edge`` cells, each spanning every z, at least the relevance
-        # radius wide, so a query's bounding box overlaps at most 3 x 3
-        # columns; z is checked per cell
+        # radius wide, so a point's bounding box overlaps at most 3 x 3
+        # columns; z is checked per cell.  Each column lists its cells as
+        # (cell, x0, x1, y0, y1, z0, z1), with the cell's box bounds
         self._bucket_edge = max(1, math.ceil(relevance_radius_m / resolution_m))
-        self._buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        self._buckets: dict[tuple[int, int], list[tuple]] = {}
         self._indexed = 0
         self.requests = 0
         self.hits = 0
@@ -166,70 +167,89 @@ class ObjectMapStore:
     def augment(self, payload: ObjectList) -> ObjectList:
         """Append stored high-confidence objects near the payload's objects.
 
-        Scans every cell within the relevance radius of each object; a
+        Scans every cell within the relevance radius of any object, once; a
         stored object qualifies if its confidence meets the threshold and
         no object with the same (label, cell) is already present.  Appended
         objects are flagged ``from_map``.  The store is never mutated.
-        """
-        present = {
-            (o.label, quantize(o.location, self.resolution_m)) for o in payload.objects
-        }
-        additions: list[DetectedObject] = []
-        for obj in payload.objects:
-            found = False
-            for cell in self._cells_near(obj.location):
-                for stored in self.cells[cell]:
-                    if stored.confidence < self.confidence_threshold:
-                        continue
-                    ident = (stored.label, cell)
-                    if ident in present:
-                        continue
-                    present.add(ident)
-                    additions.append(DetectedObject(
-                        stored.label, stored.confidence, stored.location, stored.extent,
-                        from_map=True,
-                    ))
-                    found = True
-            self.requests += 1
-            if found:
-                self.hits += 1
-        additions.sort(key=DetectedObject.sort_key)
-        return ObjectList(payload.objects + tuple(additions))
 
-    def _cells_near(self, point: tuple[float, float, float]) -> list[tuple[int, int, int]]:
-        """Occupied cells intersecting the relevance sphere around ``point``,
-        in deterministic order.  Only the columns overlapping the sphere's
-        bounding box are visited, so the cost does not grow with the map."""
+        Each object counts one lookup, a hit when a cell it claims (see
+        :meth:`_cells_near`) contributes an object.  This equals scanning
+        each object's neighbourhood in turn: ``present`` is keyed by cell,
+        so a cell already scanned for an earlier object adds nothing more.
+        """
+        objects = payload.objects
+        present = {(o.label, quantize(o.location, self.resolution_m)) for o in objects}
+        threshold = self.confidence_threshold
+        additions: list[DetectedObject] = []
+        found = [False] * len(objects)
+        for i, cell in self._cells_near([o.location for o in objects]):
+            for stored in self.cells[cell]:
+                if stored.confidence < threshold:
+                    continue
+                ident = (stored.label, cell)
+                if ident in present:
+                    continue
+                present.add(ident)
+                additions.append(DetectedObject(
+                    stored.label, stored.confidence, stored.location, stored.extent,
+                    from_map=True,
+                ))
+                found[i] = True
+        self.requests += len(objects)
+        self.hits += sum(found)
+        additions.sort(key=DetectedObject.sort_key)
+        return ObjectList(objects + tuple(additions))
+
+    def _cells_near(
+        self, points: list[tuple[float, float, float]]
+    ) -> list[tuple[int, tuple[int, int, int]]]:
+        """Occupied cells intersecting the relevance sphere around any of
+        ``points``, each as ``(i, cell)`` with ``i`` the index of the first
+        point whose sphere holds it, sorted: the order in which scanning each
+        point's sorted neighbourhood in turn first reaches each cell.
+
+        Each column overlapping some point's bounding box is read once, and
+        its cells are tested against those points in index order, so the
+        cost does not grow with the map."""
         r = self.relevance_radius_m
         res = self.resolution_m
-        px, py, pz = point
-        lx, ly, lz = quantize((px - r, py - r, pz - r), res)
-        hx, hy, hz = quantize((px + r, py + r, pz + r), res)
-        self._index_new_cells()
-        k = self._bucket_edge
-        keys = product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1))
         r2 = r * r
+        k = self._bucket_edge
+        self._index_new_cells()
+        # column -> (index, point, bounding box in cells) of each point whose
+        # box overlaps it, in index order
+        columns: dict[tuple[int, int], list[tuple]] = {}
+        floor = math.floor
+        for i, (px, py, pz) in enumerate(points):
+            # quantize() of the box corners, inlined
+            lx, ly, lz = floor((px - r) / res), floor((py - r) / res), floor((pz - r) / res)
+            hx, hy, hz = floor((px + r) / res), floor((py + r) / res), floor((pz + r) / res)
+            box = (i, px, py, pz, lx, ly, lz, hx, hy, hz)
+            for column in product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1)):
+                columns.setdefault(column, []).append(box)
         out = []
-        for bucket in map(self._buckets.get, keys):
-            for cell in bucket or ():
+        buckets = self._buckets
+        for column, near in columns.items():
+            for cell, x0, x1, y0, y1, z0, z1 in buckets.get(column, ()):
                 ix, iy, iz = cell
-                if not (lx <= ix <= hx and ly <= iy <= hy and lz <= iz <= hz):
-                    continue
-                # squared distance from the point to the cell's box, summed
-                # x, y, z; each axis is 0 when the point lies in the cell's span
-                lo, hi = ix * res, (ix + 1) * res
-                dx = px - lo if px < lo else px - hi if px > hi else 0.0
-                lo, hi = iy * res, (iy + 1) * res
-                dy = py - lo if py < lo else py - hi if py > hi else 0.0
-                lo, hi = iz * res, (iz + 1) * res
-                dz = pz - lo if pz < lo else pz - hi if pz > hi else 0.0
-                if dx ** 2 + dy ** 2 + dz ** 2 <= r2:
-                    out.append(cell)
+                for i, px, py, pz, lx, ly, lz, hx, hy, hz in near:
+                    if not (lx <= ix <= hx and ly <= iy <= hy and lz <= iz <= hz):
+                        continue
+                    # squared distance from the point to the cell's box,
+                    # summed x, y, z; each axis is 0 when the point lies in
+                    # the cell's span
+                    dx = px - x0 if px < x0 else px - x1 if px > x1 else 0.0
+                    dy = py - y0 if py < y0 else py - y1 if py > y1 else 0.0
+                    dz = pz - z0 if pz < z0 else pz - z1 if pz > z1 else 0.0
+                    if dx ** 2 + dy ** 2 + dz ** 2 <= r2:
+                        out.append((i, cell))
+                        break
         out.sort()
         return out
 
     def _index_new_cells(self) -> None:
-        """Bucket the cells added since the last query.
+        """Bucket the cells added since the last query, each with its box
+        bounds ``ix * res, (ix + 1) * res`` and the same for y and z.
 
         Cells are only ever added (``ingest`` and direct writes to
         ``cells`` alike), so the unindexed ones are the insertion-ordered
@@ -238,8 +258,12 @@ class ObjectMapStore:
         if not new:
             return
         k = self._bucket_edge
+        res = self.resolution_m
         for cell in islice(reversed(self.cells), new):
-            self._buckets.setdefault((cell[0] // k, cell[1] // k), []).append(cell)
+            ix, iy, iz = cell
+            self._buckets.setdefault((ix // k, iy // k), []).append((
+                cell, ix * res, (ix + 1) * res, iy * res, (iy + 1) * res, iz * res, (iz + 1) * res,
+            ))
         self._indexed = len(self.cells)
 
     # -- export ---------------------------------------------------------------

@@ -110,16 +110,6 @@ class SimNode:
         pass
 
 
-@dataclass(slots=True)
-class _Delivery:
-    to: str
-    frm: str
-    network: str
-    wire_topic: str
-    message: Message
-    published_ms: float
-
-
 class Fabric:
     """Owns networks, nodes, subscriptions, the clock and the event heap.
 
@@ -139,9 +129,11 @@ class Fabric:
         self._links: dict[str, Link] = {}  # per network
         self._nodes: dict[str, SimNode] = {}
         self._memberships: dict[str, set[str]] = {}
-        # (network, topic) -> (node name, origin prefix) per subscriber
-        self._subs: dict[tuple[str, str], list[tuple[str, str]]] = {}
+        # (network, topic) -> (node name, node, origin prefix) per subscriber
+        self._subs: dict[tuple[str, str], list[tuple[str, SimNode, str]]] = {}
         self._sub_index: set[tuple[str, str]] = set()  # (node, topic)
+        # (sender, network, wire topic) -> (link, subscribers) of a checked route
+        self._routes: dict[tuple[str, str, str], tuple] = {}
         self._log: list[tuple] = []  # DeliveryRecord fields per delivery
         self.delivered = 0
         self.on_delivery: Callable[[tuple], object] | None = self._log.append
@@ -163,6 +155,7 @@ class Fabric:
 
     def add_network(self, name: str, latency_ms: float = 0.0, jitter_ms: float = 0.0) -> None:
         self._links[name] = Link(latency_ms, jitter_ms)
+        self._routes.clear()
 
     def add_node(self, node: SimNode, networks: tuple[str, ...] | None = None) -> SimNode:
         if node.name in self._nodes:
@@ -180,13 +173,14 @@ class Fabric:
         """Deliver ``topic_name`` on ``network``, one the node is a member
         of, to the node.  With ``origin_prefix``, only messages whose header
         origin starts with it are delivered."""
-        self._require(node_name)
+        node = self._require(node_name)
         if network not in self._memberships[node_name]:
             raise TopologyError(f"{node_name} is not a member of network {network}")
         if (node_name, topic_name) in self._sub_index:
             raise TopologyError(f"{node_name} already subscribed to {topic_name}")
         self._sub_index.add((node_name, topic_name))
-        self._subs.setdefault((network, topic_name), []).append((node_name, origin_prefix))
+        self._routes.clear()
+        self._subs.setdefault((network, topic_name), []).append((node_name, node, origin_prefix))
 
     def _require(self, node_name: str) -> SimNode:
         try:
@@ -205,18 +199,27 @@ class Fabric:
         subscriber whose origin prefix the message's origin lacks takes its
         jitter draw and is then skipped, so the filter never moves another
         delivery's time.
+
+        A route that passed the checks keeps its link and subscriber list
+        until ``subscribe`` or ``add_network`` changes either; its errors
+        come in the same order as a new route's.
         """
-        self._require(sender)
+        route = self._routes.get((sender, network, wire_topic))
+        if route is None:
+            self._require(sender)
         if at < self.clock:
             raise ValueError(f"publish at {at} before clock {self.clock}")
-        if network not in self._memberships[sender]:
-            raise TopologyError(f"{sender} is not a member of network {network}")
-
-        # add_node linked every network the sender is a member of
-        link = self._links[network]
+        if route is None:
+            if network not in self._memberships[sender]:
+                raise TopologyError(f"{sender} is not a member of network {network}")
+            # add_node linked every network the sender is a member of
+            route = self._routes[sender, network, wire_topic] = (
+                self._links[network], self._subs.get((network, wire_topic), ()),
+            )
+        link, subs = route
         origin = message.header.origin
         count = 0
-        for to, prefix in self._subs.get((network, wire_topic), ()):
+        for to, node, prefix in subs:
             if to == sender:
                 continue
             delay = link.latency_ms
@@ -224,10 +227,7 @@ class Fabric:
                 delay += self.rng.uniform(0.0, link.jitter_ms)
             if prefix and not origin.startswith(prefix):
                 continue
-            self.queue.push(
-                at + delay,
-                _Delivery(to, sender, network, wire_topic, message, at),
-            )
+            self.queue.push(at + delay, (node, sender, network, wire_topic, message, at))
             count += 1
         return count
 
@@ -237,11 +237,11 @@ class Fabric:
         :attr:`on_delivery` hook as it stood when the call began."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end} before clock {self.clock}")
-        hook, nodes = self.on_delivery, self._nodes
-        for due, item in self.queue.pop_due(t_end):
-            d: _Delivery = item
+        hook = self.on_delivery
+        # each item is (node, sender, network, wire topic, message, published_ms)
+        for due, (node, frm, network, wire_topic, message, published_ms) in self.queue.pop_due(t_end):
             self.delivered += 1
             if hook is not None:
-                header = d.message.header
-                hook((due, d.frm, d.to, d.wire_topic, header.seq, header.origin, d.network, d.published_ms))
-            nodes[d.to].on_message(self, due, d.network, d.wire_topic, d.message)
+                header = message.header
+                hook((due, frm, node.name, wire_topic, header.seq, header.origin, network, published_ms))
+            node.on_message(self, due, network, wire_topic, message)

@@ -638,6 +638,44 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: line 2: ")
 
+    @pytest.mark.parametrize(
+        "pose_x, loc_x",
+        [
+            pytest.param(1e308, 1e308, id="sum-overflows"),
+            pytest.param(0.0, 1e308, id="cell-index-overflows"),
+        ],
+    )
+    def test_object_out_of_map_range_exits_with_one_error_line(self, tmp_path, capsys, pose_x, loc_x):
+        # each number is finite, but the object's cell is not
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 3, seed=1), trace_path)
+        lines = trace_path.read_text().splitlines()
+        frame = json.loads(lines[1])
+        frame["pose"].update(x=pose_x, yaw=0.0)
+        frame["truths"][0]["loc"][0] = loc_x
+        lines[1] = json.dumps(frame)
+        trace_path.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(ScenarioConfig(n_cars=1, trace_file=str(trace_path)).to_dict()))
+        for command in ("run", "compare"):
+            assert cli_main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error: car 'car1', image ")
+            assert frame["image_id"] in err[0]
+
+    def test_zero_resolution_with_a_trace_file_exits_with_one_error_line(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 3, seed=1), trace_path)
+        config = ScenarioConfig(n_cars=1, trace_file=str(trace_path)).to_dict()
+        config["object_map"]["resolution_m"] = 0.0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        for command in ("run", "compare"):
+            assert cli_main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "resolution_m" in err[0]
+
     @pytest.mark.parametrize("summary", [None, "{not json"], ids=["missing", "malformed"])
     def test_unreadable_summary_exits_with_one_error_line(self, tmp_path, capsys, summary):
         if summary is not None:

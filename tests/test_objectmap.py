@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from geniesim.model import ObjectList
+from geniesim.model import DetectedObject, ObjectList
 from geniesim.objectmap import (
     ObjectMapStore,
     UpdateRule,
@@ -167,6 +167,53 @@ class TestAugment:
         assert (store.requests, store.hits) == (2, 1)
 
 
+class TestAugmentMatchesPerPointScan:
+    LABELS = ("car", "pole", "stop_sign")
+
+    def coordinate(self, rng, span):
+        return rng.choice([0.0, -0.0, rng.uniform(-span, span), rng.randint(-span, span) * 0.5])
+
+    def location(self, rng, span):
+        return tuple(self.coordinate(rng, span) for _ in range(3))
+
+    def test_matches_reference_on_seeded_maps(self):
+        rng = random.Random(22)
+        compared = 0
+        for _ in range(120):
+            store = ObjectMapStore(
+                resolution_m=rng.choice([0.5, 0.3, 1.0]),
+                relevance_radius_m=rng.choice([0.0, 0.5, 1.7, 3.0]),
+                confidence_threshold=rng.choice([0.0, 0.6]),
+            )
+            span = rng.choice([2, 6])
+            for step in range(5):
+                for _ in range(rng.randint(0, 8)):
+                    objs = tuple(
+                        obj(rng.choice(self.LABELS), rng.random(), self.location(rng, span))
+                        for _ in range(rng.randint(1, 3))
+                    )
+                    store.ingest(objects_message(objs), float(step))
+                for _ in range(rng.randint(0, 3)):
+                    # a direct write, possibly of an object outside its cell
+                    cell = tuple(rng.randint(-2 * span, 2 * span) for _ in range(3))
+                    store.cells.setdefault(cell, []).append(
+                        obj(rng.choice(self.LABELS), rng.random(), self.location(rng, span))
+                    )
+                payload = ObjectList(tuple(
+                    obj(rng.choice(self.LABELS), rng.random(), self.location(rng, span))
+                    for _ in range(rng.randint(0, 4))
+                ))
+                counters = (store.requests, store.hits)
+                want = per_point_augment(store, payload)
+                want_counters = (store.requests, store.hits)
+                store.requests, store.hits = counters
+                got = store.augment(payload)
+                assert repr(got) == repr(want)
+                assert (store.requests, store.hits) == want_counters
+                compared += len(got.objects) - len(payload.objects)
+        assert compared > 0
+
+
 def cells_near_oracle(store, point):
     """Brute force: every occupied cell through the bounding-box and
     cell-to-sphere tests, then sorted."""
@@ -187,13 +234,52 @@ def cells_near_oracle(store, point):
     return out
 
 
+def cells_near_multi_oracle(store, points):
+    """Each cell of any point's oracle list, paired with the smallest index
+    whose list holds it, sorted by (index, cell)."""
+    first = {}
+    for i, p in enumerate(points):
+        for cell in cells_near_oracle(store, p):
+            first.setdefault(cell, i)
+    return sorted((i, cell) for cell, i in first.items())
+
+
+def per_point_augment(store, payload):
+    """Reference: the per-point scan ``augment`` replaced.  Each object's
+    neighbourhood is scanned in turn, in sorted cell order, and the object
+    counts a hit when one of its cells adds something."""
+    present = {(o.label, quantize(o.location, store.resolution_m)) for o in payload.objects}
+    additions = []
+    for o in payload.objects:
+        found = False
+        for cell in cells_near_oracle(store, o.location):
+            for stored in store.cells[cell]:
+                if stored.confidence < store.confidence_threshold:
+                    continue
+                ident = (stored.label, cell)
+                if ident in present:
+                    continue
+                present.add(ident)
+                additions.append(DetectedObject(
+                    stored.label, stored.confidence, stored.location, stored.extent, from_map=True
+                ))
+                found = True
+        store.requests += 1
+        if found:
+            store.hits += 1
+    additions.sort(key=DetectedObject.sort_key)
+    return ObjectList(payload.objects + tuple(additions))
+
+
 class _CountingDict(dict):
     def __init__(self):
         super().__init__()
         self.gets = 0
+        self.keys_read = []
 
     def get(self, key, default=None):
         self.gets += 1
+        self.keys_read.append(key)
         return super().get(key, default)
 
 
@@ -227,18 +313,28 @@ class TestCellsNear:
                 points = self.boundary_points(rng, res, store._bucket_edge)
                 points += [tuple(rng.uniform(-span, span) * res for _ in range(3)) for _ in range(4)]
                 for p in points:
-                    got = store._cells_near(p)
-                    assert got == cells_near_oracle(store, p)
+                    got = store._cells_near([p])
+                    assert got == [(0, cell) for cell in cells_near_oracle(store, p)]
+                    checked += len(got)
+                # all points at once, and a few small groups near each other
+                groups = [points] + [
+                    [tuple(c + rng.uniform(-2, 2) * store.relevance_radius_m for c in p)
+                     for _ in range(rng.randint(1, 4))] + [p]
+                    for p in points[:3]
+                ]
+                for group in groups:
+                    got = store._cells_near(group)
+                    assert got == cells_near_multi_oracle(store, group)
                     checked += len(got)
         assert checked > 0
 
     def test_cells_ingested_between_queries_are_found(self):
         store = ObjectMapStore(relevance_radius_m=3.0)
-        assert store._cells_near((0.2, 0.2, 0.2)) == []
+        assert store._cells_near([(0.2, 0.2, 0.2)]) == []
         store.ingest(objects_message((obj("car", 0.9, (-1.2, 0.7, 0.2)),)), 0.0)
-        assert store._cells_near((0.2, 0.2, 0.2)) == [(-3, 1, 0)]
+        assert store._cells_near([(0.2, 0.2, 0.2)]) == [(0, (-3, 1, 0))]
         store.cells.setdefault((2, 0, 0), [])
-        assert store._cells_near((0.2, 0.2, 0.2)) == [(-3, 1, 0), (2, 0, 0)]
+        assert store._cells_near([(0.2, 0.2, 0.2)]) == [(0, (-3, 1, 0)), (0, (2, 0, 0))]
 
     def test_visits_at_most_9_buckets_however_large_the_map(self):
         store = ObjectMapStore(relevance_radius_m=15.0)
@@ -246,8 +342,25 @@ class TestCellsNear:
         for i in range(5000):
             store.cells.setdefault((1000 + i, 1000 - i, i % 7), [])
         store.cells.setdefault((3, 4, 0), [])
-        assert store._cells_near((0.2, 0.2, 0.2)) == [(3, 4, 0)]
+        assert store._cells_near([(0.2, 0.2, 0.2)]) == [(0, (3, 4, 0))]
         assert store._buckets.gets <= 9
+
+    def test_reads_each_column_once_per_call(self):
+        rng = random.Random(4)
+        store = ObjectMapStore(relevance_radius_m=3.0)
+        for _ in range(300):
+            store.cells.setdefault(tuple(rng.randint(-40, 40) for _ in range(3)), [])
+        for _ in range(50):
+            centre = [rng.uniform(-15, 15) for _ in range(3)]
+            points = [tuple(c + rng.uniform(-4, 4) for c in centre) for _ in range(rng.randint(1, 5))]
+            store._index_new_cells()
+            counting = _CountingDict()
+            counting.update(store._buckets)
+            store._buckets = counting
+            got = store._cells_near(points)
+            assert got == cells_near_multi_oracle(store, points)
+            read = store._buckets.keys_read
+            assert len(read) == len(set(read)) <= 9 * len(points)
 
 
 class TestShareFilter:

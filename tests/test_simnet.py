@@ -40,6 +40,22 @@ def test_edge_broadcast_excludes_sender():
     assert all(len(g.received) == 1 for g in genies[1:])
 
 
+def test_subscription_added_after_a_publish_is_seen_by_the_next():
+    net = Fabric(seed=0)
+    net.add_network("VN1", latency_ms=1.0)
+    net.add_node(SimNode("pub", "VN1"))
+    first = net.add_node(Recorder("first", "VN1"))
+    late = net.add_node(Recorder("late", "VN1"))
+    assert net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0) == 0
+    net.subscribe("first", "/image", "VN1")
+    assert net.publish("pub", image_message("f1"), wire_topic="/image", network="VN1", at=1.0) == 1
+    net.subscribe("late", "/image", "VN1")
+    assert net.publish("pub", image_message("f2"), wire_topic="/image", network="VN1", at=2.0) == 2
+    net.run_until(10.0)
+    assert [m.payload.content_id for *_, m in first.received] == ["f1", "f2"]
+    assert [(at, m.payload.content_id) for at, *_, m in late.received] == [(3.0, "f2")]
+
+
 def test_zero_subscribers_no_error():
     net = Fabric(seed=0)
     net.add_network("VN1")
@@ -86,6 +102,38 @@ def test_publish_in_past_rejected():
     net.run_until(10.0)
     with pytest.raises(ValueError):
         net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=5.0)
+
+
+def test_errors_keep_their_order_before_and_after_a_route_is_used():
+    net = Fabric(seed=0)
+    net.add_network("VN1")
+    net.add_network("EDGE")
+    net.add_node(SimNode("pub", "VN1"))
+    net.subscribe(net.add_node(Recorder("sub", "VN1")).name, "/image", "VN1")
+    for _ in range(2):  # the second pass publishes on a route already used
+        net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=10.0)
+        net.run_until(10.0)
+        with pytest.raises(UnknownNodeError):
+            net.publish("ghost", image_message("f0"), wire_topic="/image", network="EDGE", at=5.0)
+        with pytest.raises(ValueError, match="before clock"):
+            net.publish("pub", image_message("f0"), wire_topic="/image", network="EDGE", at=5.0)
+        with pytest.raises(ValueError, match="before clock"):
+            net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=5.0)
+        with pytest.raises(TopologyError):
+            net.publish("pub", image_message("f0"), wire_topic="/image", network="EDGE", at=10.0)
+
+
+def test_network_redefined_after_a_publish_is_seen_by_the_next():
+    net = Fabric(seed=0)
+    net.add_network("VN1", latency_ms=1.0)
+    net.add_node(SimNode("pub", "VN1"))
+    sub = net.add_node(Recorder("sub", "VN1"))
+    net.subscribe("sub", "/image", "VN1")
+    net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
+    net.add_network("VN1", latency_ms=5.0)
+    net.publish("pub", image_message("f1"), wire_topic="/image", network="VN1", at=0.0)
+    net.run_until(10.0)
+    assert [r[0] for r in sub.received] == [1.0, 5.0]
 
 
 def test_duplicate_subscription_rejected():
