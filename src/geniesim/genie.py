@@ -26,9 +26,9 @@ is an answer or a stray, a request a hit or a miss.
            upload, so none re-shares it.  Then park the digest as one
            pending record that concurrent repeats queue on.
   hit      known content with a stored answer; augment it from the object
-           map and send it straight back to the sender.  The augmented answer
-           is kept on the entry and reused while the map's version is
-           unchanged, so a repeat hit on an unchanged map does not augment.
+           map and send it straight back to the sender.  The map keeps each
+           answer it builds until its next object-list ingest, so a repeat
+           hit on an unchanged map does not scan it again.
   stray    its header key names no pending exchange; dropped, never
            ingested, parked or re-requested.  From the inner node
            (``-local``) it is late: a ``-remote`` answer filled the exchange
@@ -110,9 +110,6 @@ class CachedValue:
     result: Message | None  # None while pending
     created_ms: float  # park time
     last_hit_ms: float
-    # (map version, augmented payload, requests delta, hits delta) of the last
-    # hit answer built from ``result``; see ``GenieNode._serve_hit``
-    augmented: tuple[int, ObjectList, int, int] | None = None
     waiters: list[Header] = field(default_factory=list)  # requesters owed an answer
 
 
@@ -452,22 +449,9 @@ class GenieNode(SimNode):
     def _serve_hit(self, net: Fabric, at: float, request: Message, entry: CachedValue) -> None:
         result = entry.result
         payload = result.payload
-        store = self.object_map
         if isinstance(payload, ObjectList):
-            if entry.augmented is None or entry.augmented[0] != store.version:
-                requests, hits = store.requests, store.hits
-                # augment adds only objects at or above the map's share threshold
-                augmented = store.augment(payload)
-                # additions are all from_map, so the digest is the stored result's
-                object.__setattr__(augmented, "_digest", payload._digest)
-                requests, hits = store.requests - requests, store.hits - hits
-                entry.augmented = (store.version, augmented, requests, hits)
-            else:
-                # same map, same answer: count the lookups augment would have made
-                _, augmented, requests, hits = entry.augmented
-                store.requests += requests
-                store.hits += hits
-            payload = augmented
+            # augment adds only objects at or above the map's share threshold
+            payload = self.object_map.augment(payload)
         out = Message(request.header, result.topic, payload, via="hit")
         wire, network = self._answer_surface(result.topic.name)
         net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)

@@ -62,7 +62,7 @@ def share_filter(payload: ObjectList, confidence_threshold: float) -> ObjectList
     """Subset of objects with confidence >= threshold, order preserved.
 
     The rule for everything map-sourced before it leaves for a vehicle;
-    :meth:`ObjectMapStore.augment` applies it as it selects additions.
+    :meth:`ObjectMapStore.augment` applies the same threshold inline.
     """
     return ObjectList(
         tuple(o for o in payload.objects if o.confidence >= confidence_threshold)
@@ -77,13 +77,11 @@ class ObjectMapStore:
     and an augment scan hits when it contributes at least one stored object
     to a returned result.
 
-    ``version`` counts the ingests of object lists, so it changes whenever
-    the map may have: a new object, or a boosted confidence (which may also
-    lift an object across the threshold without adding a cell).
-    ``GenieNode`` reuses an augmented hit answer while the version is
-    unchanged.  That relies on ``ingest`` being the only writer of a genie's
-    map; a direct write to ``cells`` is not counted, so memoized answers do
-    not see it.
+    ``augment`` keeps each answer it builds until the next object-list
+    ingest, which may add an object or boost one across the threshold
+    without adding a cell.  That relies on ``ingest`` being the only writer
+    of the map: a direct write to ``cells`` does not clear the kept
+    answers, so they do not see it.
 
     ``boost_records`` holds one ``(time_ms, delta)`` pair per re-sighting,
     in ingest order, where delta is the confidence after minus before.
@@ -121,7 +119,9 @@ class ObjectMapStore:
         self._indexed = 0
         self.requests = 0
         self.hits = 0
-        self.version = 0
+        # id(payload) -> (payload, answer, hits) of each augment since the
+        # last object-list ingest; the entry keeps the payload, and so its id
+        self._answers: dict[int, tuple[ObjectList, ObjectList, int]] = {}
         self.boost_records: list[tuple[float, float]] = []
 
     def __len__(self) -> int:
@@ -138,7 +138,7 @@ class ObjectMapStore:
         """
         if not isinstance(message.payload, ObjectList):
             return
-        self.version += 1
+        self._answers.clear()
         for obj in message.payload.objects:
             cell = quantize(obj.location, self.resolution_m)
             self.requests += 1
@@ -176,8 +176,18 @@ class ObjectMapStore:
         :meth:`_cells_near`) contributes an object.  This equals scanning
         each object's neighbourhood in turn: ``present`` is keyed by cell,
         so a cell already scanned for an earlier object adds nothing more.
+
+        Until the next object-list ingest, a repeat call with the same
+        payload object returns the kept answer and counts its lookups.  Not
+        an equal payload: one at ``-0.0`` equals one at ``0.0`` but its
+        answer carries its own objects.
         """
         objects = payload.objects
+        kept = self._answers.get(id(payload))
+        if kept is not None and kept[0] is payload:
+            self.requests += len(objects)
+            self.hits += kept[2]
+            return kept[1]
         present = {(o.label, quantize(o.location, self.resolution_m)) for o in objects}
         threshold = self.confidence_threshold
         additions: list[DetectedObject] = []
@@ -195,10 +205,15 @@ class ObjectMapStore:
                     from_map=True,
                 ))
                 found[i] = True
+        hits = sum(found)
         self.requests += len(objects)
-        self.hits += sum(found)
+        self.hits += hits
         additions.sort(key=DetectedObject.sort_key)
-        return ObjectList(objects + tuple(additions))
+        answer = ObjectList(objects + tuple(additions))
+        # every addition is from_map, so the answer digests as the payload
+        object.__setattr__(answer, "_digest", payload._digest)
+        self._answers[id(payload)] = (payload, answer, hits)
+        return answer
 
     def _cells_near(
         self, points: list[tuple[float, float, float]]

@@ -158,6 +158,8 @@ def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"line {lineno}: malformed frame: {exc}") from exc
+    if frame.t_ms < 0 or frame.t_ms != d["t_ms"]:
+        raise TraceError(f"line {lineno}: t_ms must be a non-negative integer: {d['t_ms']!r}")
     if "/" in frame.car:
         raise TraceError(f"line {lineno}: car name {frame.car!r} may not contain '/'")
     # an infinite yaw normalizes to NaN, so checking the pose catches both

@@ -30,6 +30,20 @@ def objects_message(
     return Message(Header(origin, seq, stamp), OBJECTS, ObjectList(objs))
 
 
+def count_scans(store, monkeypatch) -> list:
+    """Count the neighbourhood scans ``store.augment`` computes: its
+    ``_cells_near`` calls, one per answer built."""
+    calls = []
+    scan = store._cells_near
+
+    def spy(points):
+        calls.append(points)
+        return scan(points)
+
+    monkeypatch.setattr(store, "_cells_near", spy)
+    return calls
+
+
 @pytest.fixture
 def img_msg():
     return image_message("frame-000")

@@ -15,7 +15,7 @@ from geniesim.genie import (
 from geniesim.model import Header, Message, ObjectList, PayloadKind, Topic, content_key
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric, SimNode
-from conftest import IMAGE, OBJECTS, image_message, obj, objects_message
+from conftest import IMAGE, OBJECTS, count_scans, image_message, obj, objects_message
 
 
 def detector_spec() -> ServiceSpec:
@@ -674,22 +674,9 @@ class TestHitDigest:
         assert content_key(forged, OBJECTS.name) != "forged"
 
 
-def spy_augment(store, monkeypatch):
-    """Count ``store.augment`` calls."""
-    calls = []
-    augment = store.augment
-
-    def spy(payload):
-        calls.append(payload)
-        return augment(payload)
-
-    monkeypatch.setattr(store, "augment", spy)
-    return calls
-
-
 class TestHitMemo:
-    """A hit answer is augmented once per object-map version and reused
-    while the map is unchanged, with the map's lookup counts replayed."""
+    """A hit answer is augmented once per object-map state: repeat hits on an
+    unchanged map get the map's kept answer, with its lookup counts."""
 
     NEARBY = TestHitDigest.NEARBY
     RESULT = (obj("car", 0.7, (3.2, 0.2, 0.2)),)
@@ -700,7 +687,7 @@ class TestHitMemo:
         net, genie, _, sink, _ = wire_local_genie(object_map=store)
         result = objects_message(self.RESULT)
         content_key(result)
-        return net, genie, sink, store, CachedValue(result, 0.0, 0.0), spy_augment(store, monkeypatch)
+        return net, genie, sink, store, CachedValue(result, 0.0, 0.0), count_scans(store, monkeypatch)
 
     @staticmethod
     def hit(net, genie, sink, entry, seq):
@@ -714,63 +701,36 @@ class TestHitMemo:
         return sorted(o.label for o in payload.objects)
 
     def test_repeat_hit_on_unchanged_map_augments_once(self, monkeypatch):
-        net, genie, sink, store, entry, calls = self.wire(monkeypatch)
+        net, genie, sink, store, entry, scans = self.wire(monkeypatch)
         twin = ObjectMapStore(confidence_threshold=0.6)
         twin.ingest(objects_message(self.NEARBY), 0.0)
         first = self.hit(net, genie, sink, entry, 1)
         second = self.hit(net, genie, sink, entry, 2)
-        assert len(calls) == 1
+        assert len(scans) == 1
         assert first == second == twin.augment(entry.result.payload)
         assert self.labels(first) == ["car", "pole"]
         for served in (first, second):
             assert served._digest == entry.result.payload._digest
-        twin.augment(entry.result.payload)
+        twin.augment(replace(entry.result.payload))  # an equal payload: scanned afresh
         assert (store.requests, store.hits) == (twin.requests, twin.hits)
 
     def test_ingest_of_nearby_object_shows_in_next_hit(self, monkeypatch):
-        net, genie, sink, store, entry, calls = self.wire(monkeypatch)
+        net, genie, sink, store, entry, scans = self.wire(monkeypatch)
         assert "tree" not in self.labels(self.hit(net, genie, sink, entry, 1))
         store.ingest(objects_message((obj("tree", 0.6, (3.7, 0.2, 0.2)),)), 1.0)  # at threshold
         assert self.labels(self.hit(net, genie, sink, entry, 2)) == ["car", "pole", "tree"]
-        assert len(calls) == 2
+        assert len(scans) == 2
 
     def test_boost_only_ingest_invalidates_memo(self, monkeypatch):
         below = (obj("bin", 0.55, (4.2, 0.2, 0.2)),)
-        net, genie, sink, store, entry, calls = self.wire(monkeypatch, below, update_rate=0.5)
+        net, genie, sink, store, entry, scans = self.wire(monkeypatch, below, update_rate=0.5)
         assert self.labels(self.hit(net, genie, sink, entry, 1)) == ["car"]
         cells = len(store.cells)
         store.ingest(objects_message((obj("bin", 0.95, (4.2, 0.2, 0.2)),)), 1.0)
         assert len(store.cells) == cells  # a boost, no new cell
         assert [o.confidence >= 0.6 for objs in store.cells.values() for o in objs] == [True]
         assert self.labels(self.hit(net, genie, sink, entry, 2)) == ["bin", "car"]
-        assert len(calls) == 2
-
-    def test_evicted_entry_takes_its_memo(self, monkeypatch):
-        store = ObjectMapStore(confidence_threshold=0.6)
-        net, genie, _, _, _ = wire_local_genie(object_map=store, max_entries=1)
-        calls = spy_augment(store, monkeypatch)
-        digest = content_key(image_message("f0"), "/image")
-
-        def exchange(content, seq, answered=True):
-            t = 100.0 * seq
-            net.publish("camera", image_message(content, seq=seq, stamp=t), wire_topic="/image",
-                        network="VN1", at=t)
-            net.run_until(t + 50.0)
-            if answered:
-                answer = objects_message(self.RESULT, seq=seq, stamp=t)
-                net.publish("inner", answer, wire_topic="/objects-local", network="VN1", at=t + 50.0)
-            net.run_until(t + 100.0)
-
-        exchange("f0", 0)
-        exchange("f0", 1, answered=False)  # hit: the memo is built
-        old = genie.db.lookup("/image", digest)
-        assert old.augmented is not None and len(calls) == 1
-        exchange("f1", 2)  # parking f1 evicts f0
-        assert genie.db.lookup("/image", digest) is None
-        exchange("f0", 3, answered=False)  # a miss again, parked afresh
-        assert genie.counters.misses == 3
-        fresh = genie.db.lookup("/image", digest)
-        assert fresh is not old and fresh.augmented is None
+        assert len(scans) == 2
 
 
 class TestSubscriptions:

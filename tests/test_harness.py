@@ -512,6 +512,10 @@ BAD_FILES = [
         id="objects-negative",
     ),
     *(
+        pytest.param({"synth": {**SYNTH, name: -10}}, f"config.synth.{name}", id=f"{name}-negative")
+        for name in ("frame_period_ms", "stagger_ms")
+    ),
+    *(
         pytest.param({**LOOP, name: -1}, name, id=f"{name}-negative")
         for name in ("vn_latency_ms", "vn_jitter_ms", "edge_latency_ms", "edge_jitter_ms")
     ),
@@ -617,6 +621,8 @@ class TestCli:
                 for name, value in (("nan", float("nan")), ("inf", float("inf")))
             ),
             pytest.param(("t_ms",), float("inf"), id="t_ms-inf"),
+            pytest.param(("t_ms",), -5, id="t_ms-negative"),
+            pytest.param(("t_ms",), 10.9, id="t_ms-fractional"),
         ],
     )
     def test_non_finite_trace_number_exits_with_one_error_line(self, tmp_path, capsys, path, value):

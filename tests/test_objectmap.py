@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from geniesim.model import DetectedObject, ObjectList
+from geniesim.model import DetectedObject, ObjectList, content_key
 from geniesim.objectmap import (
     ObjectMapStore,
     UpdateRule,
@@ -11,7 +12,7 @@ from geniesim.objectmap import (
     quantize,
     share_filter,
 )
-from conftest import obj, objects_message, image_message
+from conftest import count_scans, obj, objects_message, image_message
 
 
 class TestQuantize:
@@ -92,7 +93,7 @@ class TestIngest:
     def test_non_object_payload_ignored(self):
         store = ObjectMapStore()
         store.ingest(image_message("f0"), 0.0)
-        assert len(store) == 0 and store.requests == 0 and store.version == 0
+        assert len(store) == 0 and store.requests == 0
         assert store.boost_records == []
 
     def test_sequences_stay_in_bounds(self):
@@ -165,6 +166,79 @@ class TestAugment:
         assert (store.requests, store.hits) == (1, 1)
         store.augment(ObjectList((obj("car", 0.9, (500.0, 1.4, 0.2)),)))
         assert (store.requests, store.hits) == (2, 1)
+
+
+def labels(payload):
+    return sorted(o.label for o in payload.objects)
+
+
+class TestAugmentKeepsAnswers:
+    """``augment`` keeps each answer it builds, keyed by the payload object,
+    until the next object-list ingest."""
+
+    NEARBY = (obj("pole", 0.8, (1.2, 1.2, 0.2)),)
+    PAYLOAD = (obj("car", 0.9, (1.4, 1.4, 0.2)), obj("tree", 0.9, (90.0, 0.2, 0.2)))
+
+    def store(self, monkeypatch, nearby=NEARBY, **kwargs):
+        store = ObjectMapStore(confidence_threshold=0.6, **kwargs)
+        store.ingest(objects_message(nearby), 0.0)
+        return store, count_scans(store, monkeypatch)
+
+    def test_repeat_scans_once_and_counts_every_call(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        twin, _ = self.store(monkeypatch)
+        message = objects_message(self.PAYLOAD)
+        content_key(message)
+        payload = message.payload
+        first = store.augment(payload)
+        assert store.augment(payload) is first and len(scans) == 1
+        assert first._digest == payload._digest
+        # the twin scans twice: an equal payload is not the same payload
+        assert first == twin.augment(payload) == twin.augment(ObjectList(self.PAYLOAD))
+        assert labels(first) == ["car", "pole", "tree"]
+        # one ingest lookup, then two per call; the car hits, the far tree not
+        assert (store.requests, store.hits) == (twin.requests, twin.hits) == (5, 2)
+
+    def test_object_list_ingest_clears(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        payload = ObjectList(self.PAYLOAD)
+        assert labels(store.augment(payload)) == ["car", "pole", "tree"]
+        store.ingest(objects_message((obj("bin", 0.6, (1.9, 1.4, 0.2)),)), 1.0)  # at threshold
+        assert store._answers == {}
+        assert labels(store.augment(payload)) == ["bin", "car", "pole", "tree"]
+        assert len(scans) == 2
+
+    def test_boost_only_ingest_clears(self, monkeypatch):
+        below = (obj("bin", 0.55, (1.9, 1.4, 0.2)),)
+        store, scans = self.store(monkeypatch, below, update_rate=0.5)
+        payload = ObjectList(self.PAYLOAD)
+        assert labels(store.augment(payload)) == ["car", "tree"]
+        cells = len(store.cells)
+        store.ingest(objects_message((obj("bin", 0.95, (1.9, 1.4, 0.2)),)), 1.0)
+        assert len(store.cells) == cells  # a boost to 0.75, no new cell
+        assert store._answers == {}
+        assert labels(store.augment(payload)) == ["bin", "car", "tree"]
+        assert len(scans) == 2
+
+    def test_image_ingest_keeps_answers(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        payload = ObjectList(self.PAYLOAD)
+        first = store.augment(payload)
+        store.ingest(image_message("f0"), 1.0)
+        assert store._answers == {id(payload): (payload, first, 1)}
+        assert store.augment(payload) is first and len(scans) == 1
+
+    def test_signed_zero_payloads_get_their_own_answers(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        plus = ObjectList((obj("car", 0.9, (0.0, 1.4, 0.2)),))
+        minus = ObjectList((obj("car", 0.9, (-0.0, 1.4, 0.2)),))
+        assert plus == minus and hash(plus) == hash(minus)
+        answers = {sign: store.augment(payload) for sign, payload in ((1.0, plus), (-1.0, minus))}
+        assert len(scans) == 2
+        for sign, answer in answers.items():
+            assert math.copysign(1.0, answer.objects[0].location[0]) == sign
+        assert store.augment(plus) is answers[1.0] and store.augment(minus) is answers[-1.0]
+        assert len(scans) == 2
 
 
 class TestAugmentMatchesPerPointScan:
