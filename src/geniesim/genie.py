@@ -178,13 +178,16 @@ class TopicCacheDB:
 
     def fill(self, name: str, slot: Slot, result: Message) -> list[Header]:
         """Answer the pending record in ``slot`` and detach all its waiters;
-        a caching DB also keeps ``result`` as the stored answer.  A slot no
-        longer pending wakes nobody: the first answer wins."""
-        record = self._maps[name].pending.pop(slot, None)
+        a caching DB also keeps ``result`` as the stored answer, evicting down
+        to the bound, which may drop this answer at once.  A slot no longer
+        pending wakes nobody: the first answer wins."""
+        m = self._maps[name]
+        record = m.pending.pop(slot, None)
         if record is None:
             return []
         if self.stores:
             record.result = result
+            self._evict(m)
         for w in record.waiters:
             self._pending.pop(w.key, None)
         woken, record.waiters = record.waiters, []

@@ -647,6 +647,7 @@ def run_scenario(config: ScenarioConfig, trace: Trace | None = None) -> MetricsR
 def compare_baselines(config: ScenarioConfig) -> dict[str, MetricsReport]:
     """Local-only (L), remote-only (R) and distributed-cache (DG) runs over
     the identical trace and seed."""
+    config.validate()  # before the trace source is read
     trace = _scenario_trace(config)
     return {mode: run_built_scenario(build_scenario(config, trace, mode), mode) for mode in MODES}
 

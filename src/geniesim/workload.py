@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -81,8 +81,8 @@ class Trace:
     index from image id to frame content."""
 
     frames: tuple[TraceFrame, ...]
-    by_car: dict[str, tuple[TraceFrame, ...]] = field(default_factory=dict)
-    by_image: dict[str, TraceFrame] = field(default_factory=dict)
+    by_car: dict[str, tuple[TraceFrame, ...]]
+    by_image: dict[str, TraceFrame]
 
     @staticmethod
     def build(frames: Iterable[TraceFrame]) -> "Trace":
@@ -137,28 +137,46 @@ def _frame_to_dict(f: TraceFrame) -> dict:
     }
 
 
+def _text(value, what: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):  # not a bool or a string
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _triple(value, what: str) -> tuple[float, float, float]:
+    if type(value) is not list or len(value) != 3:
+        raise TypeError(f"{what} must be a list of 3 numbers, got {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
 def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
     try:
         pose = d["pose"]
         truths = tuple(
             GroundTruth(
-                label=t["label"],
-                confidence=float(t["conf"]),
-                offset=tuple(float(v) for v in t["loc"]),
-                extent=tuple(float(v) for v in t["extent"]),
+                label=_text(t["label"], "label"),
+                confidence=_number(t["conf"], "conf"),
+                offset=_triple(t["loc"], "loc"),
+                extent=_triple(t["extent"], "extent"),
             )
             for t in d["truths"]
         )
         frame = TraceFrame(
-            car=str(d["car"]),
+            car=_text(d["car"], "car"),
             t_ms=int(d["t_ms"]),
-            pose=Pose(float(pose["x"]), float(pose["y"]), float(pose["z"]), float(pose["yaw"])),
-            image_id=str(d["image_id"]),
+            pose=Pose(*(_number(pose[axis], f"pose.{axis}") for axis in ("x", "y", "z", "yaw"))),
+            image_id=_text(d["image_id"], "image_id"),
             truths=truths,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"line {lineno}: malformed frame: {exc}") from exc
-    if frame.t_ms < 0 or frame.t_ms != d["t_ms"]:
+    if type(d["t_ms"]) not in (int, float) or frame.t_ms < 0 or frame.t_ms != d["t_ms"]:
         raise TraceError(f"line {lineno}: t_ms must be a non-negative integer: {d['t_ms']!r}")
     if "/" in frame.car:
         raise TraceError(f"line {lineno}: car name {frame.car!r} may not contain '/'")
@@ -171,12 +189,7 @@ def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
                 f"line {lineno}: confidence {t.confidence} out of range "
                 f"(car {frame.car!r}, image {frame.image_id!r})"
             )
-        if (
-            len(t.offset) != 3
-            or len(t.extent) != 3
-            or any(not e > 0 for e in t.extent)
-            or not all(map(math.isfinite, t.offset + t.extent))
-        ):
+        if any(not e > 0 for e in t.extent) or not all(map(math.isfinite, t.offset + t.extent)):
             raise TraceError(f"line {lineno}: bad loc/extent (image {frame.image_id!r})")
     return frame
 
@@ -245,14 +258,16 @@ def _make_scene(rng: random.Random, index: int, band: float, n_objects: int) -> 
     return _Scene(pose, tuple(objs))
 
 
-def _sighting_truths(
-    rng: random.Random, scene: _Scene, view: Pose, alpha: float, beta: float
-) -> tuple[GroundTruth, ...]:
+def _sighting(
+    rng: random.Random, scene: _Scene, view: Pose, image_id: str, alpha: float, beta: float
+) -> tuple[Pose, str, tuple[GroundTruth, ...]]:
+    """One look at ``scene`` from ``view``: the pose, image id and truths of a
+    frame, with a fresh confidence drawn for each object."""
     truths = []
     for label, absolute, extent in scene.objects:
         conf = min(1.0, max(0.0, rng.betavariate(alpha, beta)))
         truths.append(GroundTruth(label, round(conf, 4), inverse_translate(absolute, view), extent))
-    return tuple(truths)
+    return view, image_id, tuple(truths)
 
 
 def synth_trace(
@@ -301,7 +316,7 @@ def synth_trace(
     frames: list[TraceFrame] = []
 
     shared_scenes: list[_Scene] = []
-    shared_frames: list[TraceFrame] = []
+    shared: list[tuple[Pose, str, tuple[GroundTruth, ...]]] = []
     if route == "shared-corridor":
         # string seeds hash stably across processes; tuple seeds would not
         world_rng = random.Random(f"{seed}:corridor")
@@ -311,15 +326,7 @@ def synth_trace(
         ]
         for i in range(n_shared):
             scene = shared_scenes[i % n_scenes]
-            shared_frames.append(
-                TraceFrame(
-                    car="",  # filled per sighting
-                    t_ms=0,
-                    pose=scene.pose,
-                    image_id=f"S{i:06d}",
-                    truths=_sighting_truths(world_rng, scene, scene.pose, conf_alpha, conf_beta),
-                )
-            )
+            shared.append(_sighting(world_rng, scene, scene.pose, f"S{i:06d}", conf_alpha, conf_beta))
 
     for ci in range(n_cars):
         car = f"car{ci + 1}"
@@ -337,13 +344,7 @@ def synth_trace(
             for i in range(n_unique):
                 scene = _make_scene(rng, i, band, objects_per_frame)
                 uniques.append(
-                    TraceFrame(
-                        car=car,
-                        t_ms=0,
-                        pose=scene.pose,
-                        image_id=f"{prefix}{ci + 1}F{i:06d}",
-                        truths=_sighting_truths(rng, scene, scene.pose, conf_alpha, conf_beta),
-                    )
+                    _sighting(rng, scene, scene.pose, f"{prefix}{ci + 1}F{i:06d}", conf_alpha, conf_beta)
                 )
             schedule = [uniques[i % n_unique] for i in range(n_frames)]
         else:
@@ -352,21 +353,12 @@ def synth_trace(
             for i in range(n_own):
                 scene = shared_scenes[i % len(shared_scenes)]
                 view = Pose(scene.pose.x, scene.pose.y + lane_offset, scene.pose.z, 0.0)
-                own.append(
-                    TraceFrame(
-                        car=car,
-                        t_ms=0,
-                        pose=view,
-                        image_id=f"C{ci + 1}F{i:06d}",
-                        truths=_sighting_truths(rng, scene, view, conf_alpha, conf_beta),
-                    )
-                )
-            # the schedule loop below stamps car and time on every frame
-            schedule = shared_frames + own
+                own.append(_sighting(rng, scene, view, f"C{ci + 1}F{i:06d}", conf_alpha, conf_beta))
+            schedule = shared + own
             rng.shuffle(schedule)
 
-        for i, frame in enumerate(schedule):
-            frames.append(replace(frame, car=car, t_ms=start + i * frame_period_ms))
+        for i, (pose, image_id, truths) in enumerate(schedule):
+            frames.append(TraceFrame(car, start + i * frame_period_ms, pose, image_id, truths))
 
     return Trace.build(frames)
 

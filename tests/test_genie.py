@@ -141,6 +141,20 @@ class TestTopicCacheDB:
         assert db.lookup("/image", "d2") is not None
         assert db.lookup("/image", "d3").result is None
 
+    def test_fill_can_evict_the_answer_it_just_stored(self):
+        db = TopicCacheDB((IMAGE,), max_entries=1)
+        db.add_waiter("/image", "d1", Header("a", 0, 0.0), 0.0)
+        db.add_waiter("/image", "d2", Header("a", 1, 0.0), 1.0)
+        db.add_waiter("/image", "d2", Header("a", 2, 0.0), 1.0)
+        # d1 is still pending, so the only stored answer is the LRU victim
+        woken = db.fill("/image", "d2", objects_message((), seq=1))
+        assert [w.seq for w in woken] == [1, 2]
+        assert db.lookup("/image", "d2") is None
+        assert db.entry_count("/image") == 1
+        db.fill("/image", "d1", objects_message((), seq=0))
+        assert db.entry_count("/image") == 1
+        assert db.lookup("/image", "d1").result is not None
+
     @pytest.mark.parametrize("stores", [True, False])
     def test_repeat_joins_the_request_in_flight_only_with_storage(self, stores):
         db = TopicCacheDB((IMAGE,), stores=stores)
@@ -1015,3 +1029,30 @@ class TestOneAnswerPerExchange:
             c = genie.counters
             assert genie.db.pending_count() == 0, genie.name
             assert c.hits + c.misses == c.requests, genie.name
+
+
+class TestCacheBoundHolds:
+    @staticmethod
+    def run(max_cache_entries):
+        from geniesim.harness import ScenarioConfig, SynthSpec, build_genie_scenario, run_built_scenario
+
+        # six frames 1 ms apart show three images twice each; all three are
+        # in flight together, so a fill that did not evict would keep three
+        config = ScenarioConfig(
+            n_cars=1,
+            car_device="Orin",
+            edge_devices=("AGX", "A4500"),
+            model="YOLOv8s",
+            synth=SynthSpec(route="loop", n_frames=6, overlap_fraction=0.5, frame_period_ms=1, stagger_ms=0),
+            seed=3,
+            max_cache_entries=max_cache_entries,
+        )
+        return run_built_scenario(build_genie_scenario(config), "DG").summary_dict()
+
+    def test_each_genie_ends_within_the_bound(self):
+        bounded, unbounded = self.run(1), self.run(None)
+        for name, stats in bounded["genies"].items():
+            assert stats["topics"]["/image"]["entries"] == 1, name
+            assert unbounded["genies"][name]["topics"]["/image"]["entries"] == 3, name
+        assert bounded["totals"]["completed"] == unbounded["totals"]["completed"] == 3
+        assert bounded["totals"]["latency_ms"] == unbounded["totals"]["latency_ms"]

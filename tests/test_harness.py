@@ -223,6 +223,13 @@ class TestRunScenario:
 
 
 class TestCompareBaselines:
+    @pytest.mark.parametrize("runner", [run_scenario, compare_baselines])
+    def test_invalid_config_refused_before_the_trace_is_read(self, tmp_path, runner):
+        with pytest.raises(ConfigError, match="trace_file or synth"):
+            runner(ScenarioConfig())
+        with pytest.raises(ConfigError, match="n_cars"):
+            runner(ScenarioConfig(n_cars=0, trace_file=str(tmp_path / "absent.jsonl")))
+
     def test_l_mode_mean_tracks_device_profile(self):
         config = small_loop(car_device="Nano", edge_devices=("A4500",))
         reports = compare_baselines(config)
@@ -623,6 +630,17 @@ class TestCli:
             pytest.param(("t_ms",), float("inf"), id="t_ms-inf"),
             pytest.param(("t_ms",), -5, id="t_ms-negative"),
             pytest.param(("t_ms",), 10.9, id="t_ms-fractional"),
+            # each of these used to load, coerced by str(), int() or float()
+            pytest.param(("truths", 0, "label"), 5, id="label-number"),
+            pytest.param(("car",), 7, id="car-number"),
+            pytest.param(("image_id",), 12, id="image_id-number"),
+            pytest.param(("t_ms",), True, id="t_ms-bool"),
+            pytest.param(("truths", 0, "conf"), "0.5", id="conf-string"),
+            pytest.param(("truths", 0, "conf"), True, id="conf-bool"),
+            pytest.param(("pose", "x"), "1.5", id="pose-x-string"),
+            pytest.param(("truths", 0, "loc"), "123", id="loc-string"),
+            pytest.param(("truths", 0, "loc", 0), False, id="loc-bool"),
+            pytest.param(("truths", 0, "extent"), [1.0, 1.0], id="extent-two-elements"),
         ],
     )
     def test_non_finite_trace_number_exits_with_one_error_line(self, tmp_path, capsys, path, value):

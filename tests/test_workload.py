@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -164,6 +165,35 @@ class TestSynth:
                 by_label_scene.setdefault((t.label, cell[0]), set()).add(cell)
         for cells in by_label_scene.values():
             assert len(cells) == 1
+
+    # sha256 of save_trace's bytes, recorded before synth_trace built each
+    # frame in one pass; a change to the synthesizer's draws shows up here
+    @pytest.mark.parametrize(
+        "route, shape, digest",
+        [
+            ("loop", dict(n_cars=1, n_frames=7, overlap_fraction=0.3, seed=7),
+             "e81f8362834d32c0b7addb30a159b3f1a2924ba8bbcbad8bc64475103e07c349"),
+            ("loop", dict(n_cars=3, n_frames=40, overlap_fraction=1.0, objects_per_frame=0, stagger_ms=0),
+             "445263923710edfa5d821572d0c5b7bf535cb3225d8d229e24421062ba463f91"),
+            ("shared-corridor",
+             dict(n_cars=3, n_frames=40, overlap_fraction=1.0, objects_per_frame=0, stagger_ms=0),
+             "78fe643675ab72b5514e57cf520f91e206b930866d0da0b294b477f7f95f6bd1"),
+            ("shared-corridor", dict(n_cars=2, n_frames=7, overlap_fraction=1.0, stagger_ms=0),
+             "b6dbbf6097679c37b65f69ae0cd37eae097d31b578f8921df46f1d89ba45f69c"),
+            ("shared-corridor", dict(n_cars=3, n_frames=7, overlap_fraction=0.3, seed=7),
+             "076cb43fea579e632ae9d91bbaa9b18554b0956c906ec0d6fd88870535b831bc"),
+            ("shared-corridor", dict(n_cars=2, n_frames=7, overlap_fraction=0.0, stagger_ms=0),
+             "038d842d16ac6e4e01dc14fc94faf1ad3210d9920a57a01e51a5c6cc961740d6"),
+            ("disjoint", dict(n_cars=3, n_frames=7, seed=7),
+             "eb06234629cab60b8848a6a2602b4af0fe1666aed40ce57c6abb0ebbea6eba16"),
+            ("disjoint", dict(n_cars=1, n_frames=1, objects_per_frame=0),
+             "69424de992d8f4a06b7b572c59674cffd5bc989f31399146d2b11a75f91bf03f"),
+        ],
+    )
+    def test_saved_trace_bytes_pinned(self, tmp_path, route, shape, digest):
+        path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(route=route, **shape), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestTraceIO:
