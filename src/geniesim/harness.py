@@ -129,9 +129,15 @@ class ScenarioConfig:
             raise ConfigError(f"object_map.update_rule must be one of {rules}")
         if self.trace_file is None and self.synth is None:
             raise ConfigError("either trace_file or synth parameters are required")
-        for name in ("objects_per_frame", "frame_period_ms", "stagger_ms"):
-            if self.synth is not None and getattr(self.synth, name) < 0:
-                raise ConfigError(f"config.synth.{name} must be non-negative")
+        if self.synth is not None:
+            for name in ("objects_per_frame", "frame_period_ms", "stagger_ms"):
+                if getattr(self.synth, name) < 0:
+                    raise ConfigError(f"config.synth.{name} must be non-negative")
+            for name in ("conf_alpha", "conf_beta"):  # gamma shape parameters
+                if getattr(self.synth, name) <= 0:
+                    raise ConfigError(f"config.synth.{name} must be positive")
+            if self.synth.n_frames < 1:
+                raise ConfigError("config.synth.n_frames must be >= 1")
         for i, car in enumerate(self.phantom_cars):
             if car in self.phantom_cars[:i]:
                 raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")

@@ -18,9 +18,12 @@ publish names its sender, wire topic, network and time.
 
 The event loop is single-threaded: callbacks run to completion in
 (due_time, insertion_seq) order, so identical seeds and inputs replay to
-bit-identical delivery logs.  ``Fabric.delivered`` counts every delivery;
-the fabric records each one only through its ``on_delivery`` hook, which a
-hand-built ``Fabric()`` connects to its own log (``Fabric.deliveries``).
+bit-identical delivery logs.  A trace queued before a run waits in a list
+sorted once, not in the heap each delivery sifts (see ``EventQueue``).  A
+callback may publish but may not call ``run_until``.  ``Fabric.delivered``
+counts every delivery; the fabric records each one only through its
+``on_delivery`` hook, which a hand-built ``Fabric()`` connects to its own log
+(``Fabric.deliveries``).
 ``harness.build_scenario`` disconnects it, so a caller that wants a built
 scenario's log calls ``scenario.fabric.record_deliveries()`` before the run.
 """
@@ -73,12 +76,24 @@ class DeliveryRecord:
 
 
 class EventQueue:
-    """Min-heap of (due_time, insertion_seq, item); clock never decreases."""
+    """Events released in (due_time, insertion_seq) order; the clock never
+    decreases.
+
+    Each :meth:`pop_due` first sorts every queued event into one list,
+    latest first, in the heap's own list (a trace pushed in time order
+    sorts in one pass), and pops it from the end.  Events pushed while it
+    runs go to a heap that holds only those.  Every listed event was pushed
+    before any heap event, so it has the smaller seq, and taking the
+    smaller head of the two by (due, seq) is the order of one heap over
+    all events.  ``len`` counts both.
+    """
 
     def __init__(self) -> None:
         self.clock: float = 0.0
         self._heap: list[tuple[float, int, object]] = []
+        self._listed: list[tuple[float, int, object]] = []  # latest first
         self._seq = 0
+        self._popping = False
 
     def push(self, due_ms: float, item: object) -> None:
         if due_ms < self.clock:
@@ -87,14 +102,37 @@ class EventQueue:
         self._seq += 1
 
     def pop_due(self, t_end: float):
-        while self._heap and self._heap[0][0] <= t_end:
-            due, _, item = heapq.heappop(self._heap)
-            self.clock = due
-            yield due, item
-        self.clock = max(self.clock, t_end)
+        """Yield (due, item) for every event due at or before ``t_end``.
+
+        A second ``pop_due`` while one is running would re-sort events the
+        first still holds and release them twice, so it is refused.
+        """
+        if self._popping:
+            raise RuntimeError("the event queue is already being run; a delivery may not run it")
+        self._popping = True
+        try:
+            listed = self._heap
+            listed += self._listed
+            listed.sort(reverse=True)
+            self._listed = listed
+            heap = self._heap = []
+            while True:
+                if heap and (not listed or heap[0] < listed[-1]):
+                    if heap[0][0] > t_end:
+                        break
+                    due, _, item = heapq.heappop(heap)
+                elif listed and listed[-1][0] <= t_end:
+                    due, _, item = listed.pop()
+                else:
+                    break
+                self.clock = due
+                yield due, item
+            self.clock = max(self.clock, t_end)
+        finally:
+            self._popping = False
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._listed)
 
 
 class SimNode:
@@ -111,7 +149,7 @@ class SimNode:
 
 
 class Fabric:
-    """Owns networks, nodes, subscriptions, the clock and the event heap.
+    """Owns networks, nodes, subscriptions, the clock and the event queue.
 
     :attr:`delivered` counts every delivery.  :attr:`on_delivery` is the one
     delivery hook: when set, it is called with each delivery's
@@ -234,7 +272,9 @@ class Fabric:
     def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic
         order, counting each delivery and passing its record to the
-        :attr:`on_delivery` hook as it stood when the call began."""
+        :attr:`on_delivery` hook as it stood when the call began.  A
+        delivery that calls ``run_until`` again is refused with
+        ``RuntimeError``."""
         if t_end < self.clock:
             raise ValueError(f"t_end {t_end} before clock {self.clock}")
         hook = self.on_delivery

@@ -308,8 +308,13 @@ def synth_trace(
         raise ValueError("disjoint routes cannot overlap")
     if n_cars < 1 or n_frames < 1:
         raise ValueError("need at least one car and one frame")
-    if objects_per_frame < 0:
-        raise ValueError(f"objects_per_frame must be non-negative: {objects_per_frame}")
+    for name, value in (
+        ("objects_per_frame", objects_per_frame),
+        ("frame_period_ms", frame_period_ms),
+        ("stagger_ms", stagger_ms),
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative: {value}")
 
     n_shared = round(overlap_fraction * n_frames)
     n_own = n_frames - n_shared

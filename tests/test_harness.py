@@ -523,6 +523,10 @@ BAD_FILES = [
         for name in ("frame_period_ms", "stagger_ms")
     ),
     *(
+        pytest.param({"synth": {**SYNTH, name: 0}}, f"config.synth.{name}", id=f"{name}-zero")
+        for name in ("conf_alpha", "conf_beta", "n_frames")
+    ),
+    *(
         pytest.param({**LOOP, name: -1}, name, id=f"{name}-negative")
         for name in ("vn_latency_ms", "vn_jitter_ms", "edge_latency_ms", "edge_jitter_ms")
     ),
@@ -590,6 +594,17 @@ class TestCli:
         config = ScenarioConfig(n_cars=1, trace_file=str(trace_path), seed=6)
         report = run_scenario(config)
         assert report.completed == 30
+
+    @pytest.mark.parametrize("flag", ["--stagger-ms", "--period-ms"])
+    def test_synth_refuses_a_negative_time(self, tmp_path, capsys, flag):
+        trace_path = tmp_path / "trace.jsonl"
+        argv = ["synth", "--route", "loop", "--cars", "2", "--frames", "3", flag, "-300", "--out", str(trace_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert flag.removeprefix("--").replace("-", "_") in err[0]
+        assert not trace_path.exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,8 +1,10 @@
+import heapq
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
 
-from geniesim.simnet import DeliveryRecord, Fabric, Link, SimNode, TopologyError, UnknownNodeError
+from geniesim.simnet import DeliveryRecord, EventQueue, Fabric, Link, SimNode, TopologyError, UnknownNodeError
 from conftest import image_message
 
 
@@ -282,3 +284,96 @@ def test_link_validation():
         Link(latency_ms=-1.0)
     with pytest.raises(ValueError):
         Link(jitter_ms=-1.0)
+
+
+def _check_against_one_heap(seed: int) -> int:
+    """Drive an EventQueue and a plain heapq reference with the same seeded
+    pushes and stepped runs; return the number of events compared.  Due
+    times fall on a coarse grid, so ties between an event queued before a
+    run and one pushed during it are common."""
+    rng = random.Random(seed)
+    queue, ref = EventQueue(), []
+    n = 0
+
+    def push(due: float) -> None:
+        nonlocal n
+        queue.push(due, n)
+        heapq.heappush(ref, (due, n))  # n is also the queue's insertion seq
+        n += 1
+
+    compared = 0
+    for _ in range(rng.randint(1, 8)):
+        # pushes between calls, in time order or not, like a replay or not
+        base = queue.clock
+        dues = [base + rng.choice((0, 1, 2, 5, 9)) for _ in range(rng.randint(0, 40))]
+        if rng.random() < 0.5:
+            dues.sort()
+        for due in dues:
+            push(due)
+        t_end = queue.clock + rng.choice((0, 1, 3, 10, 50))
+        for due, item in queue.pop_due(t_end):
+            assert (due, item) == heapq.heappop(ref)
+            assert queue.clock == due
+            compared += 1
+            for _ in range(rng.choice((0, 0, 1, 2))):  # pushed while the run goes on
+                push(due + rng.choice((0, 0, 1, 3, 20)))
+            assert len(queue) == len(ref)
+        assert not ref or ref[0][0] > t_end
+        assert queue.clock == t_end
+        assert len(queue) == len(ref)
+    return compared
+
+
+def test_event_queue_pops_in_one_heap_order():
+    assert sum(_check_against_one_heap(seed) for seed in range(200)) > 5_000
+
+
+def test_event_queued_before_a_run_goes_first_at_a_tie():
+    queue = EventQueue()
+    for due, name in ((0.0, "queued@0"), (5.0, "queued@5a"), (5.0, "queued@5b"), (9.0, "queued@9")):
+        queue.push(due, name)
+    got = []
+    for _, name in queue.pop_due(5.0):
+        got.append(name)
+        if name == "queued@0":
+            queue.push(5.0, "pushed@5")
+            queue.push(3.0, "pushed@3")
+    assert got == ["queued@0", "pushed@3", "queued@5a", "queued@5b", "pushed@5"]
+    queue.push(9.0, "between@9")
+    assert [name for _, name in queue.pop_due(9.0)] == ["queued@9", "between@9"]
+
+
+def test_event_queue_length_counts_both_tiers():
+    queue = EventQueue()
+    for due in (1.0, 2.0, 3.0):
+        queue.push(due, due)
+    assert len(queue) == 3
+    events = queue.pop_due(10.0)
+    next(events)  # 1.0 delivered; 2.0 and 3.0 wait in the sorted list
+    queue.push(4.0, 4.0)
+    queue.push(5.0, 5.0)  # these two wait in the heap
+    assert len(queue) == 4
+    assert [due for due, _ in events] == [2.0, 3.0, 4.0, 5.0]
+    assert len(queue) == 0
+
+
+class Rerunner(Recorder):
+    def on_message(self, net, at, network, wire_topic, message):
+        super().on_message(net, at, network, wire_topic, message)
+        if len(self.received) == 1:
+            net.run_until(at + 1.0)
+
+
+def test_nested_run_is_refused():
+    net = Fabric(seed=0)
+    net.add_network("VN1", latency_ms=1.0)
+    net.add_node(SimNode("pub", "VN1"))
+    sub = net.add_node(Rerunner("sub", "VN1"))
+    net.subscribe("sub", "/image", "VN1")
+    for i in range(3):
+        net.publish("pub", image_message(f"f{i}", seq=i), wire_topic="/image", network="VN1", at=float(i))
+    with pytest.raises(RuntimeError, match="already being run"):
+        net.run_until(10.0)
+    # the refused run is over; the next one delivers the rest once each
+    net.run_until(10.0)
+    assert [m.header.seq for *_, m in sub.received] == [0, 1, 2]
