@@ -18,8 +18,8 @@ in it, or of the wrong payload kind, is malformed and dropped.  An answer
 is an answer or a stray, a request a hit or a miss.
 
   answer   its header key names a pending exchange; absorb it into the
-           object map, store it as the cached value, and relay it to every
-           requester waiting on that content digest.
+           object map, store it as received as the cached value, and relay
+           it to every requester waiting on that content digest.
   miss     unseen content; forward to the inner node on ``-local`` (never
            for phantoms, which wrap nothing).  Only a vehicle wrapper also
            uploads it on ``-remote``: every edge wrapper hears that one
@@ -110,7 +110,7 @@ class CachedValue:
     result: Message | None  # None while pending
     created_ms: float  # park time
     last_hit_ms: float
-    waiters: list[Header] = field(default_factory=list)  # requesters owed an answer
+    waiters: list[Header] | tuple[()] = field(default_factory=list)  # requesters owed an answer
 
 
 Slot = str | tuple[str, int]  # a pending record's key: digest, or header key if not storing
@@ -177,10 +177,10 @@ class TopicCacheDB:
         return in_flight
 
     def fill(self, name: str, slot: Slot, result: Message) -> list[Header]:
-        """Answer the pending record in ``slot`` and detach all its waiters;
-        a caching DB also keeps ``result`` as the stored answer, evicting down
-        to the bound, which may drop this answer at once.  A slot no longer
-        pending wakes nobody: the first answer wins."""
+        """Answer the pending record in ``slot`` and detach all its waiters,
+        leaving ``()``; a caching DB also keeps ``result`` as the stored
+        answer, evicting down to the bound, which may drop this answer at
+        once.  A slot no longer pending wakes nobody: the first answer wins."""
         m = self._maps[name]
         record = m.pending.pop(slot, None)
         if record is None:
@@ -190,7 +190,8 @@ class TopicCacheDB:
             self._evict(m)
         for w in record.waiters:
             self._pending.pop(w.key, None)
-        woken, record.waiters = record.waiters, []
+        # a filled record is never pending again, so nothing appends to it
+        woken, record.waiters = record.waiters, ()
         return woken
 
     def purge_expired(self, now: float, ttl_ms: float) -> int:
@@ -439,8 +440,7 @@ class GenieNode(SimNode):
         else:
             self.counters.local_answers += 1
         self.object_map.ingest(message, at)
-        stored = Message(message.header, message.topic, message.payload)
-        woken = self.db.fill(*pend, stored)
+        woken = self.db.fill(*pend, message)
         # peers that heard the same broadcast we did need no relay from us
         if self.answers_on_edge and flavor == "remote":
             return

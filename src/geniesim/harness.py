@@ -138,6 +138,8 @@ class ScenarioConfig:
                     raise ConfigError(f"config.synth.{name} must be positive")
             if self.synth.n_frames < 1:
                 raise ConfigError("config.synth.n_frames must be >= 1")
+            if self.synth.frame_period_ms == 0 and self.synth.n_frames > 1:
+                raise ConfigError("config.synth.frame_period_ms must be positive when n_frames > 1")
         for i, car in enumerate(self.phantom_cars):
             if car in self.phantom_cars[:i]:
                 raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")

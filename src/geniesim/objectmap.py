@@ -46,16 +46,25 @@ class UpdateRule(str, Enum):
     ASCEND = "ascend"
 
 
+def _verbatim(stored: float, observed: float, rate: float) -> float:
+    return min(1.0, max(0.0, stored + rate * (stored - observed)))
+
+
+def _ema(stored: float, observed: float, rate: float) -> float:
+    return min(1.0, max(0.0, stored + rate * (observed - stored)))
+
+
+def _ascend(stored: float, observed: float, rate: float) -> float:
+    return min(1.0, max(0.0, stored + rate * (1.0 - stored)))
+
+
+_UPDATES = {UpdateRule.VERBATIM: _verbatim, UpdateRule.EMA: _ema, UpdateRule.ASCEND: _ascend}
+
+
 def apply_update(rule: UpdateRule, stored: float, observed: float, rate: float) -> float:
-    if rule is UpdateRule.VERBATIM:
-        value = stored + rate * (stored - observed)
-    elif rule is UpdateRule.EMA:
-        value = stored + rate * (observed - stored)
-    elif rule is UpdateRule.ASCEND:
-        value = stored + rate * (1.0 - stored)
-    else:  # pragma: no cover
+    if not isinstance(rule, UpdateRule):
         raise ValueError(f"unknown rule: {rule}")
-    return min(1.0, max(0.0, value))
+    return _UPDATES[rule](stored, observed, rate)
 
 
 def share_filter(payload: ObjectList, confidence_threshold: float) -> ObjectList:
@@ -107,6 +116,7 @@ class ObjectMapStore:
         self.confidence_threshold = confidence_threshold
         self.update_rate = update_rate
         self.update_rule = UpdateRule(update_rule)
+        self._update = _UPDATES[self.update_rule]  # resolved once, not per boost
         self.relevance_radius_m = relevance_radius_m
         self.cells: dict[tuple[int, int, int], list[DetectedObject]] = {}
         # spatial hash over ``cells``: 2-D columns of ``_bucket_edge`` x
@@ -158,7 +168,7 @@ class ObjectMapStore:
             self.hits += 1
             stored = stored_list[match_idx]
             before = stored.confidence
-            after = apply_update(self.update_rule, before, obj.confidence, self.update_rate)
+            after = self._update(before, obj.confidence, self.update_rate)
             stored_list[match_idx] = DetectedObject(stored.label, after, stored.location, stored.extent)
             self.boost_records.append((now_ms, after - before))
 

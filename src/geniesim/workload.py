@@ -315,6 +315,8 @@ def synth_trace(
     ):
         if value < 0:
             raise ValueError(f"{name} must be non-negative: {value}")
+    if frame_period_ms == 0 and n_frames > 1:  # each car's stamps must increase
+        raise ValueError(f"frame_period_ms must be positive when n_frames > 1: {frame_period_ms}")
 
     n_shared = round(overlap_fraction * n_frames)
     n_own = n_frames - n_shared

@@ -174,37 +174,44 @@ def test_random_scenarios_hold_invariants():
 
 
 def test_samples_lie_in_their_hop_bands():
-    """Without jitter or a dedup window, each sample is the sum of its hops:
-    an L sample is the VN round trip plus a car detector draw, an R sample
-    adds the edge round trip to a first-edge detector draw (a draw is the
-    device mean times U(0.95, 1.05)), and a DG hit is the VN round trip plus
-    the hit overhead.  Configs without an edge, or whose detector does not
-    fit on the car or the first edge device, are skipped."""
+    """Without a dedup window, each sample is the sum of its hops: an L
+    sample is the VN round trip plus a car detector draw, an R sample adds
+    the edge round trip to a first-edge detector draw (a draw is the device
+    mean times U(0.95, 1.05)), and a DG hit is the VN round trip plus the hit
+    overhead.  Each crossing of a network adds a U(0, jitter) draw, so each
+    round trip widens its band by [0, 2 * jitter].  Every config runs without
+    jitter and with both jitters.  Configs without an edge, or whose detector
+    does not fit on the car or the first edge device, are skipped."""
     samples = hits = 0
-    for seed in range(60):
+    for seed, (vn_jitter, edge_jitter) in itertools.product(range(60), ((0.0, 0.0), (1.5, 2.5))):
         config = replace(
-            random_config(random.Random(seed)), dedup_window_ms=0.0, vn_jitter_ms=0.0, edge_jitter_ms=0.0
+            random_config(random.Random(seed)),
+            dedup_window_ms=0.0, vn_jitter_ms=vn_jitter, edge_jitter_ms=edge_jitter,
         )
         profiles = config.resolve_profiles()
         devices = (config.car_device, *config.edge_devices[:1])
         if len(devices) < 2 or any(config.model in profiles[d].oom_models for d in devices):
             continue
         vn, edge = config.vn_latency_ms, config.edge_latency_ms
-        for mode, hops, device in (("L", 2 * vn, devices[0]), ("R", 2 * vn + 2 * edge, devices[1])):
+        for mode, hops, spread, device in (
+            ("L", 2 * vn, 2 * vn_jitter, devices[0]),
+            ("R", 2 * vn + 2 * edge, 2 * vn_jitter + 2 * edge_jitter, devices[1]),
+        ):
             report = run_built_scenario(build_scenario(config, mode=mode), mode)
             assert report.completed == report.total_requests, (seed, mode)
             mean = profiles[device].mean_latency_ms[config.model]
             for sample in report.samples:
-                assert hops + 0.95 * mean - 1e-9 <= sample.latency_ms <= hops + 1.05 * mean + 1e-9, (
-                    seed, mode, sample.seq,
+                assert hops + 0.95 * mean - 1e-9 <= sample.latency_ms <= hops + spread + 1.05 * mean + 1e-9, (
+                    seed, vn_jitter, mode, sample.seq,
                 )
             samples += len(report.samples)
         report = run_built_scenario(build_scenario(config), "DG")
+        hit = 2 * vn + config.hit_overhead_ms
         for latency in report.hit_latencies():
-            assert abs(latency - (2 * vn + config.hit_overhead_ms)) <= 1e-9, seed
+            assert hit - 1e-9 <= latency <= hit + 2 * vn_jitter + 1e-9, (seed, vn_jitter)
             hits += 1
         samples += len(report.samples)
-    assert samples > 4_000 and hits > 100  # 5,049 samples and 152 hits over 39 configs
+    assert samples > 8_000 and hits > 200  # 10,099 samples and 304 hits: 39 configs, each with and without jitter
 
 
 def small_scope_grid() -> list[ScenarioConfig]:

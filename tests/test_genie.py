@@ -112,6 +112,19 @@ class TestTopicCacheDB:
         assert {w.key for w in woken} == {("a", 0), ("a", 1)}
         assert db.pending_count() == 0
 
+    def test_filled_record_holds_no_waiters_and_still_hits(self):
+        net, genie, inner, consumer, spy = wire_local_genie()
+        request = image_message("f0")
+        net.publish("camera", request, wire_topic="/image", network="VN1", at=0.0)
+        net.run_until(10.0)
+        net.publish("inner", objects_message(()), wire_topic="/objects-local", network="VN1", at=10.0)
+        net.run_until(20.0)
+        record = genie.db.lookup("/image", content_key(request, "/image"))
+        assert record.waiters == () and record.result is not None
+        net.publish("camera", image_message("f0", seq=1, stamp=30.0), wire_topic="/image", network="VN1", at=30.0)
+        net.run_until(100.0)
+        assert genie.counters.hits == 1 and record.waiters == ()
+
     def test_first_answer_wins(self):
         db = TopicCacheDB((IMAGE,))
         db.add_waiter("/image", "d1", Header("a", 0, 0.0), 0.0)
@@ -372,6 +385,22 @@ class TestArrivalProcedure:
         assert hit_at == pytest.approx(108.8)
         assert hit_msg.via == "hit"
         assert hit_msg.header.seq == 1  # re-headed to the requesting exchange
+
+    def test_hit_from_a_relayed_answer_leaves_as_a_hit(self):
+        net, genie, inner, consumer, spy = wire_local_genie()
+        net.add_node(SimNode("edge", "EDGE"))
+        net.publish("camera", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
+        net.run_until(10.0)
+        relayed = replace(objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),)), via="answer")
+        net.publish("edge", relayed, wire_topic="/objects-remote", network="EDGE", at=10.0)
+        net.run_until(20.0)
+        repeat = image_message("f0", seq=1, stamp=30.0)
+        net.publish("camera", repeat, wire_topic="/image", network="VN1", at=30.0)
+        net.run_until(100.0)
+        assert genie.db.lookup("/image", content_key(repeat, "/image")).result is relayed  # stored as received
+        _, wire, hit = consumer.received[-1]
+        assert (wire, hit.via, hit.header, hit.topic) == ("/objects", "hit", repeat.header, OBJECTS)
+        assert hit.payload == relayed.payload
 
     def test_unmatched_local_answer_is_late_and_dropped(self, monkeypatch):
         net, genie, inner, consumer, spy = wire_local_genie()

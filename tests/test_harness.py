@@ -23,7 +23,7 @@ from geniesim.harness import (
     run_built_scenario,
     run_scenario,
 )
-from geniesim.workload import DEFAULT_PROFILES, count_repeats, save_trace, synth_trace
+from geniesim.workload import DEFAULT_PROFILES, count_repeats, load_trace, save_trace, synth_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,6 +74,12 @@ class TestConfig:
     def test_phantom_ids_validated(self):
         with pytest.raises(ConfigError):
             replace(small_loop(), phantom_cars=("car9",)).validate()
+
+    def test_zero_frame_period_needs_a_single_frame(self):
+        one = small_loop(synth=SynthSpec(route="loop", n_frames=1, frame_period_ms=0))
+        one.validate()
+        with pytest.raises(ConfigError, match=r"config\.synth\.frame_period_ms"):
+            replace(one, synth=replace(one.synth, n_frames=2)).validate()
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ConfigError):
@@ -524,7 +530,7 @@ BAD_FILES = [
     ),
     *(
         pytest.param({"synth": {**SYNTH, name: 0}}, f"config.synth.{name}", id=f"{name}-zero")
-        for name in ("conf_alpha", "conf_beta", "n_frames")
+        for name in ("conf_alpha", "conf_beta", "n_frames", "frame_period_ms")
     ),
     *(
         pytest.param({**LOOP, name: -1}, name, id=f"{name}-negative")
@@ -605,6 +611,17 @@ class TestCli:
         assert err[0].startswith("error:")
         assert flag.removeprefix("--").replace("-", "_") in err[0]
         assert not trace_path.exists()
+
+    def test_synth_refuses_a_zero_period_only_for_several_frames(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        argv = ["synth", "--route", "loop", "--cars", "1", "--period-ms", "0", "--out", str(trace_path)]
+        assert cli_main([*argv, "--frames", "3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: frame_period_ms must be positive")
+        assert not trace_path.exists()
+        assert cli_main([*argv, "--frames", "1"]) == 0
+        assert len(load_trace(trace_path).frames) == 1
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

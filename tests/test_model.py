@@ -1,8 +1,9 @@
 import itertools
 import math
 import random
+import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -264,27 +265,68 @@ class TestTypes:
             assert -math.pi <= normalize_yaw(y) < math.pi
 
     def test_confidence_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^confidence out of range: 1\.3$"):
             DetectedObject("car", 1.3, (0, 0, 0), (1, 1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^confidence out of range: -0\.1$"):
             DetectedObject("car", -0.1, (0, 0, 0), (1, 1, 1))
 
     def test_extent_positive(self):
         for bad in (0, -0.0, -1.0, -math.inf, math.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"extent must be positive: {(1, bad, 1)}")):
                 DetectedObject("car", 0.5, (0, 0, 0), (1, bad, 1))
 
     def test_negative_stamp_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^negative stamp: -1\.0$"):
             Header("car1/camera", 0, -1.0)
 
     def test_payload_topic_kind_must_match(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^payload kind objects does not match topic /image \(image\)$"):
             Message(Header("n", 0, 0.0), IMAGE, ObjectList(()))
 
     def test_empty_topic_name_rejected(self):
         with pytest.raises(ValueError):
             Topic("", PayloadKind.IMAGE)
+
+
+HEADER = Header("car1/camera", 3, 12.5)
+
+
+class TestHandWrittenInit:
+    """The value types built on every hop keep the dataclass contract: frozen
+    fields, eq, hash, repr, defaults and a ``replace`` that validates again.
+    ``TestTypes`` pins their error texts."""
+
+    VALUES = (
+        HEADER,
+        Message(HEADER, IMAGE, model.ImageRef("f0"), via="hit"),
+        DetectedObject("car", 0.5, (1.0, 2.0, 3.0), (1.0, 1.0, 1.0), True),
+    )
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_every_field_refuses_assignment(self, value):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_keyword_and_replaced_copies_are_equal(self, value):
+        by_keyword = type(value)(**{f.name: getattr(value, f.name) for f in fields(value)})
+        for twin in (by_keyword, replace(value)):
+            assert twin == value and twin is not value
+            assert hash(twin) == hash(value) and repr(twin) == repr(value)
+
+    def test_positional_construction_and_defaults(self):
+        assert repr(HEADER) == "Header(origin='car1/camera', seq=3, stamp_ms=12.5)"
+        message = Message(HEADER, IMAGE, model.ImageRef("f0"))
+        assert message.via is None and replace(message, via="answer").via == "answer"
+        detected = DetectedObject("car", 0.5, (1.0, 2.0, 3.0), (1.0, 1.0, 1.0))
+        assert detected.from_map is False
+        assert replace(detected, from_map=True) == self.VALUES[2]
+        assert replace(HEADER, seq=4).key == ("car1/camera", 4)
+        with pytest.raises(ValueError, match="negative stamp"):
+            replace(HEADER, stamp_ms=-2.0)
+        with pytest.raises(ValueError, match="confidence out of range"):
+            replace(detected, confidence=1.5)
 
 
 class TestPayloadBytes:

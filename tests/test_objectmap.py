@@ -54,6 +54,11 @@ class TestUpdateRules:
         assert apply_update(UpdateRule.EMA, 0.0, 0.0, 1.0) == 0.0
         assert apply_update(UpdateRule.VERBATIM, 0.1, 0.9, 1.0) == 0.0
 
+    @pytest.mark.parametrize("rule", ["ema", None, 0])
+    def test_value_that_is_not_a_rule_refused(self, rule):
+        with pytest.raises(ValueError, match="unknown rule"):
+            apply_update(rule, 0.5, 0.5, 0.1)
+
     @given(
         st.sampled_from(list(UpdateRule)),
         st.floats(0, 1),
@@ -82,6 +87,14 @@ class TestIngest:
         (stored,) = store.cells[quantize((1.2, 1.2, 0.2), 0.5)]
         assert stored.confidence == pytest.approx(0.54)
         assert store.hits == 1 and store.requests == 2
+
+    @pytest.mark.parametrize("rule, after", [("verbatim", 0.38), ("ema", 0.62), ("ascend", 0.65)])
+    def test_resight_applies_the_rule_the_store_was_built_with(self, rule, after):
+        store = ObjectMapStore(update_rule=rule, update_rate=0.3)
+        store.ingest(objects_message((obj("car", 0.5, (1.2, 1.2, 0.2)),)), 0.0)
+        store.ingest(objects_message((obj("car", 0.9, (1.2, 1.2, 0.2)),)), 1.0)
+        (stored,) = store.cells[quantize((1.2, 1.2, 0.2), 0.5)]
+        assert stored.confidence == pytest.approx(after)
 
     def test_same_cell_different_label_coexists(self):
         store = ObjectMapStore()

@@ -127,6 +127,11 @@ class TestSynth:
         with pytest.raises(ValueError, match="objects_per_frame"):
             synth_trace(1, "loop", 5, objects_per_frame=-1)
 
+    def test_zero_period_allowed_only_for_one_frame(self):
+        assert len(synth_trace(2, "loop", 1, frame_period_ms=0).frames) == 2
+        with pytest.raises(ValueError, match="frame_period_ms"):
+            synth_trace(1, "loop", 3, frame_period_ms=0)
+
     def test_shared_corridor_shared_ids(self):
         trace = synth_trace(3, "shared-corridor", 50, overlap_fraction=0.4, seed=4)
         shared = {f.image_id for f in trace.by_car["car1"]} & {
