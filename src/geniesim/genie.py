@@ -49,6 +49,7 @@ only to its own requester.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -135,6 +136,11 @@ class TopicCacheDB:
     on it, and its answer stays in ``entries``.  With ``stores=False``
     (transparency mode) each exchange parks its own record under its header
     key: every lookup misses and each answer wakes only its own requester.
+
+    ``oldest_park`` is a lower bound on the park time of every pending
+    record, ``inf`` once a purge finds none: parking lowers it, each purge
+    walk resets it, and a fill leaves it, since a bound stays a bound when
+    records leave.
     """
 
     def __init__(self, topics: tuple[Topic, ...], max_entries: int | None = None, stores: bool = True) -> None:
@@ -142,6 +148,7 @@ class TopicCacheDB:
         self._pending: dict[tuple[str, int], tuple[str, Slot]] = {}
         self.max_entries = max_entries
         self.stores = stores
+        self.oldest_park = math.inf
 
     def topic_map(self, name: str) -> _TopicMap:
         return self._maps[name]
@@ -169,6 +176,8 @@ class TopicCacheDB:
         in_flight = record is not None
         if record is None:
             record = m.pending[slot] = CachedValue(None, now, now)
+            if now < self.oldest_park:
+                self.oldest_park = now
             if self.stores:
                 m.entries[digest] = record
         record.waiters.append(header)
@@ -200,18 +209,21 @@ class TopicCacheDB:
 
         Callers pass a nondecreasing ``now`` (``GenieNode`` passes the fabric
         clock) and a record never moves once parked, so ``pending`` is in
-        park-time order and the walk stops at the first live record: the
-        cost is O(expired + topics), not O(pending).  Every pending record
-        holds at least one waiter, and each waiter is in ``_pending``, so an
-        empty ``_pending`` means nothing is pending and the walk is skipped.
+        park-time order and the walk stops at the first live record.  The
+        walk runs only once ``oldest_park`` is past the TTL, by the same
+        comparison it makes per record, and leaves the bound at the oldest
+        live park time: the cost is O(1) until the oldest pending record is
+        past the TTL, then O(expired + topics).
         """
-        if not self._pending:
+        if now - self.oldest_park <= ttl_ms:
             return 0
         removed = 0
+        oldest = math.inf
         for m in self._maps.values():
             stale = []
             for slot, record in m.pending.items():
                 if now - record.created_ms <= ttl_ms:
+                    oldest = min(oldest, record.created_ms)
                     break
                 stale.append(slot)
             for slot in stale:
@@ -219,6 +231,7 @@ class TopicCacheDB:
                     self._pending.pop(w.key, None)
                     removed += 1
                 m.entries.pop(slot, None)
+        self.oldest_park = oldest
         return removed
 
     def pending_count(self) -> int:
@@ -336,17 +349,25 @@ class GenieNode(SimNode):
         self.answers_on_edge = role is GenieRole.REMOTE or home_network == edge_network
         self.db = TopicCacheDB(spec.subscribes, max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
-        # wire -> (network, topic, answer flavour) for each name this node
-        # hears, in subscription order; the flavour is None for a request
-        self._wires: dict[str, tuple[str, Topic, str | None]] = {}
+        # wire -> (network, topic, answer flavour, request topic map) for each
+        # name this node hears, in subscription order; a request has flavour
+        # None, an answer topic map None
+        self._wires: dict[str, tuple[str, Topic, str | None, _TopicMap | None]] = {}
         if not self.answers_on_edge:
-            self._wires |= {t.name: (home_network, t, None) for t in spec.subscribes}
+            self._wires |= {t.name: (home_network, t, None, self.db.topic_map(t.name)) for t in spec.subscribes}
         if role is not GenieRole.PHANTOM:
-            self._wires |= {t.name + LOCAL_SUFFIX: (home_network, t, "local") for t in spec.publishes}
-        remote = {t.name + REMOTE_SUFFIX: (edge_network, t, "remote") for t in spec.publishes}
+            self._wires |= {t.name + LOCAL_SUFFIX: (home_network, t, "local", None) for t in spec.publishes}
+        remote = {t.name + REMOTE_SUFFIX: (edge_network, t, "remote", None) for t in spec.publishes}
         if self.answers_on_edge:
-            remote |= {t.name + REMOTE_SUFFIX: (edge_network, t, None) for t in spec.subscribes}
+            remote |= {
+                t.name + REMOTE_SUFFIX: (edge_network, t, None, self.db.topic_map(t.name)) for t in spec.subscribes
+            }
         self._wires |= sorted(remote.items())
+        # answer topic -> the (wire, network) this node answers its requesters on
+        self._answer_surfaces = {
+            t.name: (t.name + REMOTE_SUFFIX, edge_network) if self.answers_on_edge else (t.name, home_network)
+            for t in spec.publishes
+        }
 
     # -- wiring ---------------------------------------------------------------
 
@@ -356,7 +377,7 @@ class GenieNode(SimNode):
         ones sorted.  A vehicle wrapper uploads requests; it does not serve
         other vehicles' uploads, so only an edge-resident wrapper hears
         ``-remote`` requests."""
-        return [(wire, network) for wire, (network, _, _) in self._wires.items()]
+        return [(wire, network) for wire, (network, *_) in self._wires.items()]
 
     def attach(self, net: Fabric, origin_prefix: str = "") -> None:
         """Join the fabric and subscribe.  With ``origin_prefix`` (a vehicle
@@ -371,9 +392,10 @@ class GenieNode(SimNode):
 
     def expire(self, now: float) -> None:
         """Drop pending requests older than the TTL, counting the dropped
-        waiters in ``expired``.  Arrivals call it, and the harness calls it
-        once more when the drain ends, so the count does not depend on
-        whether unrelated traffic arrived after the TTL."""
+        waiters in ``expired``.  An arrival calls it only once the DB's
+        oldest park is past the TTL, and the harness calls it once more when
+        the drain ends, so the count does not depend on whether unrelated
+        traffic arrived after the TTL."""
         self.counters.expired += self.db.purge_expired(now, self.pending_ttl_ms)
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
@@ -381,10 +403,11 @@ class GenieNode(SimNode):
         if heard is None or kind_of(message.payload) is not heard[1].kind:
             self.counters.malformed_dropped += 1
             return
-        _, topic, flavor = heard
-        self.expire(at)
+        _, topic, flavor, tm = heard
+        if at - self.db.oldest_park > self.pending_ttl_ms:
+            self.expire(at)
 
-        if flavor is not None:
+        if tm is None:
             pend = self.db.pending(message.header.key)
             if pend is not None:
                 self._handle_answer(net, at, flavor, pend, message)
@@ -396,12 +419,11 @@ class GenieNode(SimNode):
             return
 
         base = topic.name
-        tm = self.db.topic_map(base)
         digest = content_key(message, base)
         self.counters.requests += 1
         tm.requests += 1
 
-        entry = self.db.lookup(base, digest)
+        entry = tm.entries.get(digest)
         if entry is not None and entry.result is not None:
             self.counters.hits += 1
             tm.hits += 1
@@ -444,7 +466,7 @@ class GenieNode(SimNode):
         # peers that heard the same broadcast we did need no relay from us
         if self.answers_on_edge and flavor == "remote":
             return
-        wire, network = self._answer_surface(message.topic.name)
+        wire, network = self._answer_surfaces[message.topic.name]
         for waiter in woken:
             out = Message(waiter, message.topic, message.payload, via="answer")
             net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.answer_overhead_ms)
@@ -456,15 +478,8 @@ class GenieNode(SimNode):
             # augment adds only objects at or above the map's share threshold
             payload = self.object_map.augment(payload)
         out = Message(request.header, result.topic, payload, via="hit")
-        wire, network = self._answer_surface(result.topic.name)
-        net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)
-
-    # -- helpers ------------------------------------------------------------------
-
-    def _answer_surface(self, answer_topic: str) -> tuple[str, str]:
-        if self.answers_on_edge:
-            return answer_topic + REMOTE_SUFFIX, self.edge_network
-        return answer_topic, self.home_network
+        wire, network = self._answer_surfaces[result.topic.name]
+        net.publish(self.name, out, wire, network, at + self.hit_overhead_ms)
 
     # -- export ---------------------------------------------------------------------
 

@@ -12,6 +12,7 @@ hunting for something specific.
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -20,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import geniesim
-from geniesim.genie import GenieNode, GenieRole
+from geniesim.genie import GenieNode, GenieRole, TopicCacheDB
 from geniesim.harness import (
     MODES,
     ObjectMapParams,
@@ -385,7 +386,7 @@ def _reference_serve_hit(self, net, at, request, entry):
         self.object_map._answers.clear()
         payload = self.object_map.augment(payload)
     out = replace(result, header=request.header, payload=payload, via="hit")
-    wire, network = self._answer_surface(result.topic.name)
+    wire, network = self._answer_surfaces[result.topic.name]
     net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.hit_overhead_ms)
 
 
@@ -499,3 +500,33 @@ def test_emitted_files_do_not_depend_on_the_hash_seed(tmp_path):
         emitted[seed] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
     assert len(emitted["0"]) == 2 * 3 * 4  # two configs, three modes, four files
     assert emitted["0"] == emitted["12345"]
+
+
+# every relation config at TTLs short enough to expire exchanges in flight,
+# with and without a bound of two entries, some with the cache off
+SHORT_TTL_CONFIGS = [
+    replace(config, pending_ttl_ms=ttl, max_cache_entries=2 if k % 2 else None, force_miss=k % 3 == 0)
+    for k, (config, ttl) in enumerate(itertools.product(RELATION_CONFIGS, (0.0, 1.0, 5.0, 34.0, 250.0)))
+]
+
+
+def test_expiry_bound_only_skips_walks_that_expire_nothing(tmp_path, monkeypatch):
+    """Arrivals skip the expiry walk while ``oldest_park`` is within the TTL.
+    A bound that always reads ``-inf`` walks on every arrival, as a DB
+    without the bound would; every emitted file must be the same."""
+    configs = {f"fuzz:{m}": random_config(random.Random(f"fuzz:{m}")) for m in MASTER_SEEDS}
+    configs |= {f"short-ttl:{i}": config for i, config in enumerate(SHORT_TTL_CONFIGS)}
+    expired = 0
+    for name, config in configs.items():
+        emitted = {}
+        for walk_always in (False, True):
+            with monkeypatch.context() as m:
+                if walk_always:
+                    always_due = property(lambda self: -math.inf, lambda self, value: None)
+                    m.setattr(TopicCacheDB, "oldest_park", always_due, raising=False)
+                scenario = build_scenario(config)
+                files = emit_report(run_built_scenario(scenario, "DG"), tmp_path / f"{name}-{walk_always}")
+            emitted[walk_always] = {path.name: path.read_bytes() for path in files}
+        assert emitted[True] == emitted[False], name
+        expired += sum(genie.counters.expired for genie in scenario.genies.values())
+    assert expired > 0  # the short TTLs expire exchanges in flight

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -452,6 +453,40 @@ class TestArrivalProcedure:
         net.run_until(3000.0)
         assert genie.counters.expired == 2  # both coalesced waiters on f0
         assert genie.counters_dict()["expired"] == 2
+
+    def test_arrivals_walk_the_pending_records_only_once_one_is_due(self, monkeypatch):
+        net, genie, inner, consumer, spy = wire_local_genie(pending_ttl_ms=1000.0)
+        walks = []
+        purge = TopicCacheDB.purge_expired
+
+        def spy_purge(db, now, ttl_ms):
+            walks.append(now)
+            return purge(db, now, ttl_ms)
+
+        monkeypatch.setattr(TopicCacheDB, "purge_expired", spy_purge)
+
+        def arrive(content, seq, t):
+            net.publish("camera", image_message(content, seq=seq, stamp=t), wire_topic="/image", network="VN1", at=t)
+            net.run_until(t)
+
+        arrive("f0", 0, 0.0)
+        arrive("f1", 1, 500.0)
+        arrive("f1", 2, 999.0)  # coalesces on f1
+        arrive("f2", 3, 1000.0)  # exactly f0's park + TTL: not yet past it
+        assert walks == []
+        assert genie.db.pending(("car1/camera", 0)) is not None
+        past_due = math.nextafter(1000.0, math.inf)
+        arrive("f3", 4, past_due)
+        assert walks == [past_due]
+        assert genie.counters.expired == 1
+        assert genie.db.pending(("car1/camera", 0)) is None
+        arrive("f0", 5, 1001.0)  # f1, parked at 500, bounds the next walk
+        net.run_until(1100.0)
+        assert walks == [past_due]
+        assert genie.counters.expired == 1
+        # the repeat of f0 after its expiry misses and is forwarded again
+        assert genie.counters.misses == 6
+        assert [m.payload.content_id for _, _, m in inner.received] == ["f0", "f1", "f2", "f3", "f0"]
 
     def test_malformed_message_dropped_with_diagnostic(self):
         net, genie, inner, consumer, spy = wire_local_genie()
