@@ -127,6 +127,10 @@ class ScenarioConfig:
         rules = sorted(r.value for r in UpdateRule)
         if self.object_map.update_rule not in rules:
             raise ConfigError(f"object_map.update_rule must be one of {rules}")
+        try:
+            ObjectMapStore(**asdict(self.object_map))
+        except ValueError as exc:  # each message starts with the field name
+            raise ConfigError(f"config.object_map.{exc}") from exc
         if self.trace_file is None and self.synth is None:
             raise ConfigError("either trace_file or synth parameters are required")
         if self.synth is not None:
@@ -297,8 +301,6 @@ def _check_map_range(trace: Trace, params: ObjectMapParams) -> None:
     radius, divided by the cell size, must be finite, or quantizing it
     overflows mid-run.  The loader checks each number only on its own."""
     r, res = params.relevance_radius_m, params.resolution_m
-    if res <= 0:  # ObjectMapStore refuses the resolution itself
-        return
     for frame in trace.frames:
         for t in frame.truths:
             location = translate_location(t.offset, frame.pose)
@@ -452,13 +454,9 @@ build_genie_scenario = build_scenario
 # -- metrics -----------------------------------------------------------------
 
 
-def empirical_cdf(values: list[float]) -> list[tuple[float, float]]:
-    """Sorted samples paired with their cumulative fraction."""
-    return list(_cdf_rows(values))
-
-
 def _cdf_rows(values: list[float]) -> Iterator[tuple[float, float]]:
-    """:func:`empirical_cdf`'s rows, one at a time."""
+    """The empirical CDF, one row at a time: each sample in ascending order
+    paired with its 1-based rank divided by the sample count."""
     ordered = sorted(values)
     n = len(ordered)
     return ((v, (i + 1) / n) for i, v in enumerate(ordered))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
@@ -226,36 +226,6 @@ def core_objects(payload: ObjectList) -> tuple[DetectedObject, ...]:
     return tuple(o for o in payload.objects if not o.from_map)
 
 
-def strip_map_objects(message: Message) -> Message:
-    """Copy of ``message`` with map-appended objects removed (no-op for
-    non-object payloads)."""
-    if not isinstance(message.payload, ObjectList):
-        return message
-    return replace(message, payload=ObjectList(core_objects(message.payload)))
-
-
-def _object_token(obj: DetectedObject) -> str:
-    loc = ",".join(repr(v) for v in obj.location)
-    ext = ",".join(repr(v) for v in obj.extent)
-    return f"{obj.label}|{obj.confidence!r}|{loc}|{ext}"
-
-
-def payload_bytes(payload: Payload) -> bytes:
-    """Canonical byte serialization of payload content, order-preserving.
-
-    Used for byte-identity checks between detector outputs and cache
-    answers.  ``from_map`` objects carry a marker so callers can see
-    augmentation, but most comparisons strip them first.
-    """
-    kind = kind_of(payload)
-    if isinstance(payload, ImageRef):
-        return f"{kind.value}|{payload.content_id}".encode()
-    parts = [kind.value]
-    for obj in payload.objects:
-        parts.append(_object_token(obj) + ("|map" if obj.from_map else ""))
-    return "\x1e".join(parts).encode()
-
-
 # confidence, location and extent of one object, as IEEE-754 doubles
 _OBJECT_FLOATS = struct.Struct("<7d")
 
@@ -268,10 +238,12 @@ def content_key(message: Message, topic_name: str | None = None) -> str:
     and map-appended objects are excluded so an augmented answer digests
     the same as the plain one.  Each object is hashed as its length-prefixed
     UTF-8 label and the packed IEEE-754 bits of its seven floats, so two
-    lists digest equal exactly when their sorted :func:`_object_token`
-    strings are equal: ``repr`` is injective on doubles too, and both tell
-    ``0.0`` from ``-0.0``.  Only NaN's many bit patterns share one ``repr``;
-    the trace loader refuses non-finite numbers, so no NaN reaches a payload.
+    lists digest equal exactly when, once sorted, they pair up object for
+    object with equal labels and the same ``repr`` of each confidence,
+    location and extent value: ``repr`` is injective on doubles, and both it
+    and the bits tell ``0.0`` from ``-0.0``.  Only NaN's many bit patterns
+    share one ``repr``; the trace loader refuses non-finite numbers, so no
+    NaN reaches a payload.
 
     Payloads are immutable, so the digest is memoized with its topic name
     in the payload's own ``_digest`` slot, which no identity check sees.  A

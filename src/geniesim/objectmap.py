@@ -10,7 +10,6 @@ confidence threshold are ever shared outward.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import replace
 from enum import Enum
@@ -290,15 +289,4 @@ class ObjectMapStore:
                 cell, ix * res, (ix + 1) * res, iy * res, (iy + 1) * res, iz * res, (iz + 1) * res,
             ))
         self._indexed = len(self.cells)
-
-    # -- export ---------------------------------------------------------------
-
-    def state_digest(self) -> str:
-        """Hash of the full store contents; used to prove read-only paths."""
-        h = hashlib.sha256()
-        for cell in sorted(self.cells):
-            h.update(repr(cell).encode())
-            for o in sorted(self.cells[cell], key=DetectedObject.sort_key):
-                h.update(repr(o.sort_key()).encode())
-        return h.hexdigest()
 

@@ -370,18 +370,6 @@ def synth_trace(
     return Trace.build(frames)
 
 
-def count_repeats(trace: Trace, car: str) -> int:
-    """Brute-force count of sightings whose image id was seen earlier by the
-    same car; the independent oracle for local image reuse."""
-    seen: set[str] = set()
-    repeats = 0
-    for f in trace.by_car.get(car, ()):
-        if f.image_id in seen:
-            repeats += 1
-        seen.add(f.image_id)
-    return repeats
-
-
 # -- device profiles -----------------------------------------------------------
 
 # a detector run takes its device's mean latency scaled by U(1 - f, 1 + f)

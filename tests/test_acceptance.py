@@ -22,7 +22,7 @@ from geniesim.harness import (
     emit_report,
     run_scenario,
 )
-from geniesim.model import ObjectList, payload_bytes, strip_map_objects
+from geniesim.model import ObjectList
 from geniesim.objectmap import (
     ObjectMapStore,
     UpdateRule,
@@ -35,11 +35,11 @@ from geniesim.workload import (
     DEFAULT_PROFILES,
     DetectorNode,
     OomError,
-    count_repeats,
     detector_stub,
     synth_trace,
 )
 from conftest import OBJECTS, image_message, obj
+from oracles import count_repeats, payload_bytes, strip_map_objects
 
 
 def ok(name: str) -> None:

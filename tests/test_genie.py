@@ -925,7 +925,7 @@ class TestTransparency:
             run_built_scenario,
             run_scenario,
         )
-        from geniesim.model import payload_bytes, strip_map_objects
+        from oracles import payload_bytes, strip_map_objects
 
         config = ScenarioConfig(
             n_cars=1,

@@ -15,15 +15,16 @@ from geniesim.harness import (
     RelayNode,
     ScenarioConfig,
     SynthSpec,
+    _cdf_rows,
     build_genie_scenario,
     build_scenario,
     compare_baselines,
     emit_report,
-    empirical_cdf,
     run_built_scenario,
     run_scenario,
 )
-from geniesim.workload import DEFAULT_PROFILES, count_repeats, load_trace, save_trace, synth_trace
+from geniesim.workload import DEFAULT_PROFILES, load_trace, save_trace, synth_trace
+from oracles import count_repeats, empirical_cdf
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -80,6 +81,15 @@ class TestConfig:
         one.validate()
         with pytest.raises(ConfigError, match=r"config\.synth\.frame_period_ms"):
             replace(one, synth=replace(one.synth, n_frames=2)).validate()
+
+    def test_bad_object_map_rejected_before_any_mode_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            "geniesim.harness.run_built_scenario", lambda scenario, mode: ran.append(mode)
+        )
+        with pytest.raises(ConfigError, match=r"^config\.object_map\.resolution_m"):
+            compare_baselines(small_loop(object_map=ObjectMapParams(resolution_m=0.0)))
+        assert ran == []
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ConfigError):
@@ -288,7 +298,7 @@ class TestCompareBaselines:
     def test_caching_never_changes_detected_content(self):
         # per frame, the cached mode delivers the same detections the
         # local-only mode computes; map-flagged additions are the only delta
-        from geniesim.model import payload_bytes, strip_map_objects
+        from oracles import payload_bytes, strip_map_objects
 
         reports = compare_baselines(small_loop(n_cars=2, synth=SynthSpec(
             route="shared-corridor", n_frames=30, overlap_fraction=0.5, stagger_ms=1000.0
@@ -428,7 +438,7 @@ class TestPhantoms:
 
 class TestEmitReport:
     def test_cdf_definition(self):
-        assert empirical_cdf([15.0, 5.0, 10.0]) == [
+        assert list(_cdf_rows([15.0, 5.0, 10.0])) == [
             (5.0, 1 / 3),
             (10.0, 2 / 3),
             (15.0, 1.0),
@@ -543,6 +553,14 @@ BAD_FILES = [
     ),
     pytest.param(
         {**LOOP, "object_map": {"relevance_radius_m": -1}}, "relevance_radius_m", id="radius-negative"
+    ),
+    *(
+        pytest.param({**LOOP, "object_map": {name: value}}, f"config.object_map.{name}", id=case)
+        for case, name, value in (
+            ("resolution-zero", "resolution_m", 0),
+            ("threshold-above-one", "confidence_threshold", 1.5),
+            ("rate-zero", "update_rate", 0),
+        )
     ),
     *(
         pytest.param({**LOOP, "profiles_file": name}, names, id=name.removesuffix(".json"))

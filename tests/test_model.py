@@ -17,16 +17,14 @@ from geniesim.model import (
     PayloadKind,
     Pose,
     Topic,
-    _object_token,
     content_key,
     core_objects,
     inverse_translate,
     normalize_yaw,
-    payload_bytes,
-    strip_map_objects,
     translate_location,
 )
 from conftest import IMAGE, image_message, obj, objects_message
+from oracles import _object_token, payload_bytes, strip_map_objects
 
 
 class TestContentKey:

@@ -1,6 +1,8 @@
 """The package runs on the standard library alone: every absolute import in
 ``src/geniesim`` names ``geniesim`` or a standard-library module, and
-``pyproject.toml`` declares no dependencies."""
+``pyproject.toml`` declares no dependencies.  The test oracles stay
+independent of the code they check: ``tests/oracles.py`` takes from the
+package only the value types of ``geniesim.model``."""
 
 import ast
 import sys
@@ -10,6 +12,7 @@ import geniesim
 
 PACKAGE = Path(geniesim.__file__).parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+ORACLES = Path(__file__).with_name("oracles.py")
 
 
 def absolute_imports(path):
@@ -40,3 +43,8 @@ def test_pyproject_declares_no_dependencies():
     assert [line for line in project.splitlines() if line.startswith("dependencies")] == [
         "dependencies = []"
     ]
+
+
+def test_oracles_take_only_the_value_types_from_the_package():
+    package = [name for name in absolute_imports(ORACLES) if name.partition(".")[0] == "geniesim"]
+    assert package and set(package) == {"geniesim.model"}

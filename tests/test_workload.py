@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from geniesim.model import Pose, payload_bytes
+from geniesim.model import Pose
 from geniesim.objectmap import quantize
 from geniesim.simnet import Fabric, SimNode
 from geniesim.workload import (
@@ -17,7 +17,6 @@ from geniesim.workload import (
     TraceError,
     TraceFrame,
     UnknownModelError,
-    count_repeats,
     detector_stub,
     load_device_profiles,
     load_trace,
@@ -25,6 +24,7 @@ from geniesim.workload import (
     synth_trace,
 )
 from conftest import OBJECTS, image_message
+from oracles import count_repeats, payload_bytes
 
 
 class TestDeviceProfiles:
