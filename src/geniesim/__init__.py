@@ -25,6 +25,7 @@ from .simnet import Fabric, Link, SimNode
 from .workload import (
     DetectorNode,
     DeviceProfile,
+    SynthSpec,
     Trace,
     TraceFrame,
     detector_stub,
@@ -37,7 +38,6 @@ from .harness import (
     MetricsReport,
     ObjectMapParams,
     ScenarioConfig,
-    SynthSpec,
     compare_baselines,
     emit_report,
     run_scenario,

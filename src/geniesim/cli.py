@@ -29,14 +29,13 @@ from .harness import (
     emit_report,
     run_scenario,
 )
-from .workload import ROUTES, save_trace, synth_trace
+from .workload import ROUTES, SynthSpec, save_trace, synth_trace
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     config = ScenarioConfig.from_json_file(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    config.validate()
     return config
 
 
@@ -85,14 +84,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     trace = synth_trace(
-        n_cars=args.cars,
-        route=args.route,
-        n_frames=args.frames,
-        objects_per_frame=args.objects_per_frame,
-        overlap_fraction=args.overlap,
-        seed=args.seed if args.seed is not None else 0,
-        frame_period_ms=args.period_ms,
-        stagger_ms=args.stagger_ms,
+        args.cars, args.route, args.frames, seed=args.seed, objects_per_frame=args.objects_per_frame,
+        overlap_fraction=args.overlap, frame_period_ms=args.period_ms, stagger_ms=args.stagger_ms,
     )
     save_trace(trace, args.out)
     print(f"wrote {args.out}: {len(trace.frames)} frames, cars {', '.join(trace.cars)}")
@@ -124,15 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default=None)
     p_cmp.set_defaults(fn=cmd_compare)
 
+    spec = SynthSpec()  # a trace's defaults, shared with the config's synth section
     p_syn = sub.add_parser("synth", help="generate a synthetic trace")
-    p_syn.add_argument("--route", choices=ROUTES, default="loop")
+    p_syn.add_argument("--route", choices=ROUTES, default=spec.route)
     p_syn.add_argument("--cars", type=int, default=1)
-    p_syn.add_argument("--frames", type=int, default=100)
-    p_syn.add_argument("--overlap", type=float, default=0.0)
-    p_syn.add_argument("--objects-per-frame", type=int, default=3)
-    p_syn.add_argument("--period-ms", type=int, default=100)
-    p_syn.add_argument("--stagger-ms", type=float, default=300.0)
-    p_syn.add_argument("--seed", type=int, default=None)
+    p_syn.add_argument("--frames", type=int, default=spec.n_frames)
+    p_syn.add_argument("--overlap", type=float, default=spec.overlap_fraction)
+    p_syn.add_argument("--objects-per-frame", type=int, default=spec.objects_per_frame)
+    p_syn.add_argument("--period-ms", type=int, default=spec.frame_period_ms)
+    p_syn.add_argument("--stagger-ms", type=float, default=spec.stagger_ms)
+    p_syn.add_argument("--seed", type=int, default=spec.seed)
     p_syn.add_argument("--out", required=True)
     p_syn.set_defaults(fn=cmd_synth)
 

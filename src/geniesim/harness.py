@@ -26,12 +26,13 @@ from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
 from .model import (
     LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic, translate_location,
 )
-from .objectmap import ObjectMapStore, UpdateRule
+from .objectmap import ObjectMapStore
 from .simnet import Fabric, SimNode
 from .workload import (
     DEFAULT_PROFILES,
     DetectorNode,
     DeviceProfile,
+    SynthSpec,
     Trace,
     load_device_profiles,
     load_trace,
@@ -59,25 +60,14 @@ class ObjectMapParams:
 
 
 @dataclass(frozen=True)
-class SynthSpec:
-    route: str = "loop"
-    n_frames: int = 100
-    objects_per_frame: int = 3
-    overlap_fraction: float = 0.0
-    frame_period_ms: int = 100
-    stagger_ms: float = 300.0
-    conf_alpha: float = 5.0
-    conf_beta: float = 3.0
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one run; mirrors the CLI config file field for
     field.  ``edge_devices`` holds one profile name per edge caching node
     (a heterogeneous cluster mixes profiles); ``phantom_cars`` lists cars
     that carry no detector and live off the collective cache.  ``from_dict``
-    checks each value against the field annotations; ``validate`` checks ranges."""
+    checks each value against the field annotations; ``validate`` checks
+    ranges, and hands each section to the class that owns its rules
+    (``ObjectMapStore``, ``SynthSpec``).  Each error names its ``config.`` path."""
 
     n_cars: int = 1
     car_device: str = "Nano"
@@ -105,9 +95,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         if self.n_cars < 1:
-            raise ConfigError("n_cars must be >= 1")
+            raise ConfigError("config.n_cars must be >= 1")
         if self.deadline_ms <= 0:
-            raise ConfigError("deadline_ms must be positive")
+            raise ConfigError("config.deadline_ms must be positive")
         for name in (
             "hit_overhead_ms",
             "miss_overhead_ms",
@@ -121,36 +111,27 @@ class ScenarioConfig:
             "edge_jitter_ms",
         ):
             if getattr(self, name) < 0:  # zero is valid: no delay, no window
-                raise ConfigError(f"{name} must be non-negative")
+                raise ConfigError(f"config.{name} must be non-negative")
         if self.max_cache_entries is not None and self.max_cache_entries < 1:
-            raise ConfigError("max_cache_entries must be >= 1")
-        rules = sorted(r.value for r in UpdateRule)
-        if self.object_map.update_rule not in rules:
-            raise ConfigError(f"object_map.update_rule must be one of {rules}")
+            raise ConfigError("config.max_cache_entries must be >= 1")
         try:
             ObjectMapStore(**asdict(self.object_map))
         except ValueError as exc:  # each message starts with the field name
             raise ConfigError(f"config.object_map.{exc}") from exc
         if self.trace_file is None and self.synth is None:
-            raise ConfigError("either trace_file or synth parameters are required")
+            raise ConfigError("config.synth: either trace_file or synth is required")
         if self.synth is not None:
-            for name in ("objects_per_frame", "frame_period_ms", "stagger_ms"):
-                if getattr(self.synth, name) < 0:
-                    raise ConfigError(f"config.synth.{name} must be non-negative")
-            for name in ("conf_alpha", "conf_beta"):  # gamma shape parameters
-                if getattr(self.synth, name) <= 0:
-                    raise ConfigError(f"config.synth.{name} must be positive")
-            if self.synth.n_frames < 1:
-                raise ConfigError("config.synth.n_frames must be >= 1")
-            if self.synth.frame_period_ms == 0 and self.synth.n_frames > 1:
-                raise ConfigError("config.synth.frame_period_ms must be positive when n_frames > 1")
+            try:
+                self.synth.check()
+            except ValueError as exc:  # each message starts with the field name
+                raise ConfigError(f"config.synth.{exc}") from exc
         for i, car in enumerate(self.phantom_cars):
             if car in self.phantom_cars[:i]:
                 raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")
         cars = {f"car{i + 1}" for i in range(self.n_cars)}
         unknown = set(self.phantom_cars) - cars
         if unknown and self.trace_file is None:
-            raise ConfigError(f"phantom cars not in scenario: {sorted(unknown)}")
+            raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the scenario")
 
     def resolve_profiles(self) -> dict[str, DeviceProfile]:
         profiles = (
@@ -359,10 +340,10 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         raise ConfigError("remote baseline needs at least one edge device")
     profiles = config.resolve_profiles()
     trace = trace if trace is not None else _scenario_trace(config)
+    unknown = set(config.phantom_cars) - set(trace.cars)
+    if unknown:  # in every mode, so a compare refuses before any mode runs
+        raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the trace")
     phantoms = config.phantom_cars if mode == "DG" else ()
-    unknown = set(phantoms) - set(trace.cars)
-    if unknown:
-        raise ConfigError(f"phantom cars not in trace: {sorted(unknown)}")
     net = Fabric(seed=config.seed)
     net.on_delivery = None
     if mode != "L":

@@ -111,10 +111,13 @@ class ObjectMapStore:
             raise ValueError("update_rate must be in (0, 1]")
         if relevance_radius_m < 0:  # zero is valid: augment adds nothing
             raise ValueError("relevance_radius_m must be non-negative")
+        try:
+            self.update_rule = UpdateRule(update_rule)
+        except ValueError:
+            raise ValueError(f"update_rule must be one of {sorted(r.value for r in UpdateRule)}") from None
         self.resolution_m = resolution_m
         self.confidence_threshold = confidence_threshold
         self.update_rate = update_rate
-        self.update_rule = UpdateRule(update_rule)
         self._update = _UPDATES[self.update_rule]  # resolved once, not per boost
         self.relevance_radius_m = relevance_radius_m
         self.cells: dict[tuple[int, int, int], list[DetectedObject]] = {}

@@ -219,6 +219,45 @@ def save_trace(trace: Trace, path: str | Path) -> None:
 
 ROUTES = ("loop", "shared-corridor", "disjoint")
 
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """The shape of a synthetic trace: the keywords of :func:`synth_trace`,
+    the ``synth`` section of a scenario config and the flags of
+    ``genie-sim synth``, with their defaults.  A ``None`` seed means 0 to
+    ``synth_trace`` and the scenario's seed to a scenario config."""
+
+    route: str = "loop"
+    n_frames: int = 100
+    objects_per_frame: int = 3
+    overlap_fraction: float = 0.0
+    frame_period_ms: int = 100
+    stagger_ms: float = 300.0
+    conf_alpha: float = 5.0
+    conf_beta: float = 3.0
+    seed: int | None = None
+
+    def check(self) -> None:
+        """Raise ``ValueError`` at the first field out of range; the message
+        starts with the field's name."""
+        if self.route not in ROUTES:
+            raise ValueError(f"route must be one of {ROUTES}: {self.route!r}")
+        if self.n_frames < 1:
+            raise ValueError(f"n_frames must be >= 1: {self.n_frames}")
+        for name in ("objects_per_frame", "frame_period_ms", "stagger_ms"):
+            if not 0 <= getattr(self, name) < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and non-negative: {getattr(self, name)}")
+        if self.frame_period_ms == 0 and self.n_frames > 1:  # each car's stamps must increase
+            raise ValueError(f"frame_period_ms must be positive when n_frames > 1: {self.frame_period_ms}")
+        if not 0.0 <= self.overlap_fraction <= 1.0:
+            raise ValueError(f"overlap_fraction must be in [0, 1]: {self.overlap_fraction}")
+        if self.route == "disjoint" and self.overlap_fraction != 0.0:
+            raise ValueError(f"overlap_fraction must be 0 on a disjoint route: {self.overlap_fraction}")
+        for name in ("conf_alpha", "conf_beta"):  # beta-distribution shape parameters
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive: {getattr(self, name)}")
+
+
 _LABELS = ("traffic_light", "stop_sign", "car", "pedestrian", "cyclist", "pole")
 _EXTENTS = {
     "traffic_light": (0.4, 0.4, 1.2),
@@ -259,10 +298,11 @@ def _make_scene(rng: random.Random, index: int, band: float, n_objects: int) -> 
 
 
 def _sighting(
-    rng: random.Random, scene: _Scene, view: Pose, image_id: str, alpha: float, beta: float
+    rng: random.Random, scene: _Scene, view: Pose, image_id: str, spec: SynthSpec
 ) -> tuple[Pose, str, tuple[GroundTruth, ...]]:
     """One look at ``scene`` from ``view``: the pose, image id and truths of a
     frame, with a fresh confidence drawn for each object."""
+    alpha, beta = spec.conf_alpha, spec.conf_beta
     truths = []
     for label, absolute, extent in scene.objects:
         conf = min(1.0, max(0.0, rng.betavariate(alpha, beta)))
@@ -270,18 +310,7 @@ def _sighting(
     return view, image_id, tuple(truths)
 
 
-def synth_trace(
-    n_cars: int,
-    route: str,
-    n_frames: int,
-    objects_per_frame: int = 3,
-    overlap_fraction: float = 0.0,
-    seed: int = 0,
-    frame_period_ms: int = 100,
-    stagger_ms: float = 300.0,
-    conf_alpha: float = 5.0,
-    conf_beta: float = 3.0,
-) -> Trace:
+def synth_trace(n_cars: int, route: str, n_frames: int, **params) -> Trace:
     """Deterministic synthetic trace for one of three route shapes.
 
     loop             each car circles its own block: the first frames are
@@ -297,28 +326,18 @@ def synth_trace(
     disjoint         every car sees only its own frames and objects; requires
                      overlap_fraction == 0.
 
-    Identical seeds yield identical traces, and car k's frames do not depend
-    on n_cars, so a 1-car run is a strict subset of a 3-car run.
+    ``params`` are the other :class:`SynthSpec` fields, which ``check``
+    validates; an omitted or ``None`` seed means 0.  Identical seeds yield
+    identical traces, and car k's frames do not depend on n_cars, so a 1-car
+    run is a strict subset of a 3-car run.
     """
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if not 0.0 <= overlap_fraction <= 1.0:
-        raise ValueError(f"overlap_fraction out of [0, 1]: {overlap_fraction}")
-    if route == "disjoint" and overlap_fraction != 0.0:
-        raise ValueError("disjoint routes cannot overlap")
-    if n_cars < 1 or n_frames < 1:
-        raise ValueError("need at least one car and one frame")
-    for name, value in (
-        ("objects_per_frame", objects_per_frame),
-        ("frame_period_ms", frame_period_ms),
-        ("stagger_ms", stagger_ms),
-    ):
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative: {value}")
-    if frame_period_ms == 0 and n_frames > 1:  # each car's stamps must increase
-        raise ValueError(f"frame_period_ms must be positive when n_frames > 1: {frame_period_ms}")
+    spec = SynthSpec(route, n_frames, **params)
+    spec.check()
+    if n_cars < 1:
+        raise ValueError(f"n_cars must be >= 1: {n_cars}")
+    seed = 0 if spec.seed is None else spec.seed
 
-    n_shared = round(overlap_fraction * n_frames)
+    n_shared = round(spec.overlap_fraction * n_frames)
     n_own = n_frames - n_shared
     frames: list[TraceFrame] = []
 
@@ -328,17 +347,15 @@ def synth_trace(
         # string seeds hash stably across processes; tuple seeds would not
         world_rng = random.Random(f"{seed}:corridor")
         n_scenes = max(1, n_shared if n_shared else math.ceil(n_own / 2))
-        shared_scenes = [
-            _make_scene(world_rng, i, 0.0, objects_per_frame) for i in range(n_scenes)
-        ]
+        shared_scenes = [_make_scene(world_rng, i, 0.0, spec.objects_per_frame) for i in range(n_scenes)]
         for i in range(n_shared):
             scene = shared_scenes[i % n_scenes]
-            shared.append(_sighting(world_rng, scene, scene.pose, f"S{i:06d}", conf_alpha, conf_beta))
+            shared.append(_sighting(world_rng, scene, scene.pose, f"S{i:06d}", spec))
 
     for ci in range(n_cars):
         car = f"car{ci + 1}"
         rng = random.Random(f"{seed}:{car}")
-        start = round(ci * stagger_ms)
+        start = round(ci * spec.stagger_ms)
 
         if route != "shared-corridor":
             # loop and disjoint: the car's own scenes in its own band, each
@@ -349,10 +366,8 @@ def synth_trace(
             n_unique = max(1, n_own)
             uniques = []
             for i in range(n_unique):
-                scene = _make_scene(rng, i, band, objects_per_frame)
-                uniques.append(
-                    _sighting(rng, scene, scene.pose, f"{prefix}{ci + 1}F{i:06d}", conf_alpha, conf_beta)
-                )
+                scene = _make_scene(rng, i, band, spec.objects_per_frame)
+                uniques.append(_sighting(rng, scene, scene.pose, f"{prefix}{ci + 1}F{i:06d}", spec))
             schedule = [uniques[i % n_unique] for i in range(n_frames)]
         else:
             own = []
@@ -360,12 +375,12 @@ def synth_trace(
             for i in range(n_own):
                 scene = shared_scenes[i % len(shared_scenes)]
                 view = Pose(scene.pose.x, scene.pose.y + lane_offset, scene.pose.z, 0.0)
-                own.append(_sighting(rng, scene, view, f"C{ci + 1}F{i:06d}", conf_alpha, conf_beta))
+                own.append(_sighting(rng, scene, view, f"C{ci + 1}F{i:06d}", spec))
             schedule = shared + own
             rng.shuffle(schedule)
 
         for i, (pose, image_id, truths) in enumerate(schedule):
-            frames.append(TraceFrame(car, start + i * frame_period_ms, pose, image_id, truths))
+            frames.append(TraceFrame(car, start + i * spec.frame_period_ms, pose, image_id, truths))
 
     return Trace.build(frames)
 

@@ -73,7 +73,7 @@ class TestConfig:
             ScenarioConfig(synth=None, trace_file=None).validate()
 
     def test_phantom_ids_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^config\.phantom_cars: \['car9'\] not in the scenario"):
             replace(small_loop(), phantom_cars=("car9",)).validate()
 
     def test_zero_frame_period_needs_a_single_frame(self):
@@ -89,6 +89,18 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match=r"^config\.object_map\.resolution_m"):
             compare_baselines(small_loop(object_map=ObjectMapParams(resolution_m=0.0)))
+        assert ran == []
+
+    def test_unknown_phantom_rejected_before_any_mode_runs(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(2, "loop", 5, seed=1), path)
+        ran = []
+        monkeypatch.setattr(
+            "geniesim.harness.run_built_scenario", lambda scenario, mode: ran.append(mode)
+        )
+        config = ScenarioConfig(n_cars=2, trace_file=str(path), phantom_cars=("car9",))
+        with pytest.raises(ConfigError, match=r"^config\.phantom_cars: \['car9'\] not in the trace"):
+            compare_baselines(config)
         assert ran == []
 
     def test_bad_deadline_rejected(self):
@@ -112,7 +124,7 @@ class TestConfig:
     )
     def test_negative_duration_rejected(self, field):
         small_loop(**{field: 0.0}).validate()
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=rf"^config\.{field} must be non-negative"):
             small_loop(**{field: -1.0}).validate()
 
     def test_packaged_profiles_are_not_reread(self):
@@ -542,17 +554,30 @@ BAD_FILES = [
         pytest.param({"synth": {**SYNTH, name: 0}}, f"config.synth.{name}", id=f"{name}-zero")
         for name in ("conf_alpha", "conf_beta", "n_frames", "frame_period_ms")
     ),
+    pytest.param({"synth": {**SYNTH, "route": "zigzag"}}, "config.synth.route", id="route-unknown"),
     *(
-        pytest.param({**LOOP, name: -1}, name, id=f"{name}-negative")
+        pytest.param({"synth": {**SYNTH, **synth}}, "config.synth.overlap_fraction", id=case)
+        for case, synth in (
+            ("overlap-above-one", {"overlap_fraction": 1.5}),
+            ("overlap-negative", {"overlap_fraction": -0.5}),
+            ("disjoint-overlap", {"route": "disjoint", "overlap_fraction": 0.5}),
+        )
+    ),
+    *(
+        pytest.param({**LOOP, name: -1}, f"config.{name}", id=f"{name}-negative")
         for name in ("vn_latency_ms", "vn_jitter_ms", "edge_latency_ms", "edge_jitter_ms")
     ),
-    pytest.param({**LOOP, "max_cache_entries": 0}, "max_cache_entries", id="lru-zero"),
-    pytest.param({**LOOP, "max_cache_entries": -1}, "max_cache_entries", id="lru-negative"),
+    pytest.param({**LOOP, "n_cars": 0}, "config.n_cars", id="n_cars-zero"),
+    pytest.param({**LOOP, "deadline_ms": 0}, "config.deadline_ms", id="deadline-zero"),
+    pytest.param({**LOOP, "phantom_cars": ["car9"]}, "config.phantom_cars", id="phantom-unknown"),
+    pytest.param({**LOOP, "max_cache_entries": 0}, "config.max_cache_entries", id="lru-zero"),
+    pytest.param({**LOOP, "max_cache_entries": -1}, "config.max_cache_entries", id="lru-negative"),
     pytest.param(
-        {**LOOP, "object_map": {"update_rule": "bogus"}}, "object_map.update_rule", id="rule-unknown"
+        {**LOOP, "object_map": {"update_rule": "bogus"}}, "config.object_map.update_rule", id="rule-unknown"
     ),
     pytest.param(
-        {**LOOP, "object_map": {"relevance_radius_m": -1}}, "relevance_radius_m", id="radius-negative"
+        {**LOOP, "object_map": {"relevance_radius_m": -1}}, "config.object_map.relevance_radius_m",
+        id="radius-negative",
     ),
     *(
         pytest.param({**LOOP, "object_map": {name: value}}, f"config.object_map.{name}", id=case)
@@ -628,6 +653,16 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error:")
         assert flag.removeprefix("--").replace("-", "_") in err[0]
+        assert not trace_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_synth_refuses_a_non_finite_stagger(self, tmp_path, capsys, value):
+        trace_path = tmp_path / "trace.jsonl"
+        argv = ["synth", "--cars", "2", "--frames", "3", "--stagger-ms", value, "--out", str(trace_path)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: stagger_ms must be finite and non-negative: {float(value)}"
+        ]
         assert not trace_path.exists()
 
     def test_synth_refuses_a_zero_period_only_for_several_frames(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import geniesim
+from geniesim import harness, workload
 from geniesim.model import Pose
 from geniesim.objectmap import quantize
 from geniesim.simnet import Fabric, SimNode
@@ -156,6 +158,13 @@ class TestSynth:
     def test_unknown_route_rejected(self):
         with pytest.raises(ValueError):
             synth_trace(1, "zigzag", 10)
+
+    def test_omitted_seed_is_zero(self):
+        assert synth_trace(2, "loop", 5).frames == synth_trace(2, "loop", 5, seed=0).frames
+        assert synth_trace(2, "loop", 5, seed=None).frames == synth_trace(2, "loop", 5, seed=0).frames
+
+    def test_synth_spec_is_one_class(self):
+        assert geniesim.SynthSpec is harness.SynthSpec is workload.SynthSpec
 
     def test_translation_consistency_across_viewpoints(self):
         # the same static object sighted by different cars lands in one cell
