@@ -65,9 +65,9 @@ class ScenarioConfig:
     field.  ``edge_devices`` holds one profile name per edge caching node
     (a heterogeneous cluster mixes profiles); ``phantom_cars`` lists cars
     that carry no detector and live off the collective cache.  ``from_dict``
-    checks each value against the field annotations; ``validate`` checks
-    ranges, and hands each section to the class that owns its rules
-    (``ObjectMapStore``, ``SynthSpec``).  Each error names its ``config.`` path."""
+    checks types and ``validate`` ranges, using the rules of each section's
+    class (``ObjectMapStore``, ``SynthSpec``); both name the ``config.`` path.
+    ``build_scenario`` checks the rest against the device table and trace."""
 
     n_cars: int = 1
     car_device: str = "Nano"
@@ -128,10 +128,6 @@ class ScenarioConfig:
         for i, car in enumerate(self.phantom_cars):
             if car in self.phantom_cars[:i]:
                 raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")
-        cars = {f"car{i + 1}" for i in range(self.n_cars)}
-        unknown = set(self.phantom_cars) - cars
-        if unknown and self.trace_file is None:
-            raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the scenario")
 
     def resolve_profiles(self) -> dict[str, DeviceProfile]:
         profiles = (
@@ -255,19 +251,12 @@ class Scenario:
 MODES = ("L", "R", "DG")
 
 
-def detector_service() -> ServiceSpec:
-    return ServiceSpec(
-        name="vision-detector", subscribes=(IMAGE_TOPIC,), publishes=(OBJECTS_TOPIC,)
-    )
+DETECTOR_SERVICE = ServiceSpec("vision-detector", subscribes=(IMAGE_TOPIC,), publishes=(OBJECTS_TOPIC,))
 
 
 def _scenario_trace(config: ScenarioConfig) -> Trace:
     if config.trace_file is not None:
         trace = load_trace(config.trace_file)
-        if len(trace.cars) != config.n_cars:
-            raise ConfigError(
-                f"trace has {len(trace.cars)} cars but config says {config.n_cars}"
-            )
         _check_map_range(trace, config.object_map)
         return trace
     synth = config.synth
@@ -329,20 +318,38 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     that hears answers (consumer, R downlink, DG wrapper) subscribes with the
     car's origin prefix, so the fabric never delivers another car's answer.
 
+    Every refusal comes first: ``validate``'s, R with no edge device, a device
+    or model not in the table, a trace without ``n_cars`` cars, a phantom not in it.
+
     The fabric counts deliveries but records none: no output reads the
     log.  Call ``scenario.fabric.record_deliveries()`` before the run to
     keep it.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    profiles, trace = _prepare(config, trace, (mode,))
+    return _wire(config, profiles, trace, mode)
+
+
+def _prepare(
+    config: ScenarioConfig, trace: Trace | None, modes: tuple[str, ...]
+) -> tuple[dict[str, DeviceProfile], Trace]:
+    """``build_scenario``'s refusals for ``modes``; returns the device table and trace."""
     config.validate()
-    if mode == "R" and not config.edge_devices:
+    if "R" in modes and not config.edge_devices:
         raise ConfigError("remote baseline needs at least one edge device")
     profiles = config.resolve_profiles()
     trace = trace if trace is not None else _scenario_trace(config)
+    if len(trace.cars) != config.n_cars:
+        raise ConfigError(f"trace has {len(trace.cars)} cars but config says {config.n_cars}")
     unknown = set(config.phantom_cars) - set(trace.cars)
-    if unknown:  # in every mode, so a compare refuses before any mode runs
+    if unknown:  # in every mode, though only DG wires phantoms
         raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the trace")
+    return profiles, trace
+
+
+def _wire(config: ScenarioConfig, profiles: dict[str, DeviceProfile], trace: Trace, mode: str) -> Scenario:
+    """``build_scenario``'s topology, once ``_prepare`` has checked for ``mode``."""
     phantoms = config.phantom_cars if mode == "DG" else ()
     net = Fabric(seed=config.seed)
     net.on_delivery = None
@@ -350,7 +357,6 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
     scenario = Scenario(config, trace, net, {}, {}, {})
     suffix = LOCAL_SUFFIX if mode == "DG" else ""
-    spec = detector_service()
     detections: dict[str, ObjectList] = {}  # one detection per frame, shared
     map_params = asdict(config.object_map)
 
@@ -374,7 +380,7 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
         genie = GenieNode(
             name,
             home,
-            spec,
+            DETECTOR_SERVICE,
             role,
             edge_network=EDGE_NET,
             object_map=ObjectMapStore(**map_params),
@@ -586,6 +592,7 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         per_genie[name] = stats
         boost.extend((t, name, delta) for t, delta in store.boost_records)
     boost.sort(key=lambda e: (e[0], e[1]))
+    detectors = sorted(scenario.detectors.items())
     return MetricsReport(
         config=scenario.config,
         mode=mode,
@@ -597,15 +604,9 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
             for name, genie in scenario.genies.items()
         },
         boost_events=boost,
-        detector_invocations={
-            n: d.invocations for n, d in sorted(scenario.detectors.items())
-        },
-        detector_oom_failures={
-            n: d.oom_failures for n, d in sorted(scenario.detectors.items())
-        },
-        detector_unknown_frames={
-            n: d.unknown_frames for n, d in sorted(scenario.detectors.items())
-        },
+        detector_invocations={n: d.invocations for n, d in detectors},
+        detector_oom_failures={n: d.oom_failures for n, d in detectors},
+        detector_unknown_frames={n: d.unknown_frames for n, d in detectors},
         consumer_stats={
             car: {
                 "accepted": c.dedup.accepted,
@@ -633,10 +634,9 @@ def run_scenario(config: ScenarioConfig, trace: Trace | None = None) -> MetricsR
 
 def compare_baselines(config: ScenarioConfig) -> dict[str, MetricsReport]:
     """Local-only (L), remote-only (R) and distributed-cache (DG) runs over
-    the identical trace and seed."""
-    config.validate()  # before the trace source is read
-    trace = _scenario_trace(config)
-    return {mode: run_built_scenario(build_scenario(config, trace, mode), mode) for mode in MODES}
+    one trace, device table and seed, checked once before any mode runs."""
+    profiles, trace = _prepare(config, None, MODES)
+    return {mode: run_built_scenario(_wire(config, profiles, trace, mode), mode) for mode in MODES}
 
 
 # -- report files ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from geniesim import harness
 from geniesim.cli import main as cli_main
 from geniesim.harness import (
     MODES,
@@ -73,8 +74,8 @@ class TestConfig:
             ScenarioConfig(synth=None, trace_file=None).validate()
 
     def test_phantom_ids_validated(self):
-        with pytest.raises(ConfigError, match=r"^config\.phantom_cars: \['car9'\] not in the scenario"):
-            replace(small_loop(), phantom_cars=("car9",)).validate()
+        with pytest.raises(ConfigError, match=r"^config\.phantom_cars: \['car9'\] not in the trace"):
+            build_scenario(replace(small_loop(), phantom_cars=("car9",)))
 
     def test_zero_frame_period_needs_a_single_frame(self):
         one = small_loop(synth=SynthSpec(route="loop", n_frames=1, frame_period_ms=0))
@@ -102,6 +103,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^config\.phantom_cars: \['car9'\] not in the trace"):
             compare_baselines(config)
         assert ran == []
+
+    def test_edgeless_remote_rejected_before_any_mode_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            "geniesim.harness.run_built_scenario", lambda scenario, mode: ran.append(mode)
+        )
+        with pytest.raises(ConfigError, match="remote baseline needs at least one edge device"):
+            compare_baselines(small_loop(edge_devices=()))
+        assert ran == []
+
+    def test_compare_checks_and_reads_its_inputs_once(self, tmp_path, monkeypatch):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(
+            (ROOT / "src" / "geniesim" / "data" / "device_profiles.json").read_text(encoding="utf-8")
+        )
+        calls = {"validate": 0, "load_device_profiles": 0, "synth_trace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted("validate", ScenarioConfig.validate))
+        for name in ("load_device_profiles", "synth_trace"):
+            monkeypatch.setattr(f"geniesim.harness.{name}", counted(name, getattr(harness, name)))
+        reports = compare_baselines(small_loop(profiles_file=str(profiles)))
+        assert list(reports) == list(MODES)
+        assert calls == {"validate": 1, "load_device_profiles": 1, "synth_trace": 1}
 
     def test_bad_deadline_rejected(self):
         with pytest.raises(ConfigError):
@@ -137,6 +167,14 @@ class TestConfig:
         config = ScenarioConfig(n_cars=3, trace_file=str(path))
         with pytest.raises(ConfigError, match="cars"):
             run_scenario(config)
+        # a trace passed in is held to the same rule
+        config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=5))
+        with pytest.raises(ConfigError, match="^trace has 3 cars but config says 1$"):
+            build_scenario(config, synth_trace(3, "loop", 5))
+
+    def test_the_bench_entry_point_is_the_checked_builder(self):
+        # the benchmark times harness.build_genie_scenario as its setup
+        assert harness.build_genie_scenario is harness.build_scenario
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
