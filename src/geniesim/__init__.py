@@ -13,7 +13,7 @@ from .model import (
     content_key,
     translate_location,
 )
-from .objectmap import ObjectMapStore, UpdateRule, quantize, share_filter
+from .objectmap import ObjectMapParams, ObjectMapStore, UpdateRule, quantize, share_filter
 from .genie import (
     DedupFilter,
     GenieNode,
@@ -36,7 +36,6 @@ from .workload import (
 )
 from .harness import (
     MetricsReport,
-    ObjectMapParams,
     ScenarioConfig,
     compare_baselines,
     emit_report,

@@ -483,24 +483,20 @@ class GenieNode(SimNode):
 
     # -- export ---------------------------------------------------------------------
 
-    def reuse_counts(self, kind: PayloadKind) -> tuple[int, int]:
-        """(hits, requests) summed over cached topics of the given kind."""
-        hits = requests = 0
-        for name in self.db.topic_names():
-            m = self.db.topic_map(name)
-            if m.topic.kind is kind:
-                hits += m.hits
-                requests += m.requests
-        return hits, requests
-
     def counters_dict(self) -> dict:
+        """The genie's ``summary.json`` record: its counters, per-topic
+        counts, ``reuse`` as (hits, requests) over image topics and over the
+        object map, and the map's size."""
+        maps = [self.db.topic_map(name) for name in sorted(self.db.topic_names())]
         per_topic = {
-            name: {
-                "requests": self.db.topic_map(name).requests,
-                "hits": self.db.topic_map(name).hits,
-                "misses": self.db.topic_map(name).misses,
-                "entries": self.db.entry_count(name),
-            }
-            for name in sorted(self.db.topic_names())
+            m.topic.name: {"requests": m.requests, "hits": m.hits, "misses": m.misses, "entries": len(m.entries)}
+            for m in maps
         }
-        return {"role": self.role.value, **asdict(self.counters), "topics": per_topic}
+        images = [m for m in maps if m.topic.kind is PayloadKind.IMAGE]
+        image = (sum(m.hits for m in images), sum(m.requests for m in images))
+        store = self.object_map
+        return {
+            "role": self.role.value, **asdict(self.counters), "topics": per_topic,
+            "reuse": {"image": image, "object": (store.hits, store.requests)},
+            "object_map_size": len(store),
+        }

@@ -26,7 +26,7 @@ from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
 from .model import (
     LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic, translate_location,
 )
-from .objectmap import ObjectMapStore
+from .objectmap import ObjectMapParams, ObjectMapStore
 from .simnet import Fabric, SimNode
 from .workload import (
     DEFAULT_PROFILES,
@@ -51,22 +51,13 @@ EDGE_NET = "EDGE"
 
 
 @dataclass(frozen=True)
-class ObjectMapParams:
-    confidence_threshold: float = 0.6
-    update_rate: float = 0.1
-    update_rule: str = "ema"
-    resolution_m: float = 0.5
-    relevance_radius_m: float = 15.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one run; mirrors the CLI config file field for
     field.  ``edge_devices`` holds one profile name per edge caching node
     (a heterogeneous cluster mixes profiles); ``phantom_cars`` lists cars
     that carry no detector and live off the collective cache.  ``from_dict``
     checks types and ``validate`` ranges, using the rules of each section's
-    class (``ObjectMapStore``, ``SynthSpec``); both name the ``config.`` path.
+    class (``ObjectMapParams``, ``SynthSpec``); both name the ``config.`` path.
     ``build_scenario`` checks the rest against the device table and trace."""
 
     n_cars: int = 1
@@ -110,21 +101,18 @@ class ScenarioConfig:
             "edge_latency_ms",
             "edge_jitter_ms",
         ):
-            if getattr(self, name) < 0:  # zero is valid: no delay, no window
+            if getattr(self, name) < 0:  # zero is valid; a 0 ms dedup window still drops same-instant repeats
                 raise ConfigError(f"config.{name} must be non-negative")
         if self.max_cache_entries is not None and self.max_cache_entries < 1:
             raise ConfigError("config.max_cache_entries must be >= 1")
-        try:
-            ObjectMapStore(**asdict(self.object_map))
-        except ValueError as exc:  # each message starts with the field name
-            raise ConfigError(f"config.object_map.{exc}") from exc
+        for section in ("object_map", "synth"):
+            try:
+                if getattr(self, section) is not None:
+                    getattr(self, section).check()
+            except ValueError as exc:  # each message starts with the field name
+                raise ConfigError(f"config.{section}.{exc}") from exc
         if self.trace_file is None and self.synth is None:
             raise ConfigError("config.synth: either trace_file or synth is required")
-        if self.synth is not None:
-            try:
-                self.synth.check()
-            except ValueError as exc:  # each message starts with the field name
-                raise ConfigError(f"config.synth.{exc}") from exc
         for i, car in enumerate(self.phantom_cars):
             if car in self.phantom_cars[:i]:
                 raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")
@@ -256,9 +244,7 @@ DETECTOR_SERVICE = ServiceSpec("vision-detector", subscribes=(IMAGE_TOPIC,), pub
 
 def _scenario_trace(config: ScenarioConfig) -> Trace:
     if config.trace_file is not None:
-        trace = load_trace(config.trace_file)
-        _check_map_range(trace, config.object_map)
-        return trace
+        return load_trace(config.trace_file)
     synth = config.synth
     if synth.seed is None:
         synth = replace(synth, seed=config.seed)
@@ -269,16 +255,19 @@ def _check_map_range(trace: Trace, params: ObjectMapParams) -> None:
     """Refuse a trace whose objects the object map cannot place: each
     coordinate of an object's absolute location, plus or minus the relevance
     radius, divided by the cell size, must be finite, or quantizing it
-    overflows mid-run.  The loader checks each number only on its own."""
+    overflows mid-run.  The loader checks each number only on its own.  Frames
+    of one image carry one content, so each image is checked once, at its
+    first frame."""
     r, res = params.relevance_radius_m, params.resolution_m
-    for frame in trace.frames:
+    for frame in trace.by_image.values():
         for t in frame.truths:
             location = translate_location(t.offset, frame.pose)
-            if not all(math.isfinite((c - r) / res) and math.isfinite((c + r) / res) for c in location):
-                raise ConfigError(
-                    f"car {frame.car!r}, image {frame.image_id!r}: object location {location} "
-                    f"is out of the object map's range at resolution_m {res}"
-                )
+            for c in location:
+                if not math.isfinite((abs(c) + r) / res):  # the farther of c - r and c + r
+                    raise ConfigError(
+                        f"car {frame.car!r}, image {frame.image_id!r}: object location {location} "
+                        f"is out of the object map's range at resolution_m {res}"
+                    )
 
 
 def _replay(scenario: Scenario) -> None:
@@ -345,6 +334,7 @@ def _prepare(
     unknown = set(config.phantom_cars) - set(trace.cars)
     if unknown:  # in every mode, though only DG wires phantoms
         raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the trace")
+    _check_map_range(trace, config.object_map)
     return profiles, trace
 
 
@@ -584,13 +574,8 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
     boost: list[tuple[float, str, float]] = []
     for name in sorted(scenario.genies):
         genie = scenario.genies[name]
-        stats = genie.counters_dict()
-        img = genie.reuse_counts(PayloadKind.IMAGE)
-        store = genie.object_map
-        stats["reuse"] = {"image": (img[0], img[1]), "object": (store.hits, store.requests)}
-        stats["object_map_size"] = len(store)
-        per_genie[name] = stats
-        boost.extend((t, name, delta) for t, delta in store.boost_records)
+        per_genie[name] = genie.counters_dict()
+        boost.extend((t, name, delta) for t, delta in genie.object_map.boost_records)
     boost.sort(key=lambda e: (e[0], e[1]))
     detectors = sorted(scenario.detectors.items())
     return MetricsReport(

@@ -11,7 +11,7 @@ confidence threshold are ever shared outward.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import islice, product
 
@@ -77,6 +77,36 @@ def share_filter(payload: ObjectList, confidence_threshold: float) -> ObjectList
     )
 
 
+@dataclass(frozen=True)
+class ObjectMapParams:
+    """The object map's knobs: the keywords of :class:`ObjectMapStore` and the
+    ``object_map`` section of a scenario config, with their defaults."""
+
+    confidence_threshold: float = 0.6
+    update_rate: float = 0.1
+    update_rule: str = "ema"
+    resolution_m: float = 0.5
+    relevance_radius_m: float = 15.0
+
+    def check(self) -> None:
+        """Raise ``ValueError`` at the first field out of range; the message
+        starts with the field's name."""
+        if self.resolution_m <= 0:
+            raise ValueError("resolution_m must be positive")
+        if not 0.0 <= self.confidence_threshold <= 1.0:
+            raise ValueError("confidence_threshold must be in [0, 1]")
+        if not 0.0 < self.update_rate <= 1.0:
+            raise ValueError("update_rate must be in (0, 1]")
+        if self.relevance_radius_m < 0:  # zero is valid: augment adds nothing
+            raise ValueError("relevance_radius_m must be non-negative")
+        if not math.isfinite(self.relevance_radius_m / self.resolution_m):  # the hash's column width in cells
+            raise ValueError(f"resolution_m is too small for relevance_radius_m: {self.resolution_m}")
+        try:
+            UpdateRule(self.update_rule)
+        except ValueError:
+            raise ValueError(f"update_rule must be one of {sorted(r.value for r in UpdateRule)}") from None
+
+
 class ObjectMapStore:
     """One map per caching node, mutated only inside that node's callbacks.
 
@@ -95,38 +125,22 @@ class ObjectMapStore:
     in ingest order, where delta is the confidence after minus before.
     """
 
-    def __init__(
-        self,
-        resolution_m: float = 0.5,
-        confidence_threshold: float = 0.6,
-        update_rate: float = 0.1,
-        update_rule: UpdateRule | str = UpdateRule.EMA,
-        relevance_radius_m: float = 15.0,
-    ) -> None:
-        if resolution_m <= 0:
-            raise ValueError("resolution_m must be positive")
-        if not 0.0 <= confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must be in [0, 1]")
-        if not 0.0 < update_rate <= 1.0:
-            raise ValueError("update_rate must be in (0, 1]")
-        if relevance_radius_m < 0:  # zero is valid: augment adds nothing
-            raise ValueError("relevance_radius_m must be non-negative")
-        try:
-            self.update_rule = UpdateRule(update_rule)
-        except ValueError:
-            raise ValueError(f"update_rule must be one of {sorted(r.value for r in UpdateRule)}") from None
-        self.resolution_m = resolution_m
-        self.confidence_threshold = confidence_threshold
-        self.update_rate = update_rate
+    def __init__(self, **params) -> None:
+        p = ObjectMapParams(**params)
+        p.check()
+        self.update_rule = UpdateRule(p.update_rule)
+        self.resolution_m = p.resolution_m
+        self.confidence_threshold = p.confidence_threshold
+        self.update_rate = p.update_rate
         self._update = _UPDATES[self.update_rule]  # resolved once, not per boost
-        self.relevance_radius_m = relevance_radius_m
+        self.relevance_radius_m = p.relevance_radius_m
         self.cells: dict[tuple[int, int, int], list[DetectedObject]] = {}
         # spatial hash over ``cells``: 2-D columns of ``_bucket_edge`` x
         # ``_bucket_edge`` cells, each spanning every z, at least the relevance
         # radius wide, so a point's bounding box overlaps at most 3 x 3
         # columns; z is checked per cell.  Each column lists its cells as
         # (cell, x0, x1, y0, y1, z0, z1), with the cell's box bounds
-        self._bucket_edge = max(1, math.ceil(relevance_radius_m / resolution_m))
+        self._bucket_edge = max(1, math.ceil(p.relevance_radius_m / p.resolution_m))
         self._buckets: dict[tuple[int, int], list[tuple]] = {}
         self._indexed = 0
         self.requests = 0

@@ -24,7 +24,8 @@ from geniesim.harness import (
     run_built_scenario,
     run_scenario,
 )
-from geniesim.workload import DEFAULT_PROFILES, load_trace, save_trace, synth_trace
+from geniesim.objectmap import ObjectMapStore
+from geniesim.workload import DEFAULT_PROFILES, Trace, load_trace, save_trace, synth_trace
 from oracles import count_repeats, empirical_cdf
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +173,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^trace has 3 cars but config says 1$"):
             build_scenario(config, synth_trace(3, "loop", 5))
 
+    def test_validate_builds_no_object_map(self, monkeypatch):
+        built = []
+        init = ObjectMapStore.__init__
+
+        def spy_init(self, **params):
+            built.append(params)
+            init(self, **params)
+
+        monkeypatch.setattr(ObjectMapStore, "__init__", spy_init)
+        small_loop(object_map=ObjectMapParams(update_rule="ascend")).validate()
+        assert built == []
+        with pytest.raises(ConfigError, match=r"^config\.object_map\.resolution_m"):
+            small_loop(object_map=ObjectMapParams(resolution_m=0.0)).validate()
+        assert built == []
+
     def test_the_bench_entry_point_is_the_checked_builder(self):
         # the benchmark times harness.build_genie_scenario as its setup
         assert harness.build_genie_scenario is harness.build_scenario
@@ -228,6 +244,21 @@ class TestRunScenario:
             "car1/detector": unique,
             "edge1/detector": unique,
         }
+
+    def test_a_genies_record_is_its_summary_entry(self):
+        config = small_loop(
+            n_cars=2, edge_devices=("AGX", "A4500"),
+            synth=SynthSpec(route="shared-corridor", n_frames=20, overlap_fraction=0.5),
+        )
+        scenario = build_scenario(config)
+        report = run_built_scenario(scenario, "DG")
+        assert report.per_genie.keys() == scenario.genies.keys()
+        for name, genie in scenario.genies.items():
+            record = genie.counters_dict()
+            assert record == report.per_genie[name], name
+            assert record["object_map_size"] == len(genie.object_map), name
+            assert record["reuse"]["object"] == (genie.object_map.hits, genie.object_map.requests), name
+        assert report.reuse("image")[0] > 0 and report.reuse("object")[1] > 0
 
     def test_counter_consistency_per_genie(self):
         report = run_scenario(small_loop(n_cars=2, synth=SynthSpec(route="shared-corridor", n_frames=20, overlap_fraction=0.5)))
@@ -390,6 +421,19 @@ class TestBuildScenario:
         detectors = list(scenario.detectors.values())
         assert len(detectors) == 4
         assert all(d.detections is detectors[0].detections for d in detectors)
+
+    def test_a_passed_trace_out_of_the_maps_range_is_refused_at_build(self):
+        # each number is finite, but the object's cell is not
+        frames = list(synth_trace(1, "loop", 3, seed=1).frames)
+        truths = frames[1].truths
+        frames[1] = replace(
+            frames[1], pose=replace(frames[1].pose, x=1e308, yaw=0.0),
+            truths=(replace(truths[0], offset=(1e308, *truths[0].offset[1:])), *truths[1:]),
+        )
+        config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=3))
+        for mode in MODES:
+            with pytest.raises(ConfigError, match=f"^car 'car1', image '{frames[1].image_id}': .* out of the object map"):
+                build_scenario(config, Trace.build(frames), mode)
 
     def test_a_built_fabric_counts_deliveries_but_records_none(self):
         for mode in MODES:
@@ -621,6 +665,7 @@ BAD_FILES = [
         pytest.param({**LOOP, "object_map": {name: value}}, f"config.object_map.{name}", id=case)
         for case, name, value in (
             ("resolution-zero", "resolution_m", 0),
+            ("resolution-tiny", "resolution_m", 1e-310),
             ("threshold-above-one", "confidence_threshold", 1.5),
             ("rate-zero", "update_rate", 0),
         )
@@ -815,13 +860,15 @@ class TestCli:
         trace_path = tmp_path / "trace.jsonl"
         save_trace(synth_trace(1, "loop", 3, seed=1), trace_path)
         config = ScenarioConfig(n_cars=1, trace_file=str(trace_path)).to_dict()
-        config["object_map"]["resolution_m"] = 0.0
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(config))
-        for command in ("run", "compare"):
-            assert cli_main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and "resolution_m" in err[0]
+        # 1e-310 is positive, but the relevance radius over it is not finite
+        for resolution in (0.0, 1e-310):
+            config["object_map"]["resolution_m"] = resolution
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(config))
+            for command in ("run", "compare"):
+                assert cli_main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and "resolution_m" in err[0]
 
     @pytest.mark.parametrize("summary", [None, "{not json"], ids=["missing", "malformed"])
     def test_unreadable_summary_exits_with_one_error_line(self, tmp_path, capsys, summary):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geniesim.model import DetectedObject, ObjectList, content_key
+from geniesim import harness
 from geniesim.objectmap import (
+    ObjectMapParams,
     ObjectMapStore,
     UpdateRule,
     apply_update,
@@ -14,6 +16,36 @@ from geniesim.objectmap import (
 )
 from conftest import count_scans, obj, objects_message, image_message
 from oracles import state_digest
+
+
+class TestObjectMapParams:
+    def test_one_class_holds_the_defaults(self):
+        assert harness.ObjectMapParams is ObjectMapParams
+        store, defaults = ObjectMapStore(), ObjectMapParams()
+        for name in ObjectMapParams.__dataclass_fields__:
+            assert getattr(store, name) == getattr(defaults, name), name
+        assert store.update_rule is UpdateRule.EMA
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("resolution_m", 0.0),
+            ("resolution_m", 1e-310),
+            ("confidence_threshold", 1.5),
+            ("update_rate", 0.0),
+            ("update_rule", "bogus"),
+            ("relevance_radius_m", -1.0),
+        ],
+    )
+    def test_a_value_out_of_range_is_refused_with_its_field_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ObjectMapParams(**{name: value}).check()
+        with pytest.raises(ValueError, match=f"^{name} "):
+            ObjectMapStore(**{name: value})
+
+    def test_a_tiny_resolution_is_refused_only_for_a_positive_radius(self):
+        ObjectMapParams(resolution_m=1e-310, relevance_radius_m=0.0).check()
+        assert ObjectMapStore(resolution_m=1e-300)._bucket_edge == math.ceil(15.0 / 1e-300)
 
 
 class TestQuantize:
