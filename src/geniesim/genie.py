@@ -14,8 +14,8 @@ the original answer names, which only it publishes.
 Message arrival follows one procedure, decided by one wire table built
 with the node: it maps each wire heard to its topic and to whether it
 carries requests or ``-local``/``-remote`` answers.  A message on a wire not
-in it, or of the wrong payload kind, is malformed and dropped.  An answer
-is an answer or a stray, a request a hit or a miss.
+in it, or under another topic than its wire's, is malformed and dropped.
+An answer is an answer or a stray, a request a hit or a miss.
 
   answer   its header key names a pending exchange; absorb it into the
            object map, store it as received as the cached value, and relay
@@ -62,7 +62,6 @@ from .model import (
     PayloadKind,
     Topic,
     content_key,
-    kind_of,
 )
 from .objectmap import ObjectMapStore
 from .simnet import Fabric, SimNode
@@ -400,7 +399,8 @@ class GenieNode(SimNode):
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
         heard = self._wires.get(wire_topic)
-        if heard is None or kind_of(message.payload) is not heard[1].kind:
+        # a Message's payload kind matches its topic's, so this checks both
+        if heard is None or (message.topic is not heard[1] and message.topic != heard[1]):
             self.counters.malformed_dropped += 1
             return
         _, topic, flavor, tm = heard
@@ -419,7 +419,7 @@ class GenieNode(SimNode):
             return
 
         base = topic.name
-        digest = content_key(message, base)
+        digest = content_key(message)
         self.counters.requests += 1
         tm.requests += 1
 

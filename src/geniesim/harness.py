@@ -113,6 +113,8 @@ class ScenarioConfig:
                 raise ConfigError(f"config.{section}.{exc}") from exc
         if self.trace_file is None and self.synth is None:
             raise ConfigError("config.synth: either trace_file or synth is required")
+        if self.trace_file is not None and self.synth is not None:
+            raise ConfigError("config.synth: set either trace_file or synth, not both")
         for i, car in enumerate(self.phantom_cars):
             if car in self.phantom_cars[:i]:
                 raise ConfigError(f"config.phantom_cars[{i}]: {car} listed twice")
@@ -627,10 +629,6 @@ def compare_baselines(config: ScenarioConfig) -> dict[str, MetricsReport]:
 # -- report files ---------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header: str, rows: Iterable[str]) -> Path:
     """Write ``header`` and each row as one line, row by row as ``rows``
     yields them, so no copy of the whole file is ever held."""
@@ -653,7 +651,7 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
     cdf_path = _write_csv(
         out / "latency_cdf.csv",
         "latency_ms,cum_fraction",
-        (f"{_fmt(v)},{_fmt(fraction)}" for v, fraction in _cdf_rows(report.latencies())),
+        (f"{v!r},{fraction!r}" for v, fraction in _cdf_rows(report.latencies())),
     )
 
     lines = []
@@ -667,7 +665,7 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
         scope = report.genie_scopes[name]
         ratios[scope].append((imgrr, objrr))
         lines.append(
-            f"{name},{scope},{ir},{ih},{_fmt(imgrr)},{orq},{oh},{_fmt(objrr)}"
+            f"{name},{scope},{ir},{ih},{imgrr!r},{orq},{oh},{objrr!r}"
         )
     for scope in ("local", "remote"):
         pairs = ratios[scope]
@@ -677,7 +675,7 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
         objs = [p[1] for p in pairs]
         for stat, fn in (("min", min), ("mean", statistics.fmean), ("max", max)):
             lines.append(
-                f"aggregate/{scope}/{stat},{scope},,,{_fmt(fn(imgs))},,,{_fmt(fn(objs))}"
+                f"aggregate/{scope}/{stat},{scope},,,{fn(imgs)!r},,,{fn(objs)!r}"
             )
     reuse_path = _write_csv(
         out / "reuse.csv",
@@ -690,7 +688,7 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
         out / "boost.csv",
         "event_index,time_ms,genie,delta,cumulative_total,cumulative_mean",
         (
-            f"{i},{_fmt(t)},{events[i][1]},{_fmt(delta)},{_fmt(total)},{_fmt(total / (i + 1))}"
+            f"{i},{t!r},{events[i][1]},{delta!r},{total!r},{total / (i + 1)!r}"
             for i, t, delta, total in report._boost_rows()
         ),
     )

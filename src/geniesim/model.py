@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Union
 
 TAU = 2.0 * math.pi
 
@@ -168,25 +168,18 @@ class ImageRef:
     """Opaque handle to image content; no pixel data is ever stored."""
 
     content_id: str
+    kind: ClassVar[PayloadKind] = PayloadKind.IMAGE
     _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class ObjectList:
     objects: tuple[DetectedObject, ...]
+    kind: ClassVar[PayloadKind] = PayloadKind.OBJECTS
     _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 Payload = Union[ImageRef, ObjectList]
-
-_PAYLOAD_KINDS = {
-    ImageRef: PayloadKind.IMAGE,
-    ObjectList: PayloadKind.OBJECTS,
-}
-
-
-def kind_of(payload: Payload) -> PayloadKind:
-    return _PAYLOAD_KINDS[type(payload)]
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -204,9 +197,9 @@ class Message:
     via: str | None = None
 
     def __init__(self, header: Header, topic: Topic, payload: Payload, via: str | None = None) -> None:
-        if kind_of(payload) is not topic.kind:
+        if payload.kind is not topic.kind:
             raise ValueError(
-                f"payload kind {kind_of(payload).value} does not match "
+                f"payload kind {payload.kind.value} does not match "
                 f"topic {topic.name} ({topic.kind.value})"
             )
         _set_header(self, header)
@@ -230,8 +223,8 @@ def core_objects(payload: ObjectList) -> tuple[DetectedObject, ...]:
 _OBJECT_FLOATS = struct.Struct("<7d")
 
 
-def content_key(message: Message, topic_name: str | None = None) -> str:
-    """Stable digest of (topic name, payload content identity).
+def content_key(message: Message) -> str:
+    """Stable digest of (the message's topic name, payload content identity).
 
     Header and ``via`` never participate.  Object lists are canonically
     sorted by (label, location) first, so object order does not matter,
@@ -246,19 +239,21 @@ def content_key(message: Message, topic_name: str | None = None) -> str:
     NaN reaches a payload.
 
     Payloads are immutable, so the digest is memoized with its topic name
-    in the payload's own ``_digest`` slot, which no identity check sees.  A
-    table keyed by payload equality would not do: ``0.0`` and ``-0.0``
+    in the payload's own ``_digest`` slot, which no identity check sees; the
+    name is checked, since one payload object may travel under two topics.
+    A table keyed by payload equality would not do: ``0.0`` and ``-0.0``
     locations compare equal but digest differently.
     """
-    name = topic_name if topic_name is not None else message.topic.name
+    name = message.topic.name
     payload = message.payload
     memo = payload._digest
     if memo is not None and memo[0] == name:
         return memo[1]
+    prefix = f"{name}\x1f{payload.kind.value}"
     if isinstance(payload, ImageRef):
-        body = f"{name}\x1f{kind_of(payload).value}|{payload.content_id}".encode()
+        body = f"{prefix}|{payload.content_id}".encode()
     else:
-        parts = [f"{name}\x1f{PayloadKind.OBJECTS.value}".encode()]
+        parts = [prefix.encode()]
         pack = _OBJECT_FLOATS.pack
         for o in sorted(core_objects(payload), key=DetectedObject.sort_key):
             label = o.label.encode()

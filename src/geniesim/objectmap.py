@@ -91,14 +91,14 @@ class ObjectMapParams:
     def check(self) -> None:
         """Raise ``ValueError`` at the first field out of range; the message
         starts with the field's name."""
-        if self.resolution_m <= 0:
-            raise ValueError("resolution_m must be positive")
+        if not 0 < self.resolution_m < math.inf:
+            raise ValueError("resolution_m must be finite and positive")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must be in [0, 1]")
         if not 0.0 < self.update_rate <= 1.0:
             raise ValueError("update_rate must be in (0, 1]")
-        if self.relevance_radius_m < 0:  # zero is valid: augment adds nothing
-            raise ValueError("relevance_radius_m must be non-negative")
+        if not 0 <= self.relevance_radius_m < math.inf:  # zero is valid: augment adds nothing
+            raise ValueError("relevance_radius_m must be finite and non-negative")
         if not math.isfinite(self.relevance_radius_m / self.resolution_m):  # the hash's column width in cells
             raise ValueError(f"resolution_m is too small for relevance_radius_m: {self.resolution_m}")
         try:

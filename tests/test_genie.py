@@ -19,6 +19,11 @@ from geniesim.simnet import Fabric, SimNode
 from conftest import IMAGE, OBJECTS, count_scans, image_message, obj, objects_message
 
 
+def under(message: Message, name: str) -> Message:
+    """``message`` with its payload object, sent under the topic ``name``."""
+    return replace(message, topic=Topic(name, message.topic.kind))
+
+
 def detector_spec() -> ServiceSpec:
     return ServiceSpec("detector", subscribes=(IMAGE,), publishes=(OBJECTS,))
 
@@ -91,10 +96,10 @@ class TestTopicCacheDB:
     def test_topics_keep_independent_key_spaces(self):
         db = TopicCacheDB((IMAGE, Topic("/image2", PayloadKind.IMAGE)))
         msg_a = image_message("same-content")
-        db.add_waiter("/image", content_key(msg_a, "/image"), Header("a", 0, 0.0), 0.0)
-        db.fill("/image", content_key(msg_a, "/image"), objects_message(()))
+        db.add_waiter("/image", content_key(msg_a), Header("a", 0, 0.0), 0.0)
+        db.fill("/image", content_key(msg_a), objects_message(()))
         # same digest string under the second topic is still a miss
-        assert db.lookup("/image2", content_key(msg_a, "/image")) is None
+        assert db.lookup("/image2", content_key(msg_a)) is None
 
     def test_pending_expiry_removes_empty_entry(self):
         db = TopicCacheDB((IMAGE,))
@@ -120,7 +125,7 @@ class TestTopicCacheDB:
         net.run_until(10.0)
         net.publish("inner", objects_message(()), wire_topic="/objects-local", network="VN1", at=10.0)
         net.run_until(20.0)
-        record = genie.db.lookup("/image", content_key(request, "/image"))
+        record = genie.db.lookup("/image", content_key(request))
         assert record.waiters == () and record.result is not None
         net.publish("camera", image_message("f0", seq=1, stamp=30.0), wire_topic="/image", network="VN1", at=30.0)
         net.run_until(100.0)
@@ -352,7 +357,7 @@ class TestArrivalProcedure:
         assert len(spy.received) == 1  # shared with remote peers
         assert genie.counters.misses == 1
         assert genie.db.entry_count("/image") == 1
-        assert genie.db.lookup("/image", content_key(msg, "/image")).result is None
+        assert genie.db.lookup("/image", content_key(msg)).result is None
 
     def test_miss_answer_relayed_to_consumer_and_cached(self):
         net, genie, inner, consumer, spy = wire_local_genie()
@@ -365,7 +370,7 @@ class TestArrivalProcedure:
         assert len(consumer.received) == 1
         assert consumer.received[0][2].via == "answer"
         assert genie.counters.local_answers == 1
-        assert genie.db.lookup("/image", content_key(msg, "/image")).result is not None
+        assert genie.db.lookup("/image", content_key(msg)).result is not None
 
     def test_hit_publishes_stored_result_without_recompute(self):
         net, genie, inner, consumer, spy = wire_local_genie(
@@ -398,7 +403,7 @@ class TestArrivalProcedure:
         repeat = image_message("f0", seq=1, stamp=30.0)
         net.publish("camera", repeat, wire_topic="/image", network="VN1", at=30.0)
         net.run_until(100.0)
-        assert genie.db.lookup("/image", content_key(repeat, "/image")).result is relayed  # stored as received
+        assert genie.db.lookup("/image", content_key(repeat)).result is relayed  # stored as received
         _, wire, hit = consumer.received[-1]
         assert (wire, hit.via, hit.header, hit.topic) == ("/objects", "hit", repeat.header, OBJECTS)
         assert hit.payload == relayed.payload
@@ -499,6 +504,29 @@ class TestArrivalProcedure:
         net.publish("camera", unknown, wire_topic="/unheard-of", network="VN1", at=10.0)
         net.run_until(20.0)
         assert genie.counters.malformed_dropped == 1  # not even subscribed; nothing happens
+
+    def test_answer_under_another_topic_is_malformed(self, monkeypatch):
+        net, genie, inner, consumer, spy = wire_local_genie()
+        request = image_message("f0")
+        net.publish("camera", request, wire_topic="/image", network="VN1", at=0.0)
+        net.run_until(10.0)
+        published = spy_publishes(net, genie.name, monkeypatch)
+        answer = under(objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),)), "/other")
+        net.publish("inner", answer, wire_topic="/objects-local", network="VN1", at=10.0)
+        net.run_until(100.0)
+        assert genie.counters.malformed_dropped == 1
+        assert genie.counters.local_answers == genie.counters.late_answers == 0
+        assert len(genie.object_map) == 0  # not ingested
+        assert genie.db.pending(request.header.key) is not None  # still waiting
+        assert published == [] and consumer.received == []
+
+    def test_request_under_another_topic_is_malformed(self):
+        net, genie, inner, consumer, spy = wire_local_genie()
+        net.publish("camera", under(image_message("f0"), "/other"), wire_topic="/image", network="VN1", at=0.0)
+        net.run_until(100.0)
+        assert genie.counters.malformed_dropped == 1
+        assert genie.counters.requests == genie.counters.misses == genie.db.pending_count() == 0
+        assert inner.received == [] and spy.received == []  # not forwarded
 
     def test_counter_consistency(self):
         net, genie, inner, consumer, spy = wire_local_genie()
@@ -602,7 +630,7 @@ class TestRemoteRole:
         assert genie.counters.remote_answers == 1
         from geniesim.model import content_key as ck
 
-        assert genie.db.lookup("/image", ck(request, "/image")).result is not None
+        assert genie.db.lookup("/image", ck(request)).result is not None
         assert requester.received == []  # no duplicate echo back onto the edge
 
 
@@ -712,7 +740,7 @@ class TestHitDigest:
         result = objects_message(
             (obj("car", 0.7, (3.2, 0.2, 0.2)), obj("sign", 0.8, (4.2, 1.2, 0.2), from_map=True))
         )
-        content_key(result, memo_name)
+        content_key(under(result, memo_name))
         genie._serve_hit(net, 0.0, image_message("f0", seq=3), CachedValue(result, 0.0, 0.0))
         net.run_until(100.0)
         return result, sink.received[-1][2]
@@ -722,7 +750,7 @@ class TestHitDigest:
         fresh = replace(served, payload=replace(served.payload))
         assert fresh.payload._digest is None
         for name in TestHitDigest.NAMES:
-            assert content_key(served, name) == content_key(fresh, name)
+            assert content_key(under(served, name)) == content_key(under(fresh, name))
 
     @pytest.mark.parametrize("memo_name", NAMES)
     @pytest.mark.parametrize(
@@ -745,11 +773,11 @@ class TestHitDigest:
         memo_name, memo_digest = served.payload._digest
         assert memo_name == "/other"
         for name in self.NAMES:
-            assert content_key(served, name) != memo_digest
+            assert content_key(under(served, name)) != memo_digest
         self.assert_fresh_digests(served)
         forged = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
         object.__setattr__(forged.payload, "_digest", ("/other", "forged"))
-        assert content_key(forged, OBJECTS.name) != "forged"
+        assert content_key(forged) != "forged"
 
 
 class TestHitMemo:

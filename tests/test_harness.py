@@ -12,6 +12,7 @@ from geniesim.cli import main as cli_main
 from geniesim.harness import (
     MODES,
     ConfigError,
+    ConsumerNode,
     ObjectMapParams,
     RelayNode,
     ScenarioConfig,
@@ -26,6 +27,8 @@ from geniesim.harness import (
 )
 from geniesim.objectmap import ObjectMapStore
 from geniesim.workload import DEFAULT_PROFILES, Trace, load_trace, save_trace, synth_trace
+from geniesim.simnet import Fabric
+from conftest import obj, objects_message
 from oracles import count_repeats, empirical_cdf
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +94,17 @@ class TestConfig:
         )
         with pytest.raises(ConfigError, match=r"^config\.object_map\.resolution_m"):
             compare_baselines(small_loop(object_map=ObjectMapParams(resolution_m=0.0)))
+        assert ran == []
+
+    def test_trace_file_and_synth_together_rejected_before_any_mode_runs(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 5, seed=1), path)
+        ran = []
+        monkeypatch.setattr(
+            "geniesim.harness.run_built_scenario", lambda scenario, mode: ran.append(mode)
+        )
+        with pytest.raises(ConfigError, match=r"^config\.synth: set either trace_file or synth, not both"):
+            compare_baselines(small_loop(trace_file=str(path)))
         assert ran == []
 
     def test_unknown_phantom_rejected_before_any_mode_runs(self, tmp_path, monkeypatch):
@@ -454,6 +468,19 @@ class TestRelayNode:
             RelayNode("bridge", "VN1", rule)
 
 
+class TestConsumerNode:
+    def test_a_second_answer_to_one_request_adds_no_sample(self):
+        # a zero window accepts a repeat 10 ms later; the sample is still the first
+        consumer = ConsumerNode("car1/consumer", "VN1", "car1", dedup_window_ms=0.0)
+        answer = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),), origin="car1/camera")
+        net = Fabric(seed=0)
+        for at in (10.0, 20.0):
+            consumer.on_message(net, at, "VN1", "/objects", answer)
+        assert consumer.dedup.accepted == 2
+        [sample] = consumer.samples.values()
+        assert (sample.latency_ms, sample.message) == (10.0, answer)
+
+
 class TestOriginFilter:
     """Each car-side node subscribes with its car's origin prefix, so the
     fabric carries a car's answers to that car alone."""
@@ -652,6 +679,7 @@ BAD_FILES = [
     pytest.param({**LOOP, "n_cars": 0}, "config.n_cars", id="n_cars-zero"),
     pytest.param({**LOOP, "deadline_ms": 0}, "config.deadline_ms", id="deadline-zero"),
     pytest.param({**LOOP, "phantom_cars": ["car9"]}, "config.phantom_cars", id="phantom-unknown"),
+    pytest.param({**LOOP, "trace_file": "trace.jsonl"}, "config.synth", id="trace-and-synth"),
     pytest.param({**LOOP, "max_cache_entries": 0}, "config.max_cache_entries", id="lru-zero"),
     pytest.param({**LOOP, "max_cache_entries": -1}, "config.max_cache_entries", id="lru-negative"),
     pytest.param(

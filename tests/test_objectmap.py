@@ -35,6 +35,7 @@ class TestObjectMapParams:
             ("update_rate", 0.0),
             ("update_rule", "bogus"),
             ("relevance_radius_m", -1.0),
+            *((name, value) for name in ("resolution_m", "relevance_radius_m") for value in (math.inf, math.nan)),
         ],
     )
     def test_a_value_out_of_range_is_refused_with_its_field_name(self, name, value):
