@@ -12,9 +12,10 @@ answers unless it is a phantom, ``-remote`` answers on the edge, and never
 the original answer names, which only it publishes.
 
 Message arrival follows one procedure, decided by one wire table built
-with the node: it maps each wire heard to its topic and to whether it
-carries requests or ``-local``/``-remote`` answers.  A message on a wire not
-in it, or under another topic than its wire's, is malformed and dropped.
+with the node: it maps each wire heard to its topic, to whether it carries
+requests or ``-local``/``-remote`` answers, and to where a miss on it is
+forwarded or an answer on it relayed.  A message on a wire not in it, or
+under another topic than its wire's, is malformed and dropped.
 An answer is an answer or a stray, a request a hit or a miss.
 
   answer   its header key names a pending exchange; absorb it into the
@@ -348,25 +349,36 @@ class GenieNode(SimNode):
         self.answers_on_edge = role is GenieRole.REMOTE or home_network == edge_network
         self.db = TopicCacheDB(spec.subscribes, max_entries, stores=cache_enabled)
         self.counters = GenieCounters()
-        # wire -> (network, topic, answer flavour, request topic map) for each
-        # name this node hears, in subscription order; a request has flavour
-        # None, an answer topic map None
-        self._wires: dict[str, tuple[str, Topic, str | None, _TopicMap | None]] = {}
-        if not self.answers_on_edge:
-            self._wires |= {t.name: (home_network, t, None, self.db.topic_map(t.name)) for t in spec.subscribes}
-        if role is not GenieRole.PHANTOM:
-            self._wires |= {t.name + LOCAL_SUFFIX: (home_network, t, "local", None) for t in spec.publishes}
-        remote = {t.name + REMOTE_SUFFIX: (edge_network, t, "remote", None) for t in spec.publishes}
-        if self.answers_on_edge:
-            remote |= {
-                t.name + REMOTE_SUFFIX: (edge_network, t, None, self.db.topic_map(t.name)) for t in spec.subscribes
-            }
-        self._wires |= sorted(remote.items())
         # answer topic -> the (wire, network) this node answers its requesters on
         self._answer_surfaces = {
             t.name: (t.name + REMOTE_SUFFIX, edge_network) if self.answers_on_edge else (t.name, home_network)
             for t in spec.publishes
         }
+        forwards = [] if role is GenieRole.PHANTOM else [(LOCAL_SUFFIX, home_network)]
+        if not self.answers_on_edge:
+            forwards.append((REMOTE_SUFFIX, edge_network))
+
+        def heard(network: str, t: Topic, flavor: str | None) -> tuple:
+            if flavor is None:
+                return network, t, None, self.db.topic_map(t.name), [(t.name + w, n) for w, n in forwards]
+            relays = flavor == "local" or not self.answers_on_edge
+            return network, t, flavor, None, self._answer_surfaces[t.name] if relays else None
+
+        # wire -> (network, topic, answer flavour, request topic map, sends) for
+        # each name this node hears, in subscription order.  A request has
+        # flavour None and sends the (wire, network) pairs a miss is forwarded
+        # on; an answer has topic map None and sends the (wire, network) it is
+        # relayed on, or None on an edge-resident node's -remote wire, where
+        # every requester heard the answer too
+        self._wires: dict[str, tuple] = {}
+        if not self.answers_on_edge:
+            self._wires |= {t.name: heard(home_network, t, None) for t in spec.subscribes}
+        if role is not GenieRole.PHANTOM:
+            self._wires |= {t.name + LOCAL_SUFFIX: heard(home_network, t, "local") for t in spec.publishes}
+        remote = {t.name + REMOTE_SUFFIX: heard(edge_network, t, "remote") for t in spec.publishes}
+        if self.answers_on_edge:
+            remote |= {t.name + REMOTE_SUFFIX: heard(edge_network, t, None) for t in spec.subscribes}
+        self._wires |= sorted(remote.items())
 
     # -- wiring ---------------------------------------------------------------
 
@@ -403,14 +415,14 @@ class GenieNode(SimNode):
         if heard is None or (message.topic is not heard[1] and message.topic != heard[1]):
             self.counters.malformed_dropped += 1
             return
-        _, topic, flavor, tm = heard
+        _, topic, flavor, tm, sends = heard
         if at - self.db.oldest_park > self.pending_ttl_ms:
             self.expire(at)
 
         if tm is None:
             pend = self.db.pending(message.header.key)
             if pend is not None:
-                self._handle_answer(net, at, flavor, pend, message)
+                self._handle_answer(net, at, flavor, sends, pend, message)
             elif flavor == "local":
                 # not ingested: that would change objrr and the boost curve
                 self.counters.late_answers += 1
@@ -437,25 +449,12 @@ class GenieNode(SimNode):
         self.counters.pending_peak = max(self.counters.pending_peak, self.db.pending_count())
         if in_flight:
             return  # queued on the request in flight instead of re-broadcasting
-        if self.role is not GenieRole.PHANTOM:
-            net.publish(
-                self.name,
-                message,
-                wire_topic=base + LOCAL_SUFFIX,
-                network=self.home_network,
-                at=at + self.miss_overhead_ms,
-            )
-        if not self.answers_on_edge:
-            net.publish(
-                self.name,
-                message,
-                wire_topic=base + REMOTE_SUFFIX,
-                network=self.edge_network,
-                at=at + self.miss_overhead_ms,
-            )
+        for wire, network in sends:
+            net.publish(self.name, message, wire_topic=wire, network=network, at=at + self.miss_overhead_ms)
 
     def _handle_answer(
-        self, net: Fabric, at: float, flavor: str, pend: tuple[str, Slot], message: Message
+        self, net: Fabric, at: float, flavor: str, relay: tuple[str, str] | None, pend: tuple[str, Slot],
+        message: Message,
     ) -> None:
         if flavor == "remote":
             self.counters.remote_answers += 1
@@ -463,10 +462,9 @@ class GenieNode(SimNode):
             self.counters.local_answers += 1
         self.object_map.ingest(message, at)
         woken = self.db.fill(*pend, message)
-        # peers that heard the same broadcast we did need no relay from us
-        if self.answers_on_edge and flavor == "remote":
-            return
-        wire, network = self._answer_surfaces[message.topic.name]
+        if relay is None:
+            return  # peers that heard the same broadcast we did need no relay from us
+        wire, network = relay
         for waiter in woken:
             out = Message(waiter, message.topic, message.payload, via="answer")
             net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.answer_overhead_ms)

@@ -87,8 +87,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.n_cars < 1:
             raise ConfigError("config.n_cars must be >= 1")
-        if self.deadline_ms <= 0:
-            raise ConfigError("config.deadline_ms must be positive")
+        if not 0 < self.deadline_ms < math.inf:
+            raise ConfigError("config.deadline_ms must be positive and finite")
         for name in (
             "hit_overhead_ms",
             "miss_overhead_ms",
@@ -101,8 +101,8 @@ class ScenarioConfig:
             "edge_latency_ms",
             "edge_jitter_ms",
         ):
-            if getattr(self, name) < 0:  # zero is valid; a 0 ms dedup window still drops same-instant repeats
-                raise ConfigError(f"config.{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # a 0 ms dedup window still drops same-instant repeats
+                raise ConfigError(f"config.{name} must be non-negative and finite")
         if self.max_cache_entries is not None and self.max_cache_entries < 1:
             raise ConfigError("config.max_cache_entries must be >= 1")
         for section in ("object_map", "synth"):

@@ -13,8 +13,9 @@ car-side node that hears answers (a vehicle's caching node, its consumer,
 its remote-baseline downlink relay) subscribes with its own car's prefix,
 so it hears only answers addressed to that car.
 
-Nothing is implied: every subscription names its network, and every
-publish names its sender, wire topic, network and time.
+Nothing is implied: a network is declared once, with its link, before a
+node joins it; every subscription names its network, and every publish
+names its sender, wire topic, network and time.
 
 The event loop is single-threaded: callbacks run to completion in
 (due_time, insertion_seq) order, so identical seeds and inputs replay to
@@ -31,6 +32,7 @@ scenario's log calls ``scenario.fabric.record_deliveries()`` before the run.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -59,8 +61,8 @@ class Link:
     jitter_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency and jitter must be non-negative")
+        if not (0 <= self.latency_ms < math.inf and 0 <= self.jitter_ms < math.inf):
+            raise ValueError("latency and jitter must be non-negative and finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +172,7 @@ class Fabric:
         # (network, topic) -> (node name, node, origin prefix) per subscriber
         self._subs: dict[tuple[str, str], list[tuple[str, SimNode, str]]] = {}
         self._sub_index: set[tuple[str, str]] = set()  # (node, topic)
-        # (sender, network, wire topic) -> (link, subscribers) of a checked route
+        # (sender, network, wire topic) -> (link, receivers) of a checked route
         self._routes: dict[tuple[str, str, str], tuple] = {}
         self._log: list[tuple] = []  # DeliveryRecord fields per delivery
         self.delivered = 0
@@ -192,17 +194,19 @@ class Fabric:
     # -- topology -----------------------------------------------------------
 
     def add_network(self, name: str, latency_ms: float = 0.0, jitter_ms: float = 0.0) -> None:
+        """Declare network ``name`` with its link, once."""
+        if name in self._links:
+            raise TopologyError(f"network {name} is already declared")
         self._links[name] = Link(latency_ms, jitter_ms)
-        self._routes.clear()
 
     def add_node(self, node: SimNode, networks: tuple[str, ...] | None = None) -> SimNode:
         if node.name in self._nodes:
             raise TopologyError(f"duplicate node name: {node.name}")
         nets = set(networks) if networks else {node.home_network}
         nets.add(node.home_network)
-        for n in nets:
-            if n not in self._links:
-                self.add_network(n)
+        undeclared = sorted(nets - self._links.keys())
+        if undeclared:
+            raise TopologyError(f"{node.name} joins undeclared network {', '.join(undeclared)}")
         self._nodes[node.name] = node
         self._memberships[node.name] = nets
         return node
@@ -228,19 +232,18 @@ class Fabric:
 
     # -- traffic ------------------------------------------------------------
 
-    def publish(self, sender: str, message: Message, wire_topic: str, network: str, at: float) -> int:
+    def publish(self, sender: str, message: Message, wire_topic: str, network: str, at: float) -> None:
         """Schedule one delivery per subscriber of ``wire_topic`` on
-        ``network``, sent at ``at``; returns the count.
+        ``network``, other than the sender, sent at ``at``.
 
         The sender must be a member of ``network``, and ``at`` may not lie
-        in the past.  The sender never receives its own publish.  A
-        subscriber whose origin prefix the message's origin lacks takes its
-        jitter draw and is then skipped, so the filter never moves another
-        delivery's time.
+        in the past.  A subscriber whose origin prefix the message's origin
+        lacks takes its jitter draw and is then skipped, so the filter never
+        moves another delivery's time.
 
-        A route that passed the checks keeps its link and subscriber list
-        until ``subscribe`` or ``add_network`` changes either; its errors
-        come in the same order as a new route's.
+        A route that passed the checks keeps its link and its receivers,
+        the subscribers other than the sender, until ``subscribe`` adds
+        one; its errors come in the same order as a new route's.
         """
         route = self._routes.get((sender, network, wire_topic))
         if route is None:
@@ -250,24 +253,18 @@ class Fabric:
         if route is None:
             if network not in self._memberships[sender]:
                 raise TopologyError(f"{sender} is not a member of network {network}")
-            # add_node linked every network the sender is a member of
-            route = self._routes[sender, network, wire_topic] = (
-                self._links[network], self._subs.get((network, wire_topic), ()),
-            )
-        link, subs = route
+            # add_node refused any network that was not declared
+            receivers = [sub for sub in self._subs.get((network, wire_topic), ()) if sub[0] != sender]
+            route = self._routes[sender, network, wire_topic] = (self._links[network], receivers)
+        link, receivers = route
         origin = message.header.origin
-        count = 0
-        for to, node, prefix in subs:
-            if to == sender:
-                continue
+        for _, node, prefix in receivers:
             delay = link.latency_ms
             if link.jitter_ms > 0:
                 delay += self.rng.uniform(0.0, link.jitter_ms)
             if prefix and not origin.startswith(prefix):
                 continue
             self.queue.push(at + delay, (node, sender, network, wire_topic, message, at))
-            count += 1
-        return count
 
     def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic

@@ -78,7 +78,8 @@ class TraceFrame:
 @dataclass(frozen=True)
 class Trace:
     """Frames globally sorted by time, with per-car views and an exact-replay
-    index from image id to frame content."""
+    index from image id to frame content.  A car's name holds no ``/`` and
+    its stamps are non-negative and strictly increasing."""
 
     frames: tuple[TraceFrame, ...]
     by_car: dict[str, tuple[TraceFrame, ...]]
@@ -100,6 +101,10 @@ class Trace:
                     "repeated ids must be exact replays"
                 )
         for car, lst in by_car.items():
+            if "/" in car:  # a car's own origin prefix is its name and a '/'
+                raise TraceError(f"car name {car!r} may not contain '/'")
+            if lst[0].t_ms < 0:
+                raise TraceError(f"car {car!r} has a negative stamp: t_ms={lst[0].t_ms}")
             for a, b in zip(lst, lst[1:]):
                 if b.t_ms <= a.t_ms:
                     raise TraceError(

@@ -58,6 +58,7 @@ class TestEncapsulate:
         objects2 = Topic("/objects2", PayloadKind.OBJECTS)
         net = Fabric(seed=0)
         net.add_network("VN1")
+        net.add_network("EDGE")
         net.add_node(SimNode("camera", "VN1"))
         inner = _AnswerSink("inner", "VN1")
         net.add_node(inner)
@@ -867,6 +868,8 @@ class TestSubscriptions:
     def test_an_unheard_wire_is_malformed_and_publishes_nothing(self, home, role, expected, monkeypatch):
         # e.g. the original /objects, which only the wrapper itself publishes
         net = Fabric(seed=0)
+        for network in dict.fromkeys((home, "EDGE")):
+            net.add_network(network)
         genie = GenieNode("genie", home, detector_spec(), role, edge_network="EDGE")
         genie.attach(net)
         published = spy_publishes(net, genie.name, monkeypatch)

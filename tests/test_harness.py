@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import statistics
 import tracemalloc
@@ -149,8 +150,9 @@ class TestConfig:
         assert calls == {"validate": 1, "load_device_profiles": 1, "synth_trace": 1}
 
     def test_bad_deadline_rejected(self):
-        with pytest.raises(ConfigError):
-            small_loop(deadline_ms=0.0).validate()
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match=r"^config\.deadline_ms must be positive"):
+                small_loop(deadline_ms=bad).validate()
 
     @pytest.mark.parametrize(
         "field",
@@ -169,8 +171,9 @@ class TestConfig:
     )
     def test_negative_duration_rejected(self, field):
         small_loop(**{field: 0.0}).validate()
-        with pytest.raises(ConfigError, match=rf"^config\.{field} must be non-negative"):
-            small_loop(**{field: -1.0}).validate()
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match=rf"^config\.{field} must be non-negative"):
+                small_loop(**{field: bad}).validate()
 
     def test_packaged_profiles_are_not_reread(self):
         assert small_loop().resolve_profiles() is DEFAULT_PROFILES

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 from dataclasses import FrozenInstanceError
 
@@ -23,10 +24,10 @@ def test_single_subscriber_delivery_at_latency():
     net.add_node(SimNode("pub", "VN1"))
     sub = net.add_node(Recorder("sub", "VN1"))
     net.subscribe("sub", "/image-local", "VN1")
-    count = net.publish("pub", image_message("f0"), wire_topic="/image-local", network="VN1", at=10.0)
-    assert count == 1
+    net.publish("pub", image_message("f0"), wire_topic="/image-local", network="VN1", at=10.0)
     net.run_until(100.0)
     assert [r[0] for r in sub.received] == [12.0]
+    assert net.delivered == 1
 
 
 def test_edge_broadcast_excludes_sender():
@@ -35,9 +36,9 @@ def test_edge_broadcast_excludes_sender():
     genies = [net.add_node(Recorder(f"remote{i}/genie", "EDGE")) for i in range(3)]
     for g in genies:
         net.subscribe(g.name, "/objects-remote", "EDGE")
-    count = net.publish("remote0/genie", image_message("f0"), wire_topic="/objects-remote", network="EDGE", at=0.0)
-    assert count == 2
+    net.publish("remote0/genie", image_message("f0"), wire_topic="/objects-remote", network="EDGE", at=0.0)
     net.run_until(1.0)
+    assert net.delivered == 2
     assert not genies[0].received
     assert all(len(g.received) == 1 for g in genies[1:])
 
@@ -48,12 +49,13 @@ def test_subscription_added_after_a_publish_is_seen_by_the_next():
     net.add_node(SimNode("pub", "VN1"))
     first = net.add_node(Recorder("first", "VN1"))
     late = net.add_node(Recorder("late", "VN1"))
-    assert net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0) == 0
+    net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
     net.subscribe("first", "/image", "VN1")
-    assert net.publish("pub", image_message("f1"), wire_topic="/image", network="VN1", at=1.0) == 1
+    net.publish("pub", image_message("f1"), wire_topic="/image", network="VN1", at=1.0)
     net.subscribe("late", "/image", "VN1")
-    assert net.publish("pub", image_message("f2"), wire_topic="/image", network="VN1", at=2.0) == 2
+    net.publish("pub", image_message("f2"), wire_topic="/image", network="VN1", at=2.0)
     net.run_until(10.0)
+    assert net.delivered == 3
     assert [m.payload.content_id for *_, m in first.received] == ["f1", "f2"]
     assert [(at, m.payload.content_id) for at, *_, m in late.received] == [(3.0, "f2")]
 
@@ -62,7 +64,10 @@ def test_zero_subscribers_no_error():
     net = Fabric(seed=0)
     net.add_network("VN1")
     net.add_node(SimNode("pub", "VN1"))
-    assert net.publish("pub", image_message("f0"), wire_topic="/nowhere", network="VN1", at=0.0) == 0
+    net.publish("pub", image_message("f0"), wire_topic="/nowhere", network="VN1", at=0.0)
+    assert len(net.queue) == 0
+    net.run_until(10.0)
+    assert net.delivered == 0
 
 
 def test_unknown_sender_rejected():
@@ -125,21 +130,53 @@ def test_errors_keep_their_order_before_and_after_a_route_is_used():
             net.publish("pub", image_message("f0"), wire_topic="/image", network="EDGE", at=10.0)
 
 
-def test_network_redefined_after_a_publish_is_seen_by_the_next():
+def test_a_network_is_declared_once_and_keeps_its_first_link():
     net = Fabric(seed=0)
     net.add_network("VN1", latency_ms=1.0)
     net.add_node(SimNode("pub", "VN1"))
     sub = net.add_node(Recorder("sub", "VN1"))
     net.subscribe("sub", "/image", "VN1")
     net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
-    net.add_network("VN1", latency_ms=5.0)
+    with pytest.raises(TopologyError, match="VN1 is already declared"):
+        net.add_network("VN1", latency_ms=5.0)
     net.publish("pub", image_message("f1"), wire_topic="/image", network="VN1", at=0.0)
     net.run_until(10.0)
-    assert [r[0] for r in sub.received] == [1.0, 5.0]
+    assert [r[0] for r in sub.received] == [1.0, 1.0]
+
+
+def test_a_node_may_not_join_an_undeclared_network():
+    net = Fabric(seed=0)
+    net.add_network("VN1")
+    with pytest.raises(TopologyError, match="undeclared network EDGE"):
+        net.add_node(SimNode("genie", "VN1"), ("VN1", "EDGE"))
+    with pytest.raises(TopologyError, match="undeclared network VN2"):
+        net.add_node(SimNode("pub", "VN2"))
+    with pytest.raises(UnknownNodeError):  # a refused node is not added
+        net.subscribe("genie", "/image", "VN1")
+
+
+def test_a_sender_subscribed_to_its_own_wire_moves_no_other_delivery():
+    def received(sender_subscribes: bool) -> dict[str, list[float]]:
+        net = Fabric(seed=3)
+        net.add_network("EDGE", latency_ms=1.0, jitter_ms=3.0)
+        nodes = [net.add_node(Recorder(name, "EDGE")) for name in ("a", "pub", "b")]
+        for node in nodes:
+            if node.name != "pub" or sender_subscribes:
+                net.subscribe(node.name, "/objects-remote", "EDGE")
+        for i in range(20):
+            message = image_message(f"f{i}", seq=i)
+            net.publish("pub", message, wire_topic="/objects-remote", network="EDGE", at=float(i))
+        net.run_until(1000.0)
+        return {node.name: [r[0] for r in node.received] for node in nodes}
+
+    plain, own = received(False), received(True)
+    assert own == plain
+    assert own["pub"] == [] and len(own["a"]) == len(own["b"]) == 20
 
 
 def test_duplicate_subscription_rejected():
     net = Fabric(seed=0)
+    net.add_network("VN1")
     net.add_node(Recorder("sub", "VN1"))
     net.subscribe("sub", "/image", "VN1")
     with pytest.raises(TopologyError):
@@ -153,9 +190,10 @@ def test_isolation_between_virtual_networks():
     net.add_node(SimNode("pub", "VN1"))
     outsider = net.add_node(Recorder("outsider", "VN2"))
     net.subscribe("outsider", "/image", "VN2")
-    assert net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0) == 0
+    net.publish("pub", image_message("f0"), wire_topic="/image", network="VN1", at=0.0)
     net.run_until(10.0)
     assert outsider.received == []
+    assert net.delivered == 0
 
 
 def test_membership_required_for_publish_network():
@@ -248,6 +286,7 @@ def test_delivery_hook_is_the_only_recorder_and_the_count_is_always_kept():
     sink: list[tuple] = []
     hooked.on_delivery = sink.append
     for net in (own, silent, hooked):
+        net.add_network("VN1")
         net.add_node(SimNode("pub", "VN1"))
         net.add_node(Recorder("sub", "VN1"))
         net.subscribe("sub", "/image", "VN1")
@@ -280,10 +319,11 @@ def test_causality_delivery_not_before_publish_plus_latency():
 
 
 def test_link_validation():
-    with pytest.raises(ValueError):
-        Link(latency_ms=-1.0)
-    with pytest.raises(ValueError):
-        Link(jitter_ms=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            Link(latency_ms=bad)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            Link(jitter_ms=bad)
 
 
 def _check_against_one_heap(seed: int) -> int:

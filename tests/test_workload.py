@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -289,6 +290,18 @@ class TestTraceIO:
         b = TraceFrame("car1", 100, pose, "f0", (GroundTruth("car", 0.9, (1, 1, 1), (1, 1, 1)),))
         with pytest.raises(TraceError, match="exact replays"):
             Trace.build([a, b])
+
+    def test_built_trace_refuses_a_car_name_with_slash(self):
+        # the loader's rule, for a trace passed to build_scenario directly
+        frames = synth_trace(2, "disjoint", 3, seed=1).frames
+        renamed = [replace(f, car="car1/x") if f.car == "car2" else f for f in frames]
+        with pytest.raises(TraceError, match=r"^car name 'car1/x' may not contain '/'$"):
+            Trace.build(renamed)
+
+    def test_built_trace_refuses_a_negative_stamp(self):
+        frames = synth_trace(1, "loop", 3, seed=1).frames
+        with pytest.raises(TraceError, match=r"^car 'car1' has a negative stamp: t_ms=-5$"):
+            Trace.build([replace(frames[0], t_ms=-5), *frames[1:]])
 
 
 class TestDetectorNode:
