@@ -23,9 +23,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .genie import DedupFilter, GenieNode, GenieRole, ServiceSpec
-from .model import (
-    LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic, translate_location,
-)
+from .model import LOCAL_SUFFIX, Header, ImageRef, Message, ObjectList, PayloadKind, Topic
 from .objectmap import ObjectMapParams, ObjectMapStore
 from .simnet import Fabric, SimNode
 from .workload import (
@@ -34,6 +32,7 @@ from .workload import (
     DeviceProfile,
     SynthSpec,
     Trace,
+    detect,
     load_device_profiles,
     load_trace,
     synth_trace,
@@ -253,23 +252,26 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
     return synth_trace(n_cars=config.n_cars, **asdict(synth))
 
 
-def _check_map_range(trace: Trace, params: ObjectMapParams) -> None:
-    """Refuse a trace whose objects the object map cannot place: each
-    coordinate of an object's absolute location, plus or minus the relevance
-    radius, divided by the cell size, must be finite, or quantizing it
-    overflows mid-run.  The loader checks each number only on its own.  Frames
-    of one image carry one content, so each image is checked once, at its
-    first frame."""
+def _detect_all(trace: Trace, params: ObjectMapParams) -> dict[str, ObjectList]:
+    """Each distinct image's ``ObjectList``, detected once, at its first frame.
+    Refuses a truth no ``DetectedObject`` can hold, and an object the object map
+    cannot place: each coordinate of its location, plus or minus the relevance
+    radius, divided by the cell size, must be finite, or quantizing it overflows
+    mid-run.  The loader checks each number only on its own."""
     r, res = params.relevance_radius_m, params.resolution_m
-    for frame in trace.by_image.values():
-        for t in frame.truths:
-            location = translate_location(t.offset, frame.pose)
-            for c in location:
-                if not math.isfinite((abs(c) + r) / res):  # the farther of c - r and c + r
-                    raise ConfigError(
-                        f"car {frame.car!r}, image {frame.image_id!r}: object location {location} "
-                        f"is out of the object map's range at resolution_m {res}"
-                    )
+    table = {}
+    for image_id, frame in trace.by_image.items():
+        try:  # detect raises for a confidence or extent out of range
+            payload = table[image_id] = detect(frame.truths, frame.pose)
+            for o in payload.objects:
+                for c in o.location:
+                    if not math.isfinite((abs(c) + r) / res):  # the farther of c - r and c + r
+                        raise ValueError(
+                            f"object location {o.location} is out of the object map's range at resolution_m {res}"
+                        )
+        except ValueError as exc:
+            raise ConfigError(f"car {frame.car!r}, image {image_id!r}: {exc}") from exc
+    return table
 
 
 def _replay(scenario: Scenario) -> None:
@@ -310,7 +312,9 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     car's origin prefix, so the fabric never delivers another car's answer.
 
     Every refusal comes first: ``validate``'s, R with no edge device, a device
-    or model not in the table, a trace without ``n_cars`` cars, a phantom not in it.
+    or model not in the table, a trace without ``n_cars`` cars, a phantom not in
+    it, a truth the detector cannot report or an object the object map cannot place.
+    Each distinct image is detected once, into one table that every detector shares.
 
     The fabric counts deliveries but records none: no output reads the
     log.  Call ``scenario.fabric.record_deliveries()`` before the run to
@@ -318,14 +322,13 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    profiles, trace = _prepare(config, trace, (mode,))
-    return _wire(config, profiles, trace, mode)
+    return _wire(config, *_prepare(config, trace, (mode,)), mode)
 
 
 def _prepare(
     config: ScenarioConfig, trace: Trace | None, modes: tuple[str, ...]
-) -> tuple[dict[str, DeviceProfile], Trace]:
-    """``build_scenario``'s refusals for ``modes``; returns the device table and trace."""
+) -> tuple[dict[str, DeviceProfile], Trace, dict[str, ObjectList]]:
+    """``build_scenario``'s refusals for ``modes``; returns the device table, trace and detection table."""
     config.validate()
     if "R" in modes and not config.edge_devices:
         raise ConfigError("remote baseline needs at least one edge device")
@@ -336,11 +339,13 @@ def _prepare(
     unknown = set(config.phantom_cars) - set(trace.cars)
     if unknown:  # in every mode, though only DG wires phantoms
         raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the trace")
-    _check_map_range(trace, config.object_map)
-    return profiles, trace
+    return profiles, trace, _detect_all(trace, config.object_map)
 
 
-def _wire(config: ScenarioConfig, profiles: dict[str, DeviceProfile], trace: Trace, mode: str) -> Scenario:
+def _wire(
+    config: ScenarioConfig, profiles: dict[str, DeviceProfile], trace: Trace,
+    detections: dict[str, ObjectList], mode: str,
+) -> Scenario:
     """``build_scenario``'s topology, once ``_prepare`` has checked for ``mode``."""
     phantoms = config.phantom_cars if mode == "DG" else ()
     net = Fabric(seed=config.seed)
@@ -349,7 +354,6 @@ def _wire(config: ScenarioConfig, profiles: dict[str, DeviceProfile], trace: Tra
         net.add_network(EDGE_NET, config.edge_latency_ms, config.edge_jitter_ms)
     scenario = Scenario(config, trace, net, {}, {}, {})
     suffix = LOCAL_SUFFIX if mode == "DG" else ""
-    detections: dict[str, ObjectList] = {}  # one detection per frame, shared
     map_params = asdict(config.object_map)
 
     def add_detector(name: str, network: str, device: str) -> None:
@@ -622,8 +626,8 @@ def run_scenario(config: ScenarioConfig, trace: Trace | None = None) -> MetricsR
 def compare_baselines(config: ScenarioConfig) -> dict[str, MetricsReport]:
     """Local-only (L), remote-only (R) and distributed-cache (DG) runs over
     one trace, device table and seed, checked once before any mode runs."""
-    profiles, trace = _prepare(config, None, MODES)
-    return {mode: run_built_scenario(_wire(config, profiles, trace, mode), mode) for mode in MODES}
+    prepared = _prepare(config, None, MODES)
+    return {mode: run_built_scenario(_wire(config, *prepared, mode), mode) for mode in MODES}
 
 
 # -- report files ---------------------------------------------------------------

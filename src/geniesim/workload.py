@@ -79,7 +79,7 @@ class TraceFrame:
 class Trace:
     """Frames globally sorted by time, with per-car views and an exact-replay
     index from image id to frame content.  A car's name holds no ``/`` and
-    its stamps are non-negative and strictly increasing."""
+    its stamps strictly increase from at least 0 to at most 2**53 (exact floats)."""
 
     frames: tuple[TraceFrame, ...]
     by_car: dict[str, tuple[TraceFrame, ...]]
@@ -105,6 +105,8 @@ class Trace:
                 raise TraceError(f"car name {car!r} may not contain '/'")
             if lst[0].t_ms < 0:
                 raise TraceError(f"car {car!r} has a negative stamp: t_ms={lst[0].t_ms}")
+            if lst[-1].t_ms > 2**53:  # the replay stamps each frame as a float
+                raise TraceError(f"car {car!r} has a stamp above 2**53: t_ms={lst[-1].t_ms}")
             for a, b in zip(lst, lst[1:]):
                 if b.t_ms <= a.t_ms:
                     raise TraceError(
@@ -465,6 +467,16 @@ DEFAULT_PROFILES = load_device_profiles()
 # -- detector ------------------------------------------------------------------
 
 
+def detect(truths: tuple[GroundTruth, ...], pose: Pose) -> ObjectList:
+    """What a detection model reports for a frame: its ground truths with
+    locations translated to the absolute frame.  A pure function of the
+    frame content, hence of the image id under exact-replay traces; raises
+    ``ValueError`` for a truth no ``DetectedObject`` can hold."""
+    return ObjectList(tuple([
+        DetectedObject(t.label, t.confidence, translate_location(t.offset, pose), t.extent) for t in truths
+    ]))
+
+
 def detector_stub(
     image_id: str,
     truths: tuple[GroundTruth, ...],
@@ -472,28 +484,12 @@ def detector_stub(
     profile: DeviceProfile,
     model: str,
     rng: random.Random | None = None,
-    detections: dict[str, ObjectList] | None = None,
 ) -> tuple[ObjectList, float]:
-    """Stand-in for a detection model: returns the frame's ground truths with
-    locations translated to the absolute frame, and a sampled latency.
-
-    Output bytes are a pure function of the frame content, hence of the
-    image id under exact-replay traces; only the latency draw varies.  So a
-    frame is detected once per ``detections`` table (a scenario's detectors
-    share one): later calls return the same ``ObjectList``, and its
-    memoized content digest with it, but still draw their own latency.  An
-    out-of-memory model raises before anything is detected.
-    """
+    """The reference detector for one frame: :func:`detect`'s fresh
+    ``ObjectList`` and a sampled latency.  ``image_id`` only names the frame.
+    An out-of-memory model raises before anything is detected."""
     latency = profile.latency_ms(model, rng)
-    if detections is None:
-        detections = {}
-    payload = detections.get(image_id)
-    if payload is None:
-        payload = detections[image_id] = ObjectList(tuple(
-            DetectedObject(t.label, t.confidence, translate_location(t.offset, pose), t.extent)
-            for t in truths
-        ))
-    return payload, latency
+    return detect(truths, pose), latency
 
 
 class DetectorNode(SimNode):
@@ -502,10 +498,9 @@ class DetectorNode(SimNode):
     Requests are answered independently after the sampled model latency;
     there is no queueing or contention, which keeps per-request latency a
     function of the device profile alone.  The answer reuses the request
-    header so callers can correlate it.  Detectors built with one
-    ``detections`` table (``build_scenario`` gives a scenario's detectors
-    one) detect each frame once per scenario and publish the same
-    ``ObjectList``; see :func:`detector_stub`.
+    header so callers can correlate it.  Each image's ``ObjectList`` is read
+    from a ``detections`` table built once, which ``build_scenario`` shares among
+    every detector of a run; given none, a detector detects ``frame_index`` when built.
     """
 
     def __init__(
@@ -523,25 +518,23 @@ class DetectorNode(SimNode):
         super().__init__(name, home_network)
         self.profile = profile
         self.model = model
-        self.frame_index = frame_index
         self.request_wire = request_wire
         self.answer_wire = answer_wire
         self.answer_topic = answer_topic
-        self.detections = {} if detections is None else detections
+        if detections is None:
+            detections = {image_id: detect(f.truths, f.pose) for image_id, f in frame_index.items()}
+        self.detections = detections
         self.invocations = 0
         self.oom_failures = 0
         self.unknown_frames = 0
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
-        frame = self.frame_index.get(getattr(message.payload, "content_id", None))
-        if frame is None:
+        payload = self.detections.get(getattr(message.payload, "content_id", None))
+        if payload is None:
             self.unknown_frames += 1
             return
         try:
-            payload, latency = detector_stub(
-                frame.image_id, frame.truths, frame.pose, self.profile, self.model, net.rng,
-                self.detections,
-            )
+            latency = self.profile.latency_ms(self.model, net.rng)
         except OomError:
             self.oom_failures += 1
             return

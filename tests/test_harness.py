@@ -393,6 +393,13 @@ class TestCompareBaselines:
         keys = [{(s.car, s.seq) for s in r.samples} for r in reports.values()]
         assert keys[0] == keys[1] == keys[2]
 
+    def test_every_mode_answers_from_one_detection_table(self):
+        reports = compare_baselines(small_loop(n_cars=2))
+        remote = {(s.car, s.seq): s.message.payload for s in reports["R"].samples}
+        assert len(remote) == 60
+        for s in reports["L"].samples:
+            assert s.message.payload is remote[(s.car, s.seq)]
+
     def test_caching_never_changes_detected_content(self):
         # per frame, the cached mode delivers the same detections the
         # local-only mode computes; map-flagged additions are the only delta
@@ -450,6 +457,22 @@ class TestBuildScenario:
         config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=3))
         for mode in MODES:
             with pytest.raises(ConfigError, match=f"^car 'car1', image '{frames[1].image_id}': .* out of the object map"):
+                build_scenario(config, Trace.build(frames), mode)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("confidence", 1.5, "confidence out of range: 1.5", id="confidence"),
+            pytest.param("extent", (0.4, 0.0, 1.2), "extent must be positive", id="extent"),
+        ],
+    )
+    def test_a_passed_trace_the_detector_cannot_report_is_refused_at_build(self, field, value, message):
+        frames = list(synth_trace(1, "loop", 3, seed=1).frames)
+        truths = frames[1].truths
+        frames[1] = replace(frames[1], truths=(replace(truths[0], **{field: value}), *truths[1:]))
+        config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=3))
+        for mode in MODES:
+            with pytest.raises(ConfigError, match=re.escape(f"car 'car1', image '{frames[1].image_id}': {message}")):
                 build_scenario(config, Trace.build(frames), mode)
 
     def test_a_built_fabric_counts_deliveries_but_records_none(self):
@@ -667,6 +690,10 @@ BAD_FILES = [
         for name in ("conf_alpha", "conf_beta", "n_frames", "frame_period_ms")
     ),
     pytest.param({"synth": {**SYNTH, "route": "zigzag"}}, "config.synth.route", id="route-unknown"),
+    pytest.param(  # the second frame's stamp is no float
+        {"synth": {**SYNTH, "n_frames": 2, "frame_period_ms": 10**400}}, "has a stamp above 2**53",
+        id="period-beyond-float",
+    ),
     *(
         pytest.param({"synth": {**SYNTH, **synth}}, "config.synth.overlap_fraction", id=case)
         for case, synth in (
@@ -886,6 +913,19 @@ class TestCli:
             assert len(err) == 1
             assert err[0].startswith("error: car 'car1', image ")
             assert frame["image_id"] in err[0]
+
+    def test_a_stamp_a_float_cannot_hold_exits_with_one_error_line(self, tmp_path, capsys):
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 3, seed=1), trace_path)
+        lines = trace_path.read_text().splitlines()
+        frame = json.loads(lines[-1])
+        frame["t_ms"] = 10**400
+        lines[-1] = json.dumps(frame)
+        trace_path.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(ScenarioConfig(n_cars=1, trace_file=str(trace_path)).to_dict()))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: car 'car1' has a stamp above 2**53: t_ms={10**400}"]
 
     def test_zero_resolution_with_a_trace_file_exits_with_one_error_line(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"

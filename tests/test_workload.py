@@ -20,6 +20,7 @@ from geniesim.workload import (
     TraceError,
     TraceFrame,
     UnknownModelError,
+    detect,
     detector_stub,
     load_device_profiles,
     load_trace,
@@ -303,6 +304,13 @@ class TestTraceIO:
         with pytest.raises(TraceError, match=r"^car 'car1' has a negative stamp: t_ms=-5$"):
             Trace.build([replace(frames[0], t_ms=-5), *frames[1:]])
 
+    def test_built_trace_refuses_a_stamp_a_float_cannot_hold(self):
+        # 2**53 + 1 and 2**53 round to one float, so the replay would tie them
+        frames = synth_trace(1, "loop", 3, seed=1).frames
+        assert Trace.build([*frames[:-1], replace(frames[-1], t_ms=2**53)]).end_ms() == 2**53
+        with pytest.raises(TraceError, match=rf"^car 'car1' has a stamp above 2\*\*53: t_ms={2**53 + 1}$"):
+            Trace.build([*frames[:-1], replace(frames[-1], t_ms=2**53 + 1)])
+
 
 class TestDetectorNode:
     def _wire(self, profile_name="A4500"):
@@ -351,6 +359,13 @@ class TestDetectorNode:
         assert detector.invocations == 0
         assert sink == []
 
+    def test_a_detector_given_no_table_detects_every_frame_when_built(self):
+        trace, net, detector, sink = self._wire()
+        assert detector.detections.keys() == trace.by_image.keys()
+        for image_id, f in trace.by_image.items():
+            oracle, _ = detector_stub(image_id, f.truths, f.pose, detector.profile, detector.model)
+            assert payload_bytes(detector.detections[image_id]) == payload_bytes(oracle)
+
     MODEL = "DETR-ResNet-101-DC5"  # fits on A4500 and AGX, not on Nano
 
     def _pair(self, devices):
@@ -359,7 +374,7 @@ class TestDetectorNode:
         net = Fabric(seed=5)
         net.add_network("VN1")
         net.add_node(SimNode("camera", "VN1"))
-        table = {}
+        table = {image_id: detect(f.truths, f.pose) for image_id, f in trace.by_image.items()}
         detectors = []
         for i, device in enumerate(devices):
             detector = DetectorNode(
@@ -393,7 +408,7 @@ class TestDetectorNode:
         net.run_until(10_000.0)
         (_, first), (_, second) = sink
         assert first.payload is second.payload
-        assert table == {frame.image_id: first.payload}
+        assert table[frame.image_id] is first.payload
         assert [d.invocations for d in detectors] == [1, 1]
 
     def test_each_invocation_draws_its_own_latency(self):
@@ -406,12 +421,11 @@ class TestDetectorNode:
         assert expected[0] != expected[1]
         assert [at for at, _ in sink] == expected
 
-    def test_oom_and_unknown_frames_leave_the_table_empty(self):
+    def test_oom_and_unknown_frames_are_counted_and_publish_nothing(self):
         trace, net, detectors, table, sink = self._pair(("Nano", "Nano"))
         net.publish("camera", image_message(trace.frames[0].image_id, seq=0), wire_topic="/image-local", network="VN1", at=0.0)
         net.publish("camera", image_message("no-such-frame", seq=1), wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
-        assert table == {}
         assert sink == []
         for d in detectors:
             assert (d.invocations, d.oom_failures, d.unknown_frames) == (0, 1, 1)
