@@ -19,6 +19,7 @@ import math
 import statistics
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -582,7 +583,7 @@ def collect_report(scenario: Scenario, mode: str) -> MetricsReport:
         genie = scenario.genies[name]
         per_genie[name] = genie.counters_dict()
         boost.extend((t, name, delta) for t, delta in genie.object_map.boost_records)
-    boost.sort(key=lambda e: (e[0], e[1]))
+    boost.sort(key=itemgetter(0))  # stable: ties keep name order, then ingest order
     detectors = sorted(scenario.detectors.items())
     return MetricsReport(
         config=scenario.config,

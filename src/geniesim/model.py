@@ -155,12 +155,24 @@ class DetectedObject:
     def sort_key(self) -> tuple:
         return (self.label, self.location, self.confidence, self.extent)
 
+    def with_confidence(self, confidence: float, from_map: bool) -> DetectedObject:
+        """A copy with ``confidence`` and ``from_map`` set, filled as ``__init__``
+        fills it but unchecked: only for a confidence known to be in [0, 1]."""
+        obj = _new_object(DetectedObject)
+        _set_label(obj, self.label)
+        _set_confidence(obj, confidence)
+        _set_location(obj, self.location)
+        _set_extent(obj, self.extent)
+        _set_from_map(obj, from_map)
+        return obj
+
 
 _set_label = DetectedObject.label.__set__
 _set_confidence = DetectedObject.confidence.__set__
 _set_location = DetectedObject.location.__set__
 _set_extent = DetectedObject.extent.__set__
 _set_from_map = DetectedObject.from_map.__set__
+_new_object = object.__new__
 
 
 @dataclass(frozen=True, slots=True)

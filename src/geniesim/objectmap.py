@@ -11,9 +11,10 @@ confidence threshold are ever shared outward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
+from operator import attrgetter
 
 from .model import DetectedObject, Message, ObjectList
 
@@ -58,6 +59,7 @@ def _ascend(stored: float, observed: float, rate: float) -> float:
 
 
 _UPDATES = {UpdateRule.VERBATIM: _verbatim, UpdateRule.EMA: _ema, UpdateRule.ASCEND: _ascend}
+_SORT_KEY = attrgetter("label", "location", "confidence", "extent")  # DetectedObject.sort_key, in C
 
 
 def apply_update(rule: UpdateRule, stored: float, observed: float, rate: float) -> float:
@@ -123,6 +125,10 @@ class ObjectMapStore:
 
     ``boost_records`` holds one ``(time_ms, delta)`` pair per re-sighting,
     in ingest order, where delta is the confidence after minus before.
+
+    Every object stored or appended is a checked object or a copy of one
+    made by ``DetectedObject.with_confidence`` (a boost's confidence comes
+    clamped from the update rule), so neither path validates again.
     """
 
     def __init__(self, **params) -> None:
@@ -162,31 +168,30 @@ class ObjectMapStore:
         confidence of a same-label object already stored in its cell
         (appending a boost record) or is inserted fresh.
         """
-        if not isinstance(message.payload, ObjectList):
+        payload = message.payload
+        if not isinstance(payload, ObjectList):
             return
         self._answers.clear()
-        for obj in message.payload.objects:
-            cell = quantize(obj.location, self.resolution_m)
-            self.requests += 1
-            stored_list = self.cells.get(cell)
-            match_idx = None
-            if stored_list is not None:
-                for i, stored in enumerate(stored_list):
-                    if stored.label == obj.label:
-                        match_idx = i
-                        break
-            if match_idx is None:
+        cells, res, floor = self.cells, self.resolution_m, math.floor
+        update, rate, boosts = self._update, self.update_rate, self.boost_records
+        hits = 0
+        for obj in payload.objects:
+            x, y, z = obj.location
+            cell = (floor(x / res), floor(y / res), floor(z / res))  # quantize(), inlined
+            stored_list = cells.setdefault(cell, [])
+            for i, stored in enumerate(stored_list):
+                if stored.label == obj.label:
+                    before = stored.confidence
+                    after = update(before, obj.confidence, rate)
+                    stored_list[i] = stored.with_confidence(after, False)
+                    boosts.append((now_ms, after - before))
+                    hits += 1
+                    break
+            else:
                 # objects are frozen, so a detector's own object is stored as is
-                self.cells.setdefault(cell, []).append(
-                    replace(obj, from_map=False) if obj.from_map else obj
-                )
-                continue
-            self.hits += 1
-            stored = stored_list[match_idx]
-            before = stored.confidence
-            after = self._update(before, obj.confidence, self.update_rate)
-            stored_list[match_idx] = DetectedObject(stored.label, after, stored.location, stored.extent)
-            self.boost_records.append((now_ms, after - before))
+                stored_list.append(obj.with_confidence(obj.confidence, False) if obj.from_map else obj)
+        self.requests += len(payload.objects)
+        self.hits += hits
 
     # -- read path ------------------------------------------------------------
 
@@ -214,7 +219,9 @@ class ObjectMapStore:
             self.requests += len(objects)
             self.hits += kept[2]
             return kept[1]
-        present = {(o.label, quantize(o.location, self.resolution_m)) for o in objects}
+        res, floor = self.resolution_m, math.floor  # quantize(), inlined
+        present = {(o.label, (floor(x / res), floor(y / res), floor(z / res)))
+                   for o in objects for x, y, z in (o.location,)}
         threshold = self.confidence_threshold
         additions: list[DetectedObject] = []
         found = [False] * len(objects)
@@ -226,15 +233,12 @@ class ObjectMapStore:
                 if ident in present:
                     continue
                 present.add(ident)
-                additions.append(DetectedObject(
-                    stored.label, stored.confidence, stored.location, stored.extent,
-                    from_map=True,
-                ))
+                additions.append(stored.with_confidence(stored.confidence, True))
                 found[i] = True
         hits = sum(found)
         self.requests += len(objects)
         self.hits += hits
-        additions.sort(key=DetectedObject.sort_key)
+        additions.sort(key=_SORT_KEY)
         answer = ObjectList(objects + tuple(additions))
         # every addition is from_map, so the answer digests as the payload
         object.__setattr__(answer, "_digest", payload._digest)
@@ -249,27 +253,28 @@ class ObjectMapStore:
         point whose sphere holds it, sorted: the order in which scanning each
         point's sorted neighbourhood in turn first reaches each cell.
 
-        Each column overlapping some point's bounding box is read once, and
-        its cells are tested against those points in index order, so the
-        cost does not grow with the map."""
+        Each occupied column overlapping some point's bounding box is read
+        once, and its cells are tested against those points in index order,
+        so the cost does not grow with the map."""
         r = self.relevance_radius_m
         res = self.resolution_m
         r2 = r * r
         k = self._bucket_edge
         self._index_new_cells()
-        # column -> (index, point, bounding box in cells) of each point whose
-        # box overlaps it, in index order
+        # occupied column -> (index, point, bounding box in cells) of each
+        # point whose box overlaps it, in index order
         columns: dict[tuple[int, int], list[tuple]] = {}
         floor = math.floor
+        buckets = self._buckets
         for i, (px, py, pz) in enumerate(points):
             # quantize() of the box corners, inlined
             lx, ly, lz = floor((px - r) / res), floor((py - r) / res), floor((pz - r) / res)
             hx, hy, hz = floor((px + r) / res), floor((py + r) / res), floor((pz + r) / res)
             box = (i, px, py, pz, lx, ly, lz, hx, hy, hz)
             for column in product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1)):
-                columns.setdefault(column, []).append(box)
+                if column in buckets:  # an empty column has no cell to test
+                    columns.setdefault(column, []).append(box)
         out = []
-        buckets = self._buckets
         for column, near in columns.items():
             for cell, x0, x1, y0, y1, z0, z1 in buckets.get(column, ()):
                 ix, iy, iz = cell

@@ -342,6 +342,8 @@ def synth_trace(n_cars: int, route: str, n_frames: int, **params) -> Trace:
     spec.check()
     if n_cars < 1:
         raise ValueError(f"n_cars must be >= 1: {n_cars}")
+    if not math.isfinite((n_cars - 1) * spec.stagger_ms):  # the last car's start, rounded below
+        raise ValueError(f"stagger_ms is too large for {n_cars} cars: {spec.stagger_ms}")
     seed = 0 if spec.seed is None else spec.seed
 
     n_shared = round(spec.overlap_fraction * n_frames)

@@ -5,8 +5,10 @@ mode (``force_miss``) and one long enough for repeat hits on an unchanged
 object map; two short-TTL corridor cells that expire pending requests, one
 with a three-entry LRU and one in transparency mode; plus
 ``scenarios/demo.json`` and a jittered corridor with a phantom car under
-``compare_baselines``.  It checks, per cell, the sha256 of the emitted
-``summary.json`` (key ``<cell>``) and one sha256 over the emitted
+``compare_baselines``; plus the bench's three workloads at seed 7, so a
+change that must keep the bench's outputs is checked in the test suite
+too.  It checks, per cell, the sha256 of the emitted ``summary.json`` (key
+``<cell>``) and one sha256 over the emitted
 ``boost.csv``, ``latency_cdf.csv`` and ``reuse.csv`` (key ``<cell>:csv``)
 against ``golden.json``, so every emitted file is pinned byte for byte.  A
 third sha256 over every field of every fabric ``DeliveryRecord`` (key
@@ -72,6 +74,14 @@ JITTER_PHANTOM = ScenarioConfig(
     vn_jitter_ms=1.5,
     edge_jitter_ms=4.0,
 )
+# the bench's workloads (``bench/run_bench.py``'s ``WORKLOADS``), each as
+# (name, route, cars, frames, edges, overlap, edge latency in ms); their
+# summary.json digests are the bench's seed-7 reference digests
+BENCH = (
+    ("corridor", "shared-corridor", 4, 100, ("AGX", "A4500"), 0.5, 5.0),
+    ("disjoint", "disjoint", 8, 30, ("AGX",), 0.0, 0.0),
+    ("loop", "loop", 1, 1500, ("AGX",), 0.9, 0.0),
+)
 
 
 def _config(
@@ -134,6 +144,9 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
     route, cars, frames, overlap = REPEAT_HITS
     cell = f"{route}/{cars}cars/AGX/{frames}frames-overlap{overlap}"
     record(cell, _config(route, cars, ("AGX",), frames=frames, overlap=overlap))
+    for name, route, cars, frames, edges, overlap, edge_latency_ms in BENCH:
+        config = _config(route, cars, edges, frames=frames, overlap=overlap)
+        record(f"bench/{name}", replace(config, edge_latency_ms=edge_latency_ms))
     baselines = {"demo": ScenarioConfig.from_json_file(DEMO), "jitter-phantom": JITTER_PHANTOM}
     for name, config in baselines.items():
         # compare_baselines, unrolled to reach each mode's fabric

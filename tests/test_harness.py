@@ -583,6 +583,31 @@ class TestPhantoms:
         assert report.reuse("image", "remote")[0] > 0
 
 
+class TestCollectReport:
+    def test_boost_ties_come_out_in_genie_name_order_then_ingest_order(self):
+        scenario = build_scenario(small_loop(n_cars=2, synth=SynthSpec(route="loop", n_frames=3)))
+        # genies listed out of name order, so the name order must come from the sort
+        scenario.genies = dict(sorted(scenario.genies.items(), reverse=True))
+        records = {
+            "car1/genie": [(5.0, 0.9), (3.0, 0.3)],
+            "car2/genie": [(5.0, 0.4), (5.0, -0.1), (1.0, 0.2)],
+            "edge1/genie": [(5.0, 0.1)],
+        }
+        assert sorted(records) == sorted(scenario.genies)
+        for name, genie in scenario.genies.items():
+            genie.object_map.boost_records = records[name]
+        assert harness.collect_report(scenario, "DG").boost_events == [
+            (1.0, "car2/genie", 0.2),
+            (3.0, "car1/genie", 0.3),
+            # one instant: car1 before car2 before edge1, and car2's two
+            # boosts in the order it ingested them
+            (5.0, "car1/genie", 0.9),
+            (5.0, "car2/genie", 0.4),
+            (5.0, "car2/genie", -0.1),
+            (5.0, "edge1/genie", 0.1),
+        ]
+
+
 class TestEmitReport:
     def test_cdf_definition(self):
         assert list(_cdf_rows([15.0, 5.0, 10.0])) == [
@@ -805,6 +830,20 @@ class TestCli:
             f"error: stagger_ms must be finite and non-negative: {float(value)}"
         ]
         assert not trace_path.exists()
+
+    def test_a_stagger_too_large_for_the_cars_exits_with_one_error_line(self, tmp_path, capsys):
+        # 1e308 is finite, but the third car starts at 2 * 1e308, which is not
+        expected = ["error: stagger_ms is too large for 3 cars: 1e+308"]
+        trace_path = tmp_path / "trace.jsonl"
+        assert cli_main(["synth", "--cars", "3", "--stagger-ms", "1e308", "--out", str(trace_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
+        assert not trace_path.exists()
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(
+            {"n_cars": 3, "synth": {"route": "loop", "n_frames": 3, "stagger_ms": 1e308}}
+        ))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.splitlines() == expected
 
     def test_synth_refuses_a_zero_period_only_for_several_frames(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"

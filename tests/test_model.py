@@ -323,6 +323,20 @@ class TestHandWrittenInit:
         with pytest.raises(ValueError, match="confidence out of range"):
             replace(detected, confidence=1.5)
 
+    def test_with_confidence_equals_the_checked_constructor(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            source = random_object(rng)
+            confidence = rng.choice(CONFIDENCES)
+            for from_map in (False, True):
+                copy = source.with_confidence(confidence, from_map)
+                checked = DetectedObject(source.label, confidence, source.location, source.extent, from_map)
+                assert type(copy) is DetectedObject and copy is not source
+                assert copy == checked and hash(copy) == hash(checked) and repr(copy) == repr(checked)
+                assert copy.sort_key() == checked.sort_key() and copy.from_map is from_map
+                with pytest.raises(FrozenInstanceError):
+                    copy.confidence = confidence
+
 
 class TestPayloadBytes:
     def test_strip_map_objects(self):

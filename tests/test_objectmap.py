@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,6 +153,76 @@ class TestIngest:
                 store.ingest(objects_message((obj("car", conf, (0.2, 0.2, 0.2)),)), float(i))
             for objects in store.cells.values():
                 assert all(0.0 <= o.confidence <= 1.0 for o in objects)
+
+
+def reference_ingest(store, message, now_ms):
+    """Reference for ``ingest``, written plainly: ``quantize`` per object,
+    the checking constructor for each boost, and ``replace`` for an object
+    that arrives flagged ``from_map``.  It updates ``store``'s cells,
+    counters and boost records as ``store.ingest`` should."""
+    if not isinstance(message.payload, ObjectList):
+        return
+    for o in message.payload.objects:
+        cell = quantize(o.location, store.resolution_m)
+        store.requests += 1
+        stored_list = store.cells.get(cell)
+        match = None
+        if stored_list is not None:
+            for i, stored in enumerate(stored_list):
+                if stored.label == o.label:
+                    match = i
+                    break
+        if match is None:
+            store.cells.setdefault(cell, []).append(replace(o, from_map=False) if o.from_map else o)
+            continue
+        store.hits += 1
+        stored = stored_list[match]
+        after = apply_update(store.update_rule, stored.confidence, o.confidence, store.update_rate)
+        stored_list[match] = DetectedObject(stored.label, after, stored.location, stored.extent)
+        store.boost_records.append((now_ms, after - stored.confidence))
+
+
+class TestIngestMatchesReference:
+    LABELS = ("car", "pole")
+
+    @staticmethod
+    def coordinate(rng):
+        # signed zeros, cell edges and points inside a few cells
+        return rng.choice([0.0, -0.0, 0.5, -0.5, rng.randint(-4, 4) * 0.5, rng.uniform(-2.0, 2.0)])
+
+    def test_matches_reference_on_seeded_stores(self):
+        rng = random.Random(35)
+        seen = {"boosts": 0, "from_map": 0, "shared_cells": 0, "clamped": 0}
+        for _ in range(150):
+            params = dict(
+                update_rule=rng.choice(list(UpdateRule)).value,
+                update_rate=rng.choice([0.1, 0.5, 1.0]),
+                resolution_m=rng.choice([0.5, 0.3, 1.0]),
+            )
+            store, reference = ObjectMapStore(**params), ObjectMapStore(**params)
+            for step in range(rng.randint(1, 12)):
+                if rng.random() < 0.1:
+                    message = image_message(f"f{step}")
+                else:
+                    message = objects_message(tuple(
+                        obj(
+                            rng.choice(self.LABELS),
+                            rng.choice([0.0, 1.0, rng.random()]),
+                            tuple(self.coordinate(rng) for _ in range(3)),
+                            from_map=rng.random() < 0.3,
+                        )
+                        for _ in range(rng.randint(0, 5))
+                    ))
+                    seen["from_map"] += sum(o.from_map for o in message.payload.objects)
+                store.ingest(message, float(step))
+                reference_ingest(reference, message, float(step))
+                assert repr(store.cells) == repr(reference.cells)
+                assert (store.requests, store.hits) == (reference.requests, reference.hits)
+                assert repr(store.boost_records) == repr(reference.boost_records)
+            seen["boosts"] += len(store.boost_records)
+            seen["shared_cells"] += sum(len({o.label for o in v}) > 1 for v in store.cells.values())
+            seen["clamped"] += sum(o.confidence in (0.0, 1.0) for v in store.cells.values() for o in v)
+        assert all(seen.values()), seen
 
 
 class TestAugment:
@@ -397,11 +468,16 @@ class _CountingDict(dict):
         super().__init__()
         self.gets = 0
         self.keys_read = []
+        self.probes = 0
 
     def get(self, key, default=None):
         self.gets += 1
         self.keys_read.append(key)
         return super().get(key, default)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
 
 
 class TestCellsNear:
@@ -464,7 +540,7 @@ class TestCellsNear:
             store.cells.setdefault((1000 + i, 1000 - i, i % 7), [])
         store.cells.setdefault((3, 4, 0), [])
         assert store._cells_near([(0.2, 0.2, 0.2)]) == [(0, (3, 4, 0))]
-        assert store._buckets.gets <= 9
+        assert store._buckets.gets <= 9 and store._buckets.probes <= 9
 
     def test_reads_each_column_once_per_call(self):
         rng = random.Random(4)
