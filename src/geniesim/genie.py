@@ -267,10 +267,14 @@ class DedupFilter:
     Callers pass a nondecreasing ``now`` (``ConsumerNode`` passes the fabric
     clock).  ``_last_accept`` is then in accept-time order, and digests whose
     window has passed, which would be accepted again anyway, are dropped
-    from its front: it holds only digests accepted within the last window.
+    from its front, in place, on each accept: it holds only digests accepted
+    within the last window.  The window is non-negative, so the digest just
+    accepted is always live and ends the walk.
     """
 
     def __init__(self, window_ms: float = 1000.0) -> None:
+        if not window_ms >= 0:
+            raise ValueError(f"dedup window must be non-negative: {window_ms}")
         self.window_ms = window_ms
         self._last_accept: dict[str, float] = {}
         self.accepted = 0
@@ -278,21 +282,19 @@ class DedupFilter:
 
     def offer(self, now: float, message: Message) -> bool:
         digest = content_key(message)
-        last = self._last_accept.get(digest)
-        if last is not None and now - last <= self.window_ms:
+        accepts, window = self._last_accept, self.window_ms
+        last = accepts.get(digest)
+        if last is not None and now - last <= window:
             self.discarded += 1
             return False
-        self._last_accept.pop(digest, None)
-        self._last_accept[digest] = now
+        accepts.pop(digest, None)
+        accepts[digest] = now
         self.accepted += 1
-        stale = []
-        for seen, last in self._last_accept.items():
-            if now - last <= self.window_ms:
-                break
-            stale.append(seen)
-        for seen in stale:
-            del self._last_accept[seen]
-        return True
+        while True:
+            seen = next(iter(accepts))
+            if now - accepts[seen] <= window:
+                return True
+            del accepts[seen]
 
 
 # -- the caching node -------------------------------------------------------------

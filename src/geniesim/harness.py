@@ -255,16 +255,19 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
 
 def _detect_all(trace: Trace, params: ObjectMapParams) -> dict[str, ObjectList]:
     """Each distinct image's ``ObjectList``, detected once, at its first frame.
-    Refuses a truth no ``DetectedObject`` can hold, and an object the object map
-    cannot place: each coordinate of its location, plus or minus the relevance
-    radius, divided by the cell size, must be finite, or quantizing it overflows
-    mid-run.  The loader checks each number only on its own."""
+    Refuses a truth no ``DetectedObject`` can hold, an infinite extent, which
+    the trace loader refuses, and an object the object map cannot place: each
+    coordinate of its location, plus or minus the relevance radius, divided
+    by the cell size, must be finite, or quantizing it overflows mid-run.
+    The loader checks each number only on its own."""
     r, res = params.relevance_radius_m, params.resolution_m
     table = {}
     for image_id, frame in trace.by_image.items():
         try:  # detect raises for a confidence or extent out of range
             payload = table[image_id] = detect(frame.truths, frame.pose)
             for o in payload.objects:
+                if math.inf in o.extent:  # saved, the trace would not load
+                    raise ValueError(f"extent must be finite: {o.extent}")
                 for c in o.location:
                     if not math.isfinite((abs(c) + r) / res):  # the farther of c - r and c + r
                         raise ValueError(
@@ -279,18 +282,20 @@ def _replay(scenario: Scenario) -> None:
     """Turn every trace frame into a request on its car's image topic.  Frames
     of one image share one ``ImageRef``, so its digest is computed once."""
     net = scenario.fabric
+    names = {car: (f"{car}/camera", f"VN-{car}") for car in scenario.trace.cars}  # (origin, network)
     seq: dict[str, int] = {}
     images: dict[str, ImageRef] = {}
     for frame in scenario.trace.frames:
-        origin = f"{frame.car}/camera"
+        origin, network = names[frame.car]
         n = seq.get(frame.car, 0)
         seq[frame.car] = n + 1
-        header = Header(origin=origin, seq=n, stamp_ms=float(frame.t_ms))
+        at = float(frame.t_ms)
+        header = Header(origin=origin, seq=n, stamp_ms=at)
         image = images.get(frame.image_id)
         if image is None:
             image = images[frame.image_id] = ImageRef(frame.image_id)
         message = Message(header=header, topic=IMAGE_TOPIC, payload=image)
-        net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=f"VN-{frame.car}", at=float(frame.t_ms))
+        net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=network, at=at)
 
 
 def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str = "DG") -> Scenario:
@@ -446,13 +451,26 @@ def _cdf_rows(values: list[float]) -> Iterator[tuple[float, float]]:
     return ((v, (i + 1) / n) for i, v in enumerate(ordered))
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sample set."""
-    if not values:
+def _percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending sample list; 0.0 for an empty one."""
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
+
+
+def _reprs(rows: Iterable[tuple], column: int) -> Iterator[tuple[str, tuple]]:
+    """Each row with the ``repr`` of its value in ``column``.  The text of a
+    value equal to the row before's is reused, which pays off on a column
+    sorted by that value: it is formatted once per run of equal values.  A
+    zero is formatted afresh, because ``0.0 == -0.0`` but their texts
+    differ; NaN equals nothing, so it is formatted afresh anyway."""
+    last = text = None
+    for row in rows:
+        value = row[column]
+        if value != last or not value:
+            last, text = value, repr(value)
+        yield text, row
 
 
 @dataclass
@@ -522,6 +540,7 @@ class MetricsReport:
         objrr = {
             scope: self.reuse_ratio("object", scope) for scope in ("local", "remote")
         }
+        ordered = sorted(lat)
         per_car: dict[str, dict] = {}
         for s in self.samples:
             per_car.setdefault(s.car, []).append(s.latency_ms)
@@ -529,7 +548,7 @@ class MetricsReport:
             car: {
                 "completed": len(values),
                 "mean": statistics.fmean(values),
-                "p99": _percentile(values, 99),
+                "p99": _percentile(sorted(values), 99),
             }
             for car, values in sorted(per_car.items())
         }
@@ -543,10 +562,10 @@ class MetricsReport:
                 "deadline_miss_fraction": self.deadline_miss_fraction,
                 "latency_ms": {
                     "mean": statistics.fmean(lat) if lat else 0.0,
-                    "p50": _percentile(lat, 50),
-                    "p95": _percentile(lat, 95),
-                    "p99": _percentile(lat, 99),
-                    "max": max(lat) if lat else 0.0,
+                    "p50": _percentile(ordered, 50),
+                    "p95": _percentile(ordered, 95),
+                    "p99": _percentile(ordered, 99),
+                    "max": max(lat) if lat else 0.0,  # not ordered[-1]: a 0.0/-0.0 tie keeps the first
                 },
                 "hit_path_ms": {
                     "count": len(hit_lat),
@@ -656,7 +675,7 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
     cdf_path = _write_csv(
         out / "latency_cdf.csv",
         "latency_ms,cum_fraction",
-        (f"{v!r},{fraction!r}" for v, fraction in _cdf_rows(report.latencies())),
+        (f"{v},{fraction!r}" for v, (_, fraction) in _reprs(_cdf_rows(report.latencies()), 0)),
     )
 
     lines = []
@@ -693,8 +712,8 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
         out / "boost.csv",
         "event_index,time_ms,genie,delta,cumulative_total,cumulative_mean",
         (
-            f"{i},{t!r},{events[i][1]},{delta!r},{total!r},{total / (i + 1)!r}"
-            for i, t, delta, total in report._boost_rows()
+            f"{i},{t},{events[i][1]},{delta!r},{total!r},{total / (i + 1)!r}"
+            for t, (i, _, delta, total) in _reprs(report._boost_rows(), 1)
         ),
     )
 

@@ -178,7 +178,11 @@ class ObjectMapStore:
         for obj in payload.objects:
             x, y, z = obj.location
             cell = (floor(x / res), floor(y / res), floor(z / res))  # quantize(), inlined
-            stored_list = cells.setdefault(cell, [])
+            # objects are frozen, so a detector's own object is stored as is
+            stored_list = cells.get(cell)
+            if stored_list is None:  # a new cell gets its list only now
+                cells[cell] = [obj.with_confidence(obj.confidence, False) if obj.from_map else obj]
+                continue
             for i, stored in enumerate(stored_list):
                 if stored.label == obj.label:
                     before = stored.confidence
@@ -188,7 +192,6 @@ class ObjectMapStore:
                     hits += 1
                     break
             else:
-                # objects are frozen, so a detector's own object is stored as is
                 stored_list.append(obj.with_confidence(obj.confidence, False) if obj.from_map else obj)
         self.requests += len(payload.objects)
         self.hits += hits
@@ -273,7 +276,11 @@ class ObjectMapStore:
             box = (i, px, py, pz, lx, ly, lz, hx, hy, hz)
             for column in product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1)):
                 if column in buckets:  # an empty column has no cell to test
-                    columns.setdefault(column, []).append(box)
+                    near = columns.get(column)
+                    if near is None:
+                        columns[column] = [box]
+                    else:
+                        near.append(box)
         out = []
         for column, near in columns.items():
             for cell, x0, x1, y0, y1, z0, z1 in buckets.get(column, ()):

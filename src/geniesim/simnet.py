@@ -248,8 +248,9 @@ class Fabric:
         route = self._routes.get((sender, network, wire_topic))
         if route is None:
             self._require(sender)
-        if at < self.clock:
-            raise ValueError(f"publish at {at} before clock {self.clock}")
+        queue = self.queue
+        if at < queue.clock:
+            raise ValueError(f"publish at {at} before clock {queue.clock}")
         if route is None:
             if network not in self._memberships[sender]:
                 raise TopologyError(f"{sender} is not a member of network {network}")
@@ -257,14 +258,15 @@ class Fabric:
             receivers = [sub for sub in self._subs.get((network, wire_topic), ()) if sub[0] != sender]
             route = self._routes[sender, network, wire_topic] = (self._links[network], receivers)
         link, receivers = route
+        latency, jitter, push = link.latency_ms, link.jitter_ms, queue.push
         origin = message.header.origin
         for _, node, prefix in receivers:
-            delay = link.latency_ms
-            if link.jitter_ms > 0:
-                delay += self.rng.uniform(0.0, link.jitter_ms)
+            delay = latency
+            if jitter > 0:
+                delay += self.rng.uniform(0.0, jitter)
             if prefix and not origin.startswith(prefix):
                 continue
-            self.queue.push(at + delay, (node, sender, network, wire_topic, message, at))
+            push(at + delay, (node, sender, network, wire_topic, message, at))
 
     def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic

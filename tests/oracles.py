@@ -9,7 +9,7 @@ goes through the cache, object-map, harness or workload code it checks
 import hashlib
 from dataclasses import replace
 
-from geniesim.model import DetectedObject, ImageRef, Message, ObjectList, PayloadKind
+from geniesim.model import DetectedObject, ImageRef, Message, ObjectList, PayloadKind, content_key
 
 
 def strip_map_objects(message: Message) -> Message:
@@ -68,3 +68,47 @@ def state_digest(store) -> str:
         for o in sorted(store.cells[cell], key=DetectedObject.sort_key):
             h.update(repr(o.sort_key()).encode())
     return h.hexdigest()
+
+
+def report_csv_text(report) -> dict[str, str]:
+    """The text of ``latency_cdf.csv`` and ``boost.csv`` for a metrics report,
+    as a per-row f-string writer builds it: every value through its own
+    ``repr``, every running total summed here."""
+    cdf = ["latency_ms,cum_fraction"]
+    cdf += [f"{v!r},{fraction!r}" for v, fraction in empirical_cdf(report.latencies())]
+    boost = ["event_index,time_ms,genie,delta,cumulative_total,cumulative_mean"]
+    total = 0.0
+    for i, (t, genie, delta) in enumerate(report.boost_events):
+        total += delta
+        boost.append(f"{i},{t!r},{genie},{delta!r},{total!r},{total / (i + 1)!r}")
+    return {name: "".join(line + "\n" for line in lines)
+            for name, lines in (("latency_cdf.csv", cdf), ("boost.csv", boost))}
+
+
+class ListWalkDedup:
+    """The duplicate filter with the expiry walk that first lists every
+    stale digest at the front of its accept-time table, then deletes them."""
+
+    def __init__(self, window_ms: float) -> None:
+        self.window_ms = window_ms
+        self._last_accept: dict[str, float] = {}
+        self.accepted = 0
+        self.discarded = 0
+
+    def offer(self, now: float, message: Message) -> bool:
+        digest = content_key(message)
+        last = self._last_accept.get(digest)
+        if last is not None and now - last <= self.window_ms:
+            self.discarded += 1
+            return False
+        self._last_accept.pop(digest, None)
+        self._last_accept[digest] = now
+        self.accepted += 1
+        stale = []
+        for seen, last in self._last_accept.items():
+            if now - last <= self.window_ms:
+                break
+            stale.append(seen)
+        for seen in stale:
+            del self._last_accept[seen]
+        return True

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from geniesim.genie import (
     CachedValue,
@@ -17,6 +18,7 @@ from geniesim.model import Header, Message, ObjectList, PayloadKind, Topic, cont
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric, SimNode
 from conftest import IMAGE, OBJECTS, count_scans, image_message, obj, objects_message
+from oracles import ListWalkDedup
 
 
 def under(message: Message, name: str) -> Message:
@@ -304,6 +306,33 @@ class TestDedupBound:
             assert all(reference[d] == t for d, t in held.items())
         assert dedup.accepted + dedup.discarded == 2000
         assert dedup.discarded > 0
+
+    MESSAGES = [objects_message((obj("car", i / 4, (0.2, 0.2, 0.2)),)) for i in range(4)]
+
+    @given(
+        window=st.sampled_from([0.0, 1.0, 2.5, 1000.0]) | st.floats(0.0, 2000.0),
+        steps=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5, 1000.0]) | st.floats(0.0, 3000.0),
+                      st.integers(0, len(MESSAGES) - 1)),
+            max_size=60,
+        ),
+    )
+    def test_the_in_place_walk_matches_the_list_walk(self, window, steps):
+        # nondecreasing clock; each step's return value, counters and held
+        # table, in order, agree with the walk that lists stale digests first
+        dedup, reference = DedupFilter(window_ms=window), ListWalkDedup(window)
+        now = 0.0
+        for dt, i in steps:
+            now += dt
+            assert dedup.offer(now, self.MESSAGES[i]) is reference.offer(now, self.MESSAGES[i])
+            assert (dedup.accepted, dedup.discarded) == (reference.accepted, reference.discarded)
+            assert list(dedup._last_accept.items()) == list(reference._last_accept.items())
+
+    @pytest.mark.parametrize("window", [-1.0, math.nan])
+    def test_a_negative_or_nan_window_is_refused(self, window):
+        # the digest just accepted must be live for the expiry walk to stop at it
+        with pytest.raises(ValueError, match="dedup window must be non-negative"):
+            DedupFilter(window_ms=window)
 
 
 class _AnswerSink(SimNode):

@@ -18,6 +18,10 @@ on purpose re-records the file and says why; the record run prints the keys
 whose digest changed:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+A second test checks every cell's ``latency_cdf.csv`` and ``boost.csv``
+against the per-row writer in ``oracles.py``, which formats every value
+with its own ``repr``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from geniesim.harness import (
     emit_report,
     run_built_scenario,
 )
+
+from oracles import report_csv_text
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
@@ -106,10 +112,12 @@ def _config(
 CSV_FILES = ("boost.csv", "latency_cdf.csv", "reuse.csv")
 
 
-def compute_digests(work_dir: Path) -> dict[str, str]:
+def compute_digests(work_dir: Path, on_cell=None) -> dict[str, str]:
     """Cell name -> sha256 of its emitted summary.json, ``<cell>:csv`` ->
     sha256 over its emitted CSV files (each prefixed by name and size), and
-    ``<cell>:deliveries`` -> sha256 over its fabric delivery log."""
+    ``<cell>:deliveries`` -> sha256 over its fabric delivery log.  Given
+    ``on_cell``, it is called with each cell's name, report and output
+    directory once the cell's files are written."""
     digests = {}
 
     def record(cell: str, config: ScenarioConfig, mode: str = "DG", trace=None) -> None:
@@ -118,6 +126,8 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
         report = run_built_scenario(scenario, mode)
         out_dir = work_dir / cell
         emit_report(report, out_dir)
+        if on_cell is not None:
+            on_cell(cell, report, out_dir)
         digests[cell] = hashlib.sha256((out_dir / "summary.json").read_bytes()).hexdigest()
         h = hashlib.sha256()
         for name in CSV_FILES:
@@ -159,6 +169,18 @@ def compute_digests(work_dir: Path) -> dict[str, str]:
 def test_summary_digests_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert compute_digests(tmp_path) == expected
+
+
+def test_emitted_csvs_equal_the_per_row_writer(tmp_path):
+    mismatched = []
+
+    def compare(cell, report, out_dir):
+        for name, text in report_csv_text(report).items():
+            if (out_dir / name).read_text(encoding="utf-8") != text:
+                mismatched.append(f"{cell}/{name}")
+
+    compute_digests(tmp_path, compare)
+    assert mismatched == []
 
 
 if __name__ == "__main__":

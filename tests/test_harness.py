@@ -30,7 +30,7 @@ from geniesim.objectmap import ObjectMapStore
 from geniesim.workload import DEFAULT_PROFILES, Trace, load_trace, save_trace, synth_trace
 from geniesim.simnet import Fabric
 from conftest import obj, objects_message
-from oracles import count_repeats, empirical_cdf
+from oracles import count_repeats, empirical_cdf, report_csv_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -388,6 +388,26 @@ class TestCompareBaselines:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("route, overlap", [("disjoint", 0.0), ("loop", 0.5), ("shared-corridor", 0.5)])
+    def test_without_an_edge_device_transparency_adds_exactly_its_overheads(self, route, overlap):
+        # the paper's "transparent" claim: with no edge device, no jitter,
+        # no phantom and a TTL above every detector latency, DG that never
+        # serves from its cache reaches the car's detector as L does, one
+        # miss overhead, one answer overhead and two extra hops later
+        config = ScenarioConfig(
+            n_cars=3, edge_devices=(), synth=SynthSpec(route=route, n_frames=200, overlap_fraction=overlap),
+            seed=5, vn_latency_ms=1.0,
+        )
+        local = run_built_scenario(build_scenario(config, mode="L"), "L").samples
+        dg = run_scenario(replace(config, force_miss=True)).samples
+        assert [(s.car, s.seq) for s in dg] == [(s.car, s.seq) for s in local]
+        assert len(dg) == 600
+        for l, g in zip(local, dg):
+            # added left to right, as a request accumulates them
+            assert g.latency_ms == (
+                l.latency_ms + config.miss_overhead_ms + config.answer_overhead_ms + 2 * config.vn_latency_ms
+            ), (g.car, g.seq)
+
     def test_modes_share_the_trace(self):
         reports = compare_baselines(small_loop())
         keys = [{(s.car, s.seq) for s in r.samples} for r in reports.values()]
@@ -474,6 +494,32 @@ class TestBuildScenario:
         for mode in MODES:
             with pytest.raises(ConfigError, match=re.escape(f"car 'car1', image '{frames[1].image_id}': {message}")):
                 build_scenario(config, Trace.build(frames), mode)
+
+    @pytest.mark.parametrize(
+        "extent, refusal",
+        [
+            ((0.4, 0.4, 1.2), None),
+            ((1e-300, 0.4, 1e300), None),
+            ((0.4, math.inf, 1.2), "extent must be finite"),
+            ((0.4, math.nan, 1.2), "extent must be positive"),
+            ((0.0, 0.4, 1.2), "extent must be positive"),
+        ],
+        ids=["plain", "extreme", "infinite", "nan", "zero"],
+    )
+    def test_a_trace_that_builds_comes_back_unchanged_from_save_and_load(self, tmp_path, extent, refusal):
+        frames = list(synth_trace(1, "loop", 3, seed=1).frames)
+        truths = frames[1].truths
+        frames[1] = replace(frames[1], truths=(replace(truths[0], extent=extent), *truths[1:]))
+        trace = Trace.build(frames)
+        config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=3))
+        if refusal is not None:
+            for mode in MODES:
+                with pytest.raises(ConfigError, match=re.escape(f"image '{frames[1].image_id}': {refusal}")):
+                    build_scenario(config, trace, mode)
+            return
+        build_scenario(config, trace)
+        save_trace(trace, tmp_path / "trace.jsonl")
+        assert load_trace(tmp_path / "trace.jsonl") == trace
 
     def test_a_built_fabric_counts_deliveries_but_records_none(self):
         for mode in MODES:
@@ -615,6 +661,28 @@ class TestEmitReport:
             (10.0, 2 / 3),
             (15.0, 1.0),
         ]
+
+    def test_csvs_equal_the_per_row_writer_on_repeats_and_signed_zeros(self, tmp_path):
+        # each repeated value's text is reused, except a zero's: 0.0 == -0.0
+        # but their reprs differ; NaN equals nothing
+        report = run_scenario(small_loop())
+        latencies = [8.8, 0.0, -0.0, -0.0, 0.0, 8.8, 8.8, 1e-300, 5.0, 8.800000000000002, math.nan]
+        report.samples[:] = [replace(s, latency_ms=v) for s, v in zip(report.samples, latencies)]
+        report.boost_events[:] = [
+            (t, name, delta)
+            for t, name, delta in zip(
+                [0.0, -0.0, -0.0, 0.0, 0.0, 3.5, 3.5, 3.5, math.nan, math.nan, 7.25, 7.25],
+                ["car1/genie", "edge1/genie"] * 6,
+                [0.1, -0.2, 0.0, -0.0, 0.05, 0.3, -0.1, 0.2, 0.0, 0.1, -0.05, 0.4],
+            )
+        ]
+        emit_report(report, tmp_path)
+        for name, text in report_csv_text(report).items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+        boost = (tmp_path / "boost.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [line.split(",")[1] for line in boost[:5]] == ["0.0", "-0.0", "-0.0", "0.0", "0.0"]
+        cdf = (tmp_path / "latency_cdf.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert {"0.0", "-0.0"} <= {line.split(",")[0] for line in cdf}
 
     def test_files_and_empty_report(self, tmp_path):
         config = ScenarioConfig(
