@@ -182,7 +182,8 @@ class TopicCacheDB:
                 m.entries[digest] = record
         record.waiters.append(header)
         self._pending[header.key] = (name, slot)
-        self._evict(m)
+        if self.max_entries is not None:
+            self._evict(m)
         return in_flight
 
     def fill(self, name: str, slot: Slot, result: Message) -> list[Header]:
@@ -196,7 +197,8 @@ class TopicCacheDB:
             return []
         if self.stores:
             record.result = result
-            self._evict(m)
+            if self.max_entries is not None:
+                self._evict(m)
         for w in record.waiters:
             self._pending.pop(w.key, None)
         # a filled record is never pending again, so nothing appends to it
@@ -241,8 +243,7 @@ class TopicCacheDB:
         return len(self._maps[name].entries)
 
     def _evict(self, m: _TopicMap) -> None:
-        if self.max_entries is None:
-            return
+        """Drop filled records down to the bound; called only when there is one."""
         while len(m.entries) > self.max_entries:
             # pending entries must survive; min() keeps the first of equal
             # keys, so ties on the last hit go by park order
@@ -451,8 +452,9 @@ class GenieNode(SimNode):
         self.counters.pending_peak = max(self.counters.pending_peak, self.db.pending_count())
         if in_flight:
             return  # queued on the request in flight instead of re-broadcasting
+        sent = at + self.miss_overhead_ms
         for wire, network in sends:
-            net.publish(self.name, message, wire_topic=wire, network=network, at=at + self.miss_overhead_ms)
+            net.publish(self.name, message, wire, network, sent)
 
     def _handle_answer(
         self, net: Fabric, at: float, flavor: str, relay: tuple[str, str] | None, pend: tuple[str, Slot],
@@ -467,9 +469,10 @@ class GenieNode(SimNode):
         if relay is None:
             return  # peers that heard the same broadcast we did need no relay from us
         wire, network = relay
+        name, publish = self.name, net.publish
+        topic, payload, sent = message.topic, message.payload, at + self.answer_overhead_ms
         for waiter in woken:
-            out = Message(waiter, message.topic, message.payload, via="answer")
-            net.publish(self.name, out, wire_topic=wire, network=network, at=at + self.answer_overhead_ms)
+            publish(name, Message(waiter, topic, payload, "answer"), wire, network, sent)
 
     def _serve_hit(self, net: Fabric, at: float, request: Message, entry: CachedValue) -> None:
         result = entry.result
@@ -477,7 +480,7 @@ class GenieNode(SimNode):
         if isinstance(payload, ObjectList):
             # augment adds only objects at or above the map's share threshold
             payload = self.object_map.augment(payload)
-        out = Message(request.header, result.topic, payload, via="hit")
+        out = Message(request.header, result.topic, payload, "hit")
         wire, network = self._answer_surfaces[result.topic.name]
         net.publish(self.name, out, wire, network, at + self.hit_overhead_ms)
 

@@ -197,17 +197,12 @@ class ConsumerNode(SimNode):
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
         if not self.dedup.offer(at, message):
             return
-        key = message.header.key
+        header = message.header
+        key = header.key
         if key in self.samples:
             return
-        t0 = message.header.stamp_ms
-        self.samples[key] = Sample(
-            car=self.car,
-            seq=key[1],
-            latency_ms=at - t0,
-            via=message.via or "direct",
-            message=message,
-        )
+        latency = at - header.stamp_ms
+        self.samples[key] = Sample(self.car, key[1], latency, message.via or "direct", message)
 
 
 class RelayNode(SimNode):
@@ -222,7 +217,8 @@ class RelayNode(SimNode):
         return (self.src[0], self.dst[0])
 
     def on_message(self, net: Fabric, at: float, network: str, wire_topic: str, message: Message) -> None:
-        net.publish(self.name, message, wire_topic=self.dst[1], network=self.dst[0], at=at)
+        dst_network, dst_wire = self.dst
+        net.publish(self.name, message, dst_wire, dst_network, at)
 
 
 # -- topology -----------------------------------------------------------------
@@ -281,8 +277,9 @@ def _detect_all(trace: Trace, params: ObjectMapParams) -> dict[str, ObjectList]:
 def _replay(scenario: Scenario) -> None:
     """Turn every trace frame into a request on its car's image topic.  Frames
     of one image share one ``ImageRef``, so its digest is computed once."""
-    net = scenario.fabric
+    publish = scenario.fabric.publish
     names = {car: (f"{car}/camera", f"VN-{car}") for car in scenario.trace.cars}  # (origin, network)
+    topic, wire = IMAGE_TOPIC, IMAGE_TOPIC.name
     seq: dict[str, int] = {}
     images: dict[str, ImageRef] = {}
     for frame in scenario.trace.frames:
@@ -290,12 +287,10 @@ def _replay(scenario: Scenario) -> None:
         n = seq.get(frame.car, 0)
         seq[frame.car] = n + 1
         at = float(frame.t_ms)
-        header = Header(origin=origin, seq=n, stamp_ms=at)
         image = images.get(frame.image_id)
         if image is None:
             image = images[frame.image_id] = ImageRef(frame.image_id)
-        message = Message(header=header, topic=IMAGE_TOPIC, payload=image)
-        net.publish(origin, message, wire_topic=IMAGE_TOPIC.name, network=network, at=at)
+        publish(origin, Message(Header(origin, n, at), topic, image), wire, network, at)
 
 
 def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str = "DG") -> Scenario:
@@ -445,10 +440,11 @@ build_genie_scenario = build_scenario
 
 def _cdf_rows(values: list[float]) -> Iterator[tuple[float, float]]:
     """The empirical CDF, one row at a time: each sample in ascending order
-    paired with its 1-based rank divided by the sample count."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return ((v, (i + 1) / n) for i, v in enumerate(ordered))
+    paired with its 1-based rank divided by the sample count.  ``values`` is
+    sorted in place, when called, so its caller can reuse the order."""
+    values.sort()
+    n = len(values)
+    return ((v, (i + 1) / n) for i, v in enumerate(values))
 
 
 def _percentile(ordered: list[float], q: float) -> float:
@@ -532,7 +528,11 @@ class MetricsReport:
             yield i, t, delta, total
 
     def summary_dict(self) -> dict:
-        lat = self.latencies()
+        return self._summary(sorted(self.latencies()))
+
+    def _summary(self, ordered: list[float]) -> dict:
+        """:meth:`summary_dict` given the latencies in ascending order, as
+        ``emit_report`` sorts them once for the summary and the CDF."""
         hit_lat = self.hit_latencies()
         imgrr = {
             scope: self.reuse_ratio("image", scope) for scope in ("local", "remote")
@@ -540,7 +540,6 @@ class MetricsReport:
         objrr = {
             scope: self.reuse_ratio("object", scope) for scope in ("local", "remote")
         }
-        ordered = sorted(lat)
         per_car: dict[str, dict] = {}
         for s in self.samples:
             per_car.setdefault(s.car, []).append(s.latency_ms)
@@ -561,11 +560,12 @@ class MetricsReport:
                 "deadline_ms": self.config.deadline_ms,
                 "deadline_miss_fraction": self.deadline_miss_fraction,
                 "latency_ms": {
-                    "mean": statistics.fmean(lat) if lat else 0.0,
+                    "mean": statistics.fmean(ordered) if ordered else 0.0,  # fsum: exact in any order
                     "p50": _percentile(ordered, 50),
                     "p95": _percentile(ordered, 95),
                     "p99": _percentile(ordered, 99),
-                    "max": max(lat) if lat else 0.0,  # not ordered[-1]: a 0.0/-0.0 tie keeps the first
+                    # not ordered[-1]: max keeps the first of a 0.0/-0.0 tie, as the stable sort does
+                    "max": max(ordered) if ordered else 0.0,
                 },
                 "hit_path_ms": {
                     "count": len(hit_lat),
@@ -672,10 +672,11 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    latencies = report.latencies()  # sorted in place by _cdf_rows, once for the CDF and the summary
     cdf_path = _write_csv(
         out / "latency_cdf.csv",
         "latency_ms,cum_fraction",
-        (f"{v},{fraction!r}" for v, (_, fraction) in _reprs(_cdf_rows(report.latencies()), 0)),
+        (f"{v},{fraction!r}" for v, (_, fraction) in _reprs(_cdf_rows(latencies), 0)),
     )
 
     lines = []
@@ -719,7 +720,7 @@ def emit_report(report: MetricsReport, out_dir: str | Path) -> list[Path]:
 
     summary_path = out / "summary.json"
     summary_path.write_text(
-        json.dumps(report.summary_dict(), sort_keys=True, indent=2) + "\n",
+        json.dumps(report._summary(latencies), sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
     return [cdf_path, reuse_path, boost_path, summary_path]

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, product
-from operator import attrgetter
 
-from .model import DetectedObject, Message, ObjectList
+from .model import OBJECT_SORT_KEY, DetectedObject, Message, ObjectList
 
 
 def quantize(location: tuple[float, float, float], resolution_m: float) -> tuple[int, int, int]:
@@ -59,7 +58,6 @@ def _ascend(stored: float, observed: float, rate: float) -> float:
 
 
 _UPDATES = {UpdateRule.VERBATIM: _verbatim, UpdateRule.EMA: _ema, UpdateRule.ASCEND: _ascend}
-_SORT_KEY = attrgetter("label", "location", "confidence", "extent")  # DetectedObject.sort_key, in C
 
 
 def apply_update(rule: UpdateRule, stored: float, observed: float, rate: float) -> float:
@@ -241,7 +239,7 @@ class ObjectMapStore:
         hits = sum(found)
         self.requests += len(objects)
         self.hits += hits
-        additions.sort(key=_SORT_KEY)
+        additions.sort(key=OBJECT_SORT_KEY)
         answer = ObjectList(objects + tuple(additions))
         # every addition is from_map, so the answer digests as the payload
         object.__setattr__(answer, "_digest", payload._digest)

@@ -78,8 +78,11 @@ class TraceFrame:
 @dataclass(frozen=True)
 class Trace:
     """Frames globally sorted by time, with per-car views and an exact-replay
-    index from image id to frame content.  A car's name holds no ``/`` and
-    its stamps strictly increase from at least 0 to at most 2**53 (exact floats)."""
+    index from image id to frame content.  A car's name holds no ``/``, its
+    stamps are integers (an integral float passes) that strictly increase
+    from at least 0 to at most 2**53 (exact floats), and each pose is finite:
+    a passed trace is held to the loader's rules, so ``save_trace`` writes a
+    file that ``load_trace`` reads back."""
 
     frames: tuple[TraceFrame, ...]
     by_car: dict[str, tuple[TraceFrame, ...]]
@@ -91,9 +94,14 @@ class Trace:
         by_car: dict[str, list[TraceFrame]] = {}
         by_image: dict[str, TraceFrame] = {}
         for f in ordered:
+            if type(f.t_ms) is not int and not (type(f.t_ms) is float and f.t_ms.is_integer()):
+                raise TraceError(f"t_ms must be a non-negative integer: {f.t_ms!r} (car {f.car!r})")
             by_car.setdefault(f.car, []).append(f)
             seen = by_image.get(f.image_id)
-            if seen is None:
+            if seen is None:  # a repeat is compared equal to this frame below
+                p = f.pose  # an infinite yaw normalizes to NaN, so this catches both
+                if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z) and math.isfinite(p.yaw)):
+                    raise TraceError(f"non-finite pose (image {f.image_id!r})")
                 by_image[f.image_id] = f
             elif (seen.pose, seen.truths) != (f.pose, f.truths):
                 raise TraceError(
@@ -541,5 +549,5 @@ class DetectorNode(SimNode):
             self.oom_failures += 1
             return
         self.invocations += 1
-        answer = Message(header=message.header, topic=self.answer_topic, payload=payload)
-        net.publish(self.name, answer, wire_topic=self.answer_wire, network=self.home_network, at=at + latency)
+        answer = Message(message.header, self.answer_topic, payload)
+        net.publish(self.name, answer, self.answer_wire, self.home_network, at + latency)

@@ -27,7 +27,7 @@ from geniesim.harness import (
     run_scenario,
 )
 from geniesim.objectmap import ObjectMapStore
-from geniesim.workload import DEFAULT_PROFILES, Trace, load_trace, save_trace, synth_trace
+from geniesim.workload import DEFAULT_PROFILES, Trace, TraceError, load_trace, save_trace, synth_trace
 from geniesim.simnet import Fabric
 from conftest import obj, objects_message
 from oracles import count_repeats, empirical_cdf, report_csv_text
@@ -495,28 +495,45 @@ class TestBuildScenario:
             with pytest.raises(ConfigError, match=re.escape(f"car 'car1', image '{frames[1].image_id}': {message}")):
                 build_scenario(config, Trace.build(frames), mode)
 
+    @staticmethod
+    def _extent(extent):
+        return lambda f: replace(f, truths=(replace(f.truths[0], extent=extent), *f.truths[1:]))
+
     @pytest.mark.parametrize(
-        "extent, refusal",
+        "change, refusal",
         [
-            ((0.4, 0.4, 1.2), None),
-            ((1e-300, 0.4, 1e300), None),
-            ((0.4, math.inf, 1.2), "extent must be finite"),
-            ((0.4, math.nan, 1.2), "extent must be positive"),
-            ((0.0, 0.4, 1.2), "extent must be positive"),
+            (_extent((0.4, 0.4, 1.2)), None),
+            (_extent((1e-300, 0.4, 1e300)), None),
+            (_extent((0.4, math.inf, 1.2)), (ConfigError, "image {image!r}: extent must be finite")),
+            (_extent((0.4, math.nan, 1.2)), (ConfigError, "image {image!r}: extent must be positive")),
+            (_extent((0.0, 0.4, 1.2)), (ConfigError, "image {image!r}: extent must be positive")),
+            (
+                lambda f: replace(f, truths=(), pose=replace(f.pose, x=math.inf)),
+                (TraceError, "non-finite pose (image {image!r})"),
+            ),
+            (  # an infinite yaw normalizes to NaN
+                lambda f: replace(f, truths=(), pose=replace(f.pose, yaw=math.inf)),
+                (TraceError, "non-finite pose (image {image!r})"),
+            ),
+            (lambda f: replace(f, t_ms=0.5), (TraceError, "t_ms must be a non-negative integer: 0.5")),
+            (lambda f: replace(f, t_ms=float(f.t_ms)), None),
         ],
-        ids=["plain", "extreme", "infinite", "nan", "zero"],
+        ids=[
+            "plain", "extreme", "infinite", "nan", "zero",
+            "infinite-pose", "infinite-yaw", "fractional-stamp", "integral-float-stamp",
+        ],
     )
-    def test_a_trace_that_builds_comes_back_unchanged_from_save_and_load(self, tmp_path, extent, refusal):
+    def test_a_trace_that_builds_comes_back_unchanged_from_save_and_load(self, tmp_path, change, refusal):
         frames = list(synth_trace(1, "loop", 3, seed=1).frames)
-        truths = frames[1].truths
-        frames[1] = replace(frames[1], truths=(replace(truths[0], extent=extent), *truths[1:]))
-        trace = Trace.build(frames)
+        frames[1] = change(frames[1])
         config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=3))
         if refusal is not None:
+            error, message = refusal
             for mode in MODES:
-                with pytest.raises(ConfigError, match=re.escape(f"image '{frames[1].image_id}': {refusal}")):
-                    build_scenario(config, trace, mode)
+                with pytest.raises(error, match=re.escape(message.format(image=frames[1].image_id))):
+                    build_scenario(config, Trace.build(frames), mode)
             return
+        trace = Trace.build(frames)
         build_scenario(config, trace)
         save_trace(trace, tmp_path / "trace.jsonl")
         assert load_trace(tmp_path / "trace.jsonl") == trace

@@ -201,7 +201,7 @@ class TestContentKeyEquivalence:
         scenario = harness.build_scenario(config)
         published = []
         monkeypatch.setattr(
-            type(scenario.fabric), "publish", lambda net, sender, message, **kw: published.append(message)
+            type(scenario.fabric), "publish", lambda net, sender, message, *args, **kw: published.append(message)
         )
         harness._replay(scenario)
         assert len(published) == len(scenario.trace.frames)
