@@ -29,7 +29,10 @@ An answer is an answer or a stray, a request a hit or a miss.
   hit      known content with a stored answer; augment it from the object
            map and send it straight back to the sender.  The map keeps each
            answer it builds until its next object-list ingest, so a repeat
-           hit on an unchanged map does not scan it again.
+           hit on an unchanged map does not scan it again, and each
+           answer's neighbourhood until it gains a cell, so a hit after an
+           ingest that only boosted stored objects rebuilds the answer from
+           the cells' current objects without a scan.
   stray    its header key names no pending exchange; dropped, never
            ingested, parked or re-requested.  From the inner node
            (``-local``) it is late: a ``-remote`` answer filled the exchange

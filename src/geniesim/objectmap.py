@@ -121,6 +121,14 @@ class ObjectMapStore:
     of the map: a direct write to ``cells`` does not clear the kept
     answers, so they do not see it.
 
+    ``augment`` also keeps each payload's neighbourhood, the ``(i, cell)``
+    pairs of its :meth:`_cells_near` scan, until the map gains a cell.
+    Cells are only ever added and never move, so only a new cell, from
+    ``ingest`` or a direct write, can change a neighbourhood; an answer
+    rebuilt from a kept one reads the cells' current objects.  The store
+    holds at most one neighbourhood per distinct payload object augmented
+    since the map last gained a cell, and each entry holds that payload.
+
     ``boost_records`` holds one ``(time_ms, delta)`` pair per re-sighting,
     in ingest order, where delta is the confidence after minus before.
 
@@ -152,6 +160,10 @@ class ObjectMapStore:
         # id(payload) -> (payload, answer, hits) of each augment since the
         # last object-list ingest; the entry keeps the payload, and so its id
         self._answers: dict[int, tuple[ObjectList, ObjectList, int]] = {}
+        # id(payload) -> (payload, pairs) of each payload's _cells_near scan
+        # while the map has held _near_cells cells
+        self._near: dict[int, tuple[ObjectList, list]] = {}
+        self._near_cells = 0
         self.boost_records: list[tuple[float, float]] = []
 
     def __len__(self) -> int:
@@ -212,7 +224,8 @@ class ObjectMapStore:
         Until the next object-list ingest, a repeat call with the same
         payload object returns the kept answer and counts its lookups.  Not
         an equal payload: one at ``-0.0`` equals one at ``0.0`` but its
-        answer carries its own objects.
+        answer carries its own objects.  Until the map gains a cell, the
+        same payload object's rebuilt answer reuses its kept neighbourhood.
         """
         objects = payload.objects
         kept = self._answers.get(id(payload))
@@ -226,7 +239,14 @@ class ObjectMapStore:
         threshold = self.confidence_threshold
         additions: list[DetectedObject] = []
         found = [False] * len(objects)
-        for i, cell in self._cells_near([o.location for o in objects]):
+        if len(self.cells) != self._near_cells:  # a new cell may lie in any neighbourhood
+            self._near.clear()
+            self._near_cells = len(self.cells)
+        near = self._near.get(id(payload))
+        if near is None or near[0] is not payload:
+            near = (payload, self._cells_near([o.location for o in objects]))
+            self._near[id(payload)] = near
+        for i, cell in near[1]:
             for stored in self.cells[cell]:
                 if stored.confidence < threshold:
                     continue

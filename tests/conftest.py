@@ -32,7 +32,8 @@ def objects_message(
 
 def count_scans(store, monkeypatch) -> list:
     """Count the neighbourhood scans ``store.augment`` computes: its
-    ``_cells_near`` calls, one per answer built."""
+    ``_cells_near`` calls, one per answer built for a payload not scanned
+    since the map last gained a cell."""
     calls = []
     scan = store._cells_near
 

@@ -1,5 +1,6 @@
-"""Randomized mini-scenarios checked against the global invariants, and
-their hit answers against a reference that augments on every hit.
+"""Randomized mini-scenarios checked against the global invariants, each
+node's deliveries against its counters, and their hit answers against a
+reference that scans the object map on every hit.
 
 Each config runs in the L, R and DG modes; the cache checks apply to DG.
 Between runs, metamorphic relations hold: L output must not depend on
@@ -17,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,12 +102,30 @@ def check_invariants(config: ScenarioConfig) -> int:
             car = record.to.split("/", 1)[0]
             if car in cars:
                 assert record.origin.startswith(f"{car}/"), (mode, record)
+        check_message_ledger(scenario, mode)
         assert _run(config, mode)[1].summary_dict() == report.summary_dict(), mode
 
         if mode == "DG":
             check_genies(config, scenario, report)
             hits = sum(stats["hits"] for stats in report.per_genie.values())
     return hits
+
+
+def check_message_ledger(scenario, mode: str) -> None:
+    """Each node's deliveries in the fabric log equal the sum of the counters
+    that sort them: every message a genie, detector or consumer hears is
+    counted exactly once."""
+    heard = Counter(record.to for record in scenario.fabric.deliveries)
+    for genie in scenario.genies.values():
+        c = genie.counters
+        counted = c.requests + c.local_answers + c.remote_answers + c.late_answers
+        counted += c.echoes_ignored + c.malformed_dropped
+        assert heard[genie.name] == counted, (mode, genie.name)
+    for detector in scenario.detectors.values():
+        counted = detector.invocations + detector.oom_failures + detector.unknown_frames
+        assert heard[detector.name] == counted, (mode, detector.name)
+    for consumer in scenario.consumers.values():
+        assert heard[consumer.name] == consumer.dedup.accepted + consumer.dedup.discarded, (mode, consumer.name)
 
 
 def check_genies(config: ScenarioConfig, scenario, report) -> None:
@@ -378,12 +398,13 @@ def test_random_scenario_reruns_identically():
 
 
 def _reference_serve_hit(self, net, at, request, entry):
-    """``GenieNode._serve_hit`` without the map's kept answers: every hit
-    scans the map afresh."""
+    """``GenieNode._serve_hit`` without the map's kept answers and
+    neighbourhoods: every hit scans the map afresh."""
     result = entry.result
     payload = result.payload
     if isinstance(payload, ObjectList):
         self.object_map._answers.clear()
+        self.object_map._near.clear()
         payload = self.object_map.augment(payload)
     out = replace(result, header=request.header, payload=payload, via="hit")
     wire, network = self._answer_surfaces[result.topic.name]

@@ -866,7 +866,7 @@ class TestHitMemo:
         assert len(store.cells) == cells  # a boost, no new cell
         assert [o.confidence >= 0.6 for objs in store.cells.values() for o in objs] == [True]
         assert self.labels(self.hit(net, genie, sink, entry, 2)) == ["bin", "car"]
-        assert len(scans) == 2
+        assert len(scans) == 1  # rebuilt from the kept neighbourhood: no cell was added
 
 
 class TestSubscriptions:

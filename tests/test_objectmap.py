@@ -336,7 +336,7 @@ class TestAugmentKeepsAnswers:
         assert len(store.cells) == cells  # a boost to 0.75, no new cell
         assert store._answers == {}
         assert labels(store.augment(payload)) == ["bin", "car", "tree"]
-        assert len(scans) == 2
+        assert len(scans) == 1  # rebuilt from the kept neighbourhood: no cell was added
 
     def test_image_ingest_keeps_answers(self, monkeypatch):
         store, scans = self.store(monkeypatch)
@@ -357,6 +357,127 @@ class TestAugmentKeepsAnswers:
             assert math.copysign(1.0, answer.objects[0].location[0]) == sign
         assert store.augment(plus) is answers[1.0] and store.augment(minus) is answers[-1.0]
         assert len(scans) == 2
+
+
+class TestAugmentKeepsNeighbourhoods:
+    """``augment`` keeps each payload's ``(i, cell)`` pairs from its last
+    scan until the map gains a cell; each rebuilt answer reads the cells'
+    contents afresh."""
+
+    NEARBY = TestAugmentKeepsAnswers.NEARBY
+    PAYLOAD = TestAugmentKeepsAnswers.PAYLOAD
+    BOOST = (obj("pole", 0.9, (1.2, 1.2, 0.2)),)  # re-sights NEARBY's pole: no new cell
+    LABELS = ("car", "pole", "bin")
+
+    def store(self, monkeypatch):
+        store = ObjectMapStore(confidence_threshold=0.6)
+        store.ingest(objects_message(self.NEARBY), 0.0)
+        return store, count_scans(store, monkeypatch)
+
+    def detected(self, rng):
+        location = tuple(rng.choice([0.0, -0.0, rng.uniform(-4, 4), rng.randint(-8, 8) * 0.5]) for _ in range(3))
+        return obj(rng.choice(self.LABELS), rng.random(), location)
+
+    def test_ingest_that_adds_a_cell_rescans(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        payload = ObjectList(self.PAYLOAD)
+        assert labels(store.augment(payload)) == ["car", "pole", "tree"]
+        store.ingest(objects_message(self.BOOST), 1.0)
+        assert labels(store.augment(payload)) == ["car", "pole", "tree"] and len(scans) == 1
+        store.ingest(objects_message((obj("bin", 0.7, (2.2, 1.4, 0.2)),)), 2.0)
+        assert labels(store.augment(payload)) == ["bin", "car", "pole", "tree"] and len(scans) == 2
+
+    def test_a_new_cell_drops_every_kept_neighbourhood(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        payloads = [ObjectList(self.PAYLOAD), ObjectList(self.PAYLOAD[:1])]
+        for payload in payloads:
+            store.augment(payload)
+        assert list(store._near) == [id(p) for p in payloads]
+        store.ingest(objects_message((obj("bin", 0.7, (2.2, 1.4, 0.2)),)), 1.0)
+        store.augment(payloads[0])
+        assert list(store._near) == [id(payloads[0])] and len(scans) == 3
+
+    def test_direct_write_that_adds_a_cell_rescans(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        payload = ObjectList(self.PAYLOAD)
+        store.augment(payload)
+        store.cells.setdefault((4, 2, 0), []).append(obj("bin", 0.7, (2.2, 1.4, 0.2)))
+        store.ingest(objects_message(self.BOOST), 1.0)  # clears the kept answers, adds no cell
+        assert labels(store.augment(payload)) == ["bin", "car", "pole", "tree"] and len(scans) == 2
+
+    def test_direct_append_to_a_scanned_cell_shows_without_a_rescan(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        payload = ObjectList(self.PAYLOAD)
+        store.augment(payload)
+        (pole_cell,) = store.cells
+        store.cells[pole_cell].append(obj("sign", 0.7, (1.3, 1.3, 0.2)))
+        store.ingest(objects_message(self.BOOST), 1.0)
+        assert labels(store.augment(payload)) == ["car", "pole", "sign", "tree"] and len(scans) == 1
+
+    def test_signed_zero_twins_keep_separate_neighbourhoods(self, monkeypatch):
+        store, scans = self.store(monkeypatch)
+        plus = ObjectList((obj("car", 0.9, (0.0, 1.4, 0.2)),))
+        minus = ObjectList((obj("car", 0.9, (-0.0, 1.4, 0.2)),))
+        assert plus == minus
+        for payload in (plus, minus):
+            store.augment(payload)
+        store.ingest(objects_message(self.BOOST), 1.0)
+        answers = {sign: store.augment(payload) for sign, payload in ((1.0, plus), (-1.0, minus))}
+        assert len(scans) == 2
+        kept = [entry[0] for entry in store._near.values()]
+        assert len(kept) == 2 and kept[0] is plus and kept[1] is minus
+        for sign, answer in answers.items():
+            assert math.copysign(1.0, answer.objects[0].location[0]) == sign
+            assert labels(answer) == ["car", "pole"]
+
+    def test_matches_a_store_scanning_afresh_on_every_call(self, monkeypatch):
+        """Random interleavings of ingests (new cells, boosts, image
+        payloads), direct writes and augments of a few repeated payloads,
+        against a twin store whose kept answers and neighbourhoods are
+        cleared before every call."""
+        rng = random.Random(38)
+        reused = 0
+        for _ in range(60):
+            params = dict(
+                resolution_m=rng.choice([0.5, 1.0]),
+                relevance_radius_m=rng.choice([0.0, 1.7, 3.0]),
+                confidence_threshold=rng.choice([0.0, 0.6]),
+                update_rate=rng.choice([0.1, 0.5]),
+            )
+            store, fresh = ObjectMapStore(**params), ObjectMapStore(**params)
+            scans = count_scans(store, monkeypatch)
+            payloads = [ObjectList(tuple(self.detected(rng) for _ in range(rng.randint(0, 3)))) for _ in range(3)]
+            builds = 0
+            for step in range(40):
+                fresh._answers.clear()
+                fresh._near.clear()
+                op = rng.random()
+                if op < 0.3:
+                    message = objects_message(tuple(self.detected(rng) for _ in range(rng.randint(0, 3))))
+                    if rng.random() < 0.2:
+                        message = image_message(f"f{step}")
+                    for s in (store, fresh):
+                        s.ingest(message, float(step))
+                elif op < 0.45:
+                    # a direct write, to a new cell or an occupied one; it
+                    # does not clear the kept answers, so the test does
+                    occupied = list(store.cells)
+                    if occupied and rng.random() < 0.5:
+                        cell = rng.choice(occupied)
+                    else:
+                        cell = tuple(rng.randint(-8, 8) for _ in range(3))
+                    written = self.detected(rng)
+                    for s in (store, fresh):
+                        s.cells.setdefault(cell, []).append(written)
+                    store._answers.clear()
+                else:
+                    payload = rng.choice(payloads)
+                    builds += id(payload) not in store._answers
+                    got, want = store.augment(payload), fresh.augment(payload)
+                    assert repr(got) == repr(want)
+                    assert (store.requests, store.hits) == (fresh.requests, fresh.hits)
+            reused += builds - len(scans)  # answers built from a kept neighbourhood
+        assert reused > 0
 
 
 class TestAugmentMatchesPerPointScan:
