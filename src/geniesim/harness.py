@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from operator import itemgetter
@@ -166,7 +167,7 @@ def _from_json(tp, value, path: str):
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
-    if tp is float and not math.isfinite(value):  # json.load accepts NaN and Infinity
+    if tp in (int, float) and not abs(value) <= sys.float_info.max:  # json.load gives NaN, inf and any int
         raise ConfigError(f"{path}: expected a finite number, got {value}")
     return value
 
@@ -251,26 +252,21 @@ def _scenario_trace(config: ScenarioConfig) -> Trace:
 
 def _detect_all(trace: Trace, params: ObjectMapParams) -> dict[str, ObjectList]:
     """Each distinct image's ``ObjectList``, detected once, at its first frame.
-    Refuses a truth no ``DetectedObject`` can hold, an infinite extent, which
-    the trace loader refuses, and an object the object map cannot place: each
-    coordinate of its location, plus or minus the relevance radius, divided
-    by the cell size, must be finite, or quantizing it overflows mid-run.
-    The loader checks each number only on its own."""
+    ``Trace.build`` has held every frame to the trace's rules.  This refuses
+    what depends on the config: an object the object map cannot place, where
+    a coordinate of its location, plus or minus the relevance radius, divided
+    by the cell size, is not finite, so quantizing it would overflow mid-run."""
     r, res = params.relevance_radius_m, params.resolution_m
     table = {}
     for image_id, frame in trace.by_image.items():
-        try:  # detect raises for a confidence or extent out of range
-            payload = table[image_id] = detect(frame.truths, frame.pose)
-            for o in payload.objects:
-                if math.inf in o.extent:  # saved, the trace would not load
-                    raise ValueError(f"extent must be finite: {o.extent}")
-                for c in o.location:
-                    if not math.isfinite((abs(c) + r) / res):  # the farther of c - r and c + r
-                        raise ValueError(
-                            f"object location {o.location} is out of the object map's range at resolution_m {res}"
-                        )
-        except ValueError as exc:
-            raise ConfigError(f"car {frame.car!r}, image {image_id!r}: {exc}") from exc
+        payload = table[image_id] = detect(frame.truths, frame.pose)
+        for o in payload.objects:
+            for c in o.location:
+                if not math.isfinite((abs(c) + r) / res):  # the farther of c - r and c + r
+                    raise ConfigError(
+                        f"car {frame.car!r}, image {image_id!r}: object location {o.location} "
+                        f"is out of the object map's range at resolution_m {res}"
+                    )
     return table
 
 
@@ -314,7 +310,8 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
 
     Every refusal comes first: ``validate``'s, R with no edge device, a device
     or model not in the table, a trace without ``n_cars`` cars, a phantom not in
-    it, a truth the detector cannot report or an object the object map cannot place.
+    it or an object the object map cannot place.  A trace's own rules are
+    ``Trace.build``'s, which every trace, a passed one included, has kept.
     Each distinct image is detected once, into one table that every detector shares.
 
     The fabric counts deliveries but records none: no output reads the

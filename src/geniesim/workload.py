@@ -10,8 +10,8 @@ a device-dependent latency.  Traces are JSON lines, one frame per line:
      "truths": [{"label": str, "conf": f, "loc": [x, y, z],
                  "extent": [dx, dy, dz]}]}
 
-A ``car`` name may not contain ``/``: a car's answers stay with it by the
-origin prefix ``<car>/``, which would also admit those of ``<car>/x``.
+Each rule about one frame is :func:`_check_frame`'s, which ``Trace.build``
+runs on every trace; the loader adds only JSON types and line numbers.
 
 ``loc`` is relative to the vehicle; the detector translates it to absolute
 coordinates through the frame pose.  Real datasets (e.g. KITTI) can be
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -75,14 +76,39 @@ class TraceFrame:
     truths: tuple[GroundTruth, ...]
 
 
+def _check_frame(f: TraceFrame, content: bool = True) -> None:
+    """Raise ``TraceError`` at the first rule that ``f`` breaks on its own.
+    The stamp is an integer (an integral float passes) in [0, 2**53] and the car
+    holds no ``/``.  With ``content``: the pose is finite, and each truth has a
+    confidence in [0, 1], a finite offset and a finite, positive extent."""
+    t = f.t_ms
+    if (type(t) is not int and not (type(t) is float and t.is_integer())) or t < 0:
+        raise TraceError(f"t_ms must be a non-negative integer: {t!r} (car {f.car!r})")
+    if t > 2**53:  # the replay stamps each frame as a float
+        raise TraceError(f"car {f.car!r} has a stamp above 2**53: t_ms={t}")
+    if "/" in f.car:  # its origin prefix '<car>/' would also admit '<car>/x'
+        raise TraceError(f"car name {f.car!r} may not contain '/'")
+    if not content:
+        return
+    p = f.pose  # an infinite yaw normalizes to NaN, so this catches both
+    if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z) and math.isfinite(p.yaw)):
+        raise TraceError(f"non-finite pose (image {f.image_id!r})")
+    for g in f.truths:
+        (ox, oy, oz), (ex, ey, ez) = g.offset, g.extent  # unpacked: map() or a generator costs more
+        if not 0.0 <= g.confidence <= 1.0:
+            raise TraceError(f"confidence {g.confidence} out of range (car {f.car!r}, image {f.image_id!r})")
+        if not (math.isfinite(ox) and math.isfinite(oy) and math.isfinite(oz)):
+            raise TraceError(f"non-finite loc {list(g.offset)} (image {f.image_id!r})")
+        if not (0.0 < ex < math.inf and 0.0 < ey < math.inf and 0.0 < ez < math.inf):  # also false for NaN
+            raise TraceError(f"extent {list(g.extent)} is not finite and positive (image {f.image_id!r})")
+
+
 @dataclass(frozen=True)
 class Trace:
     """Frames globally sorted by time, with per-car views and an exact-replay
-    index from image id to frame content.  A car's name holds no ``/``, its
-    stamps are integers (an integral float passes) that strictly increase
-    from at least 0 to at most 2**53 (exact floats), and each pose is finite:
-    a passed trace is held to the loader's rules, so ``save_trace`` writes a
-    file that ``load_trace`` reads back."""
+    index from image id to frame content.  ``build`` holds every frame to the
+    loader's rules, :func:`_check_frame`, so ``save_trace`` writes a file that
+    ``load_trace`` reads back; then each car's stamps must strictly increase."""
 
     frames: tuple[TraceFrame, ...]
     by_car: dict[str, tuple[TraceFrame, ...]]
@@ -90,31 +116,21 @@ class Trace:
 
     @staticmethod
     def build(frames: Iterable[TraceFrame]) -> "Trace":
+        frames, firsts = tuple(frames), {}
+        for f in frames:  # a repeat's content is compared equal to its first below
+            _check_frame(f, firsts.setdefault(f.image_id, f) is f)
         ordered = tuple(sorted(frames, key=lambda f: (f.t_ms, f.car)))
         by_car: dict[str, list[TraceFrame]] = {}
         by_image: dict[str, TraceFrame] = {}
         for f in ordered:
-            if type(f.t_ms) is not int and not (type(f.t_ms) is float and f.t_ms.is_integer()):
-                raise TraceError(f"t_ms must be a non-negative integer: {f.t_ms!r} (car {f.car!r})")
             by_car.setdefault(f.car, []).append(f)
-            seen = by_image.get(f.image_id)
-            if seen is None:  # a repeat is compared equal to this frame below
-                p = f.pose  # an infinite yaw normalizes to NaN, so this catches both
-                if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.z) and math.isfinite(p.yaw)):
-                    raise TraceError(f"non-finite pose (image {f.image_id!r})")
-                by_image[f.image_id] = f
-            elif (seen.pose, seen.truths) != (f.pose, f.truths):
+            seen = by_image.setdefault(f.image_id, f)
+            if seen is not f and (seen.pose, seen.truths) != (f.pose, f.truths):
                 raise TraceError(
                     f"image_id {f.image_id!r} reused with different content; "
                     "repeated ids must be exact replays"
                 )
         for car, lst in by_car.items():
-            if "/" in car:  # a car's own origin prefix is its name and a '/'
-                raise TraceError(f"car name {car!r} may not contain '/'")
-            if lst[0].t_ms < 0:
-                raise TraceError(f"car {car!r} has a negative stamp: t_ms={lst[0].t_ms}")
-            if lst[-1].t_ms > 2**53:  # the replay stamps each frame as a float
-                raise TraceError(f"car {car!r} has a stamp above 2**53: t_ms={lst[-1].t_ms}")
             for a, b in zip(lst, lst[1:]):
                 if b.t_ms <= a.t_ms:
                     raise TraceError(
@@ -184,28 +200,16 @@ def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
         )
         frame = TraceFrame(
             car=_text(d["car"], "car"),
-            t_ms=int(d["t_ms"]),
+            t_ms=d["t_ms"],
             pose=Pose(*(_number(pose[axis], f"pose.{axis}") for axis in ("x", "y", "z", "yaw"))),
             image_id=_text(d["image_id"], "image_id"),
             truths=truths,
         )
+        _check_frame(frame)  # each field had its JSON type; the rules are Trace.build's
+    except TraceError as exc:
+        raise TraceError(f"line {lineno}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"line {lineno}: malformed frame: {exc}") from exc
-    if type(d["t_ms"]) not in (int, float) or frame.t_ms < 0 or frame.t_ms != d["t_ms"]:
-        raise TraceError(f"line {lineno}: t_ms must be a non-negative integer: {d['t_ms']!r}")
-    if "/" in frame.car:
-        raise TraceError(f"line {lineno}: car name {frame.car!r} may not contain '/'")
-    # an infinite yaw normalizes to NaN, so checking the pose catches both
-    if not all(map(math.isfinite, (frame.pose.x, frame.pose.y, frame.pose.z, frame.pose.yaw))):
-        raise TraceError(f"line {lineno}: non-finite pose (image {frame.image_id!r})")
-    for t in frame.truths:
-        if not 0.0 <= t.confidence <= 1.0:
-            raise TraceError(
-                f"line {lineno}: confidence {t.confidence} out of range "
-                f"(car {frame.car!r}, image {frame.image_id!r})"
-            )
-        if any(not e > 0 for e in t.extent) or not all(map(math.isfinite, t.offset + t.extent)):
-            raise TraceError(f"line {lineno}: bad loc/extent (image {frame.image_id!r})")
     return frame
 
 
@@ -451,12 +455,14 @@ def _profiles_from_dict(table: dict) -> dict[str, DeviceProfile]:
         means, ooms = {}, set()
         for model, entry in models.items():
             require_object(entry, f"device profile {device}/{model}")
-            if entry.get("oom"):
+            if type(oom := entry.get("oom", False)) is not bool:
+                raise ValueError(f"device profile {device}/{model}: oom must be true or false, got {oom!r}")
+            if oom:
                 ooms.add(model)
-            elif type(mean := entry.get("mean_ms")) in (int, float):  # not a bool or a string
-                means[model] = float(mean)
+            elif type(mean := entry.get("mean_ms")) in (int, float) and abs(mean) <= sys.float_info.max:
+                means[model] = float(mean)  # not a bool, a string, NaN, infinity or an int no float holds
             else:
-                raise ValueError(f"device profile {device}/{model} needs oom or a numeric mean_ms, got {mean!r}")
+                raise ValueError(f"device profile {device}/{model} needs oom or a finite mean_ms, got {mean!r}")
         profiles[device] = DeviceProfile(device, means, frozenset(ooms))
     return profiles
 

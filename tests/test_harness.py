@@ -482,31 +482,48 @@ class TestBuildScenario:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            pytest.param("confidence", 1.5, "confidence out of range: 1.5", id="confidence"),
-            pytest.param("extent", (0.4, 0.0, 1.2), "extent must be positive", id="extent"),
+            pytest.param(
+                "confidence", 1.5, "confidence 1.5 out of range (car 'car1', image {image!r})", id="confidence"
+            ),
+            pytest.param(
+                "extent", (0.4, 0.0, 1.2), "extent [0.4, 0.0, 1.2] is not finite and positive (image {image!r})",
+                id="extent",
+            ),
         ],
     )
     def test_a_passed_trace_the_detector_cannot_report_is_refused_at_build(self, field, value, message):
+        # Trace.build refuses it, before any scenario is built
         frames = list(synth_trace(1, "loop", 3, seed=1).frames)
         truths = frames[1].truths
         frames[1] = replace(frames[1], truths=(replace(truths[0], **{field: value}), *truths[1:]))
-        config = ScenarioConfig(n_cars=1, synth=SynthSpec(route="loop", n_frames=3))
-        for mode in MODES:
-            with pytest.raises(ConfigError, match=re.escape(f"car 'car1', image '{frames[1].image_id}': {message}")):
-                build_scenario(config, Trace.build(frames), mode)
+        with pytest.raises(TraceError, match=f"^{re.escape(message.format(image=frames[1].image_id))}$"):
+            Trace.build(frames)
 
     @staticmethod
     def _extent(extent):
         return lambda f: replace(f, truths=(replace(f.truths[0], extent=extent), *f.truths[1:]))
+
+    @staticmethod
+    def _truth(**change):
+        return lambda f: replace(f, truths=(replace(f.truths[0], **change), *f.truths[1:]))
 
     @pytest.mark.parametrize(
         "change, refusal",
         [
             (_extent((0.4, 0.4, 1.2)), None),
             (_extent((1e-300, 0.4, 1e300)), None),
-            (_extent((0.4, math.inf, 1.2)), (ConfigError, "image {image!r}: extent must be finite")),
-            (_extent((0.4, math.nan, 1.2)), (ConfigError, "image {image!r}: extent must be positive")),
-            (_extent((0.0, 0.4, 1.2)), (ConfigError, "image {image!r}: extent must be positive")),
+            (
+                _extent((0.4, math.inf, 1.2)),
+                (TraceError, "extent [0.4, inf, 1.2] is not finite and positive (image {image!r})"),
+            ),
+            (
+                _extent((0.4, math.nan, 1.2)),
+                (TraceError, "extent [0.4, nan, 1.2] is not finite and positive (image {image!r})"),
+            ),
+            (
+                _extent((0.0, 0.4, 1.2)),
+                (TraceError, "extent [0.0, 0.4, 1.2] is not finite and positive (image {image!r})"),
+            ),
             (
                 lambda f: replace(f, truths=(), pose=replace(f.pose, x=math.inf)),
                 (TraceError, "non-finite pose (image {image!r})"),
@@ -517,10 +534,18 @@ class TestBuildScenario:
             ),
             (lambda f: replace(f, t_ms=0.5), (TraceError, "t_ms must be a non-negative integer: 0.5")),
             (lambda f: replace(f, t_ms=float(f.t_ms)), None),
+            (_truth(confidence=1.5), (TraceError, "confidence 1.5 out of range (car 'car1', image {image!r})")),
+            (_truth(confidence=math.nan), (TraceError, "confidence nan out of range (car 'car1', image {image!r})")),
+            (_truth(confidence=0.0), None),
+            (_truth(confidence=1.0), None),
+            (_truth(offset=(math.nan, 1.0, 0.5)), (TraceError, "non-finite loc [nan, 1.0, 0.5] (image {image!r})")),
+            (_truth(offset=(1.0, -math.inf, 0.5)), (TraceError, "non-finite loc [1.0, -inf, 0.5] (image {image!r})")),
         ],
         ids=[
             "plain", "extreme", "infinite", "nan", "zero",
             "infinite-pose", "infinite-yaw", "fractional-stamp", "integral-float-stamp",
+            "confidence-above-one", "confidence-nan", "confidence-zero", "confidence-one",
+            "offset-nan", "offset-minus-inf",
         ],
     )
     def test_a_trace_that_builds_comes_back_unchanged_from_save_and_load(self, tmp_path, change, refusal):
@@ -763,7 +788,12 @@ PROFILE_TABLES = {
         f"profile-mean-{name}.json": ({"Nano": {"DETR-ResNet-50": {"mean_ms": mean}}}, "Nano/DETR-ResNet-50")
         for name, mean in (
             ("nan", float("nan")), ("infinity", float("inf")), ("list", [5]), ("string", "5"), ("bool", True),
+            ("beyond-float", 10**400),
         )
+    },
+    **{
+        f"profile-oom-{name}.json": ({"Nano": {"DETR-ResNet-50": {"oom": oom, "mean_ms": 5}}}, "Nano/DETR-ResNet-50")
+        for name, oom in (("string", "false"), ("number", 1))
     },
 }
 
@@ -801,8 +831,16 @@ BAD_FILES = [
     ),
     pytest.param({"synth": {**SYNTH, "route": "zigzag"}}, "config.synth.route", id="route-unknown"),
     pytest.param(  # the second frame's stamp is no float
-        {"synth": {**SYNTH, "n_frames": 2, "frame_period_ms": 10**400}}, "has a stamp above 2**53",
+        {"synth": {**SYNTH, "n_frames": 2, "frame_period_ms": 2**53 + 1}}, "has a stamp above 2**53",
         id="period-beyond-float",
+    ),
+    *(  # each is a number that no float holds
+        pytest.param({**LOOP, name: 10**400}, f"config.{name}", id=f"{name}-beyond-float")
+        for name in ("n_cars", "deadline_ms")
+    ),
+    *(
+        pytest.param({"synth": {**SYNTH, name: 10**400}}, f"config.synth.{name}", id=f"{name}-beyond-float")
+        for name in ("n_frames", "stagger_ms", "frame_period_ms")
     ),
     *(
         pytest.param({"synth": {**SYNTH, **synth}}, "config.synth.overlap_fraction", id=case)
@@ -1049,7 +1087,9 @@ class TestCli:
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps(ScenarioConfig(n_cars=1, trace_file=str(trace_path)).to_dict()))
         assert cli_main(["run", "--config", str(config)]) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: car 'car1' has a stamp above 2**53: t_ms={10**400}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line 3: car 'car1' has a stamp above 2**53: t_ms={10**400}"
+        ]
 
     def test_zero_resolution_with_a_trace_file_exits_with_one_error_line(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"

@@ -1,5 +1,6 @@
 """Counted work: how often the object map's read path runs, and how often it
-rescans, on the bench's seed-7 workloads.
+rescans, on the bench's seed-7 workloads; and how many receivers the fabric
+examines and admits per frame as the fleet grows.
 
 Operation counts do not move with the host or the run order, so they pin a
 cut that wall-clock numbers show only as noise.  ``augment`` is called once
@@ -15,6 +16,7 @@ import pytest
 
 from geniesim.harness import build_scenario, run_built_scenario
 from geniesim.objectmap import ObjectMapStore
+from geniesim.simnet import Fabric
 
 from test_golden import BENCH, _config
 
@@ -37,3 +39,29 @@ def test_augment_calls_and_scans_on_bench_workloads(name, monkeypatch):
         monkeypatch.setattr(ObjectMapStore, method, counted)
     run_built_scenario(build_scenario(config), "DG")
     assert (counts["augment"], counts["_cells_near"]) == EXPECTED[name]
+
+
+# cars -> fabric receivers (examined, admitted) per frame on disjoint, 200
+# frames per car, edges AGX + A4500, 5 ms edge latency, seed 7.  Examined is
+# the known O(cars) term, 11 + cars: ``publish`` walks every subscriber of a
+# route and tests its origin prefix.  Admitted, the deliveries, stays flat.
+RECEIVERS_PER_FRAME = {1: (12, 12), 2: (13, 12), 4: (15, 12), 8: (19, 12)}
+
+
+@pytest.mark.parametrize("cars", sorted(RECEIVERS_PER_FRAME))
+def test_fabric_receivers_examined_and_admitted_per_frame_on_disjoint(cars, monkeypatch):
+    config = replace(_config("disjoint", cars, ("AGX", "A4500"), frames=200), edge_latency_ms=5.0)
+    counts = {"examined": 0, "admitted": 0}
+    original = Fabric.publish
+
+    def counted(self, sender, message, wire_topic, network, at):
+        queued = len(self.queue)
+        original(self, sender, message, wire_topic, network, at)
+        _, receivers = self._routes[sender, network, wire_topic]
+        counts["examined"] += len(receivers)
+        counts["admitted"] += len(self.queue) - queued
+
+    monkeypatch.setattr(Fabric, "publish", counted)
+    run_built_scenario(build_scenario(config), "DG")
+    frames = cars * 200
+    assert (counts["examined"] / frames, counts["admitted"] / frames) == RECEIVERS_PER_FRAME[cars]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -301,7 +302,7 @@ class TestTraceIO:
 
     def test_built_trace_refuses_a_negative_stamp(self):
         frames = synth_trace(1, "loop", 3, seed=1).frames
-        with pytest.raises(TraceError, match=r"^car 'car1' has a negative stamp: t_ms=-5$"):
+        with pytest.raises(TraceError, match=r"^t_ms must be a non-negative integer: -5 \(car 'car1'\)$"):
             Trace.build([replace(frames[0], t_ms=-5), *frames[1:]])
 
     def test_built_trace_refuses_a_stamp_a_float_cannot_hold(self):
@@ -310,6 +311,44 @@ class TestTraceIO:
         assert Trace.build([*frames[:-1], replace(frames[-1], t_ms=2**53)]).end_ms() == 2**53
         with pytest.raises(TraceError, match=rf"^car 'car1' has a stamp above 2\*\*53: t_ms={2**53 + 1}$"):
             Trace.build([*frames[:-1], replace(frames[-1], t_ms=2**53 + 1)])
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("t_ms",), 150.5, id="stamp-fractional"),
+            pytest.param(("t_ms",), -5, id="stamp-negative"),
+            pytest.param(("t_ms",), True, id="stamp-bool"),
+            pytest.param(("t_ms",), "150", id="stamp-string"),
+            pytest.param(("t_ms",), 2**53 + 1, id="stamp-beyond-float"),
+            pytest.param(("car",), "car1/x", id="car-slash"),
+            pytest.param(("pose", "y"), math.inf, id="pose-inf"),
+            pytest.param(("pose", "yaw"), math.nan, id="yaw-nan"),
+            pytest.param(("truths", 0, "conf"), -0.5, id="confidence-negative"),
+            pytest.param(("truths", 0, "conf"), math.nan, id="confidence-nan"),
+            pytest.param(("truths", 0, "loc", 1), -math.inf, id="loc-minus-inf"),
+            pytest.param(("truths", 0, "extent", 0), 0.0, id="extent-zero"),
+            pytest.param(("truths", 0, "extent", 2), math.inf, id="extent-inf"),
+        ],
+    )
+    def test_the_loader_refuses_a_frame_with_builds_message_and_its_line(self, tmp_path, path, value):
+        trace_path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 3, seed=1), trace_path)
+        lines = trace_path.read_text().splitlines()
+        d = json.loads(lines[1])
+        *parents, last = path
+        target = d
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        lines[1] = json.dumps(d)
+        trace_path.write_text("\n".join(lines) + "\n")
+        truths = tuple(GroundTruth(t["label"], t["conf"], tuple(t["loc"]), tuple(t["extent"])) for t in d["truths"])
+        frame = TraceFrame(d["car"], d["t_ms"], Pose(**d["pose"]), d["image_id"], truths)
+        with pytest.raises(TraceError) as built:
+            Trace.build([frame])
+        with pytest.raises(TraceError) as loaded:
+            load_trace(trace_path)
+        assert str(loaded.value) == f"line 2: {built.value}"
 
 
 class TestDetectorNode:
