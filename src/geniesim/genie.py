@@ -20,11 +20,11 @@ An answer is an answer or a stray, a request a hit or a miss.
 
   answer   its header key names a pending exchange; absorb it into the
            object map, store it as received as the cached value, and relay
-           it to every requester waiting on that content digest.
+           it to every requester waiting on that content key.
   miss     unseen content; forward to the inner node on ``-local`` (never
            for phantoms, which wrap nothing).  Only a vehicle wrapper also
            uploads it on ``-remote``: every edge wrapper hears that one
-           upload, so none re-shares it.  Then park the digest as one
+           upload, so none re-shares it.  Then park the content key as one
            pending record that concurrent repeats queue on.
   hit      known content with a stored answer; augment it from the object
            map and send it straight back to the sender.  The map keeps each
@@ -42,8 +42,9 @@ An answer is an answer or a stray, a request a hit or a miss.
            with its car's origin prefix (``attach``), counts second answers
            to its own car's exchanges.
 
-Cache keys are content digests; headers only identify in-flight
-exchanges, and one header names one pending exchange.
+Cache keys are each payload's canonical bytes (``model.content_key``);
+headers only identify in-flight exchanges, and one header names one
+pending exchange.
 
 Transparency mode (``cache_enabled=False``) runs the same procedure over a
 cache DB that never stores: every request is forwarded and parked as its
@@ -117,13 +118,13 @@ class CachedValue:
     waiters: list[Header] | tuple[()] = field(default_factory=list)  # requesters owed an answer
 
 
-Slot = str | tuple[str, int]  # a pending record's key: digest, or header key if not storing
+Slot = bytes | tuple[str, int]  # a pending record's key: content key, or header key if not storing
 
 
 @dataclass(slots=True)
 class _TopicMap:
     topic: Topic
-    entries: dict[str, CachedValue] = field(default_factory=dict)  # what lookups see
+    entries: dict[bytes, CachedValue] = field(default_factory=dict)  # what lookups see
     pending: dict[Slot, CachedValue] = field(default_factory=dict)  # in flight, park order
     requests: int = 0
     hits: int = 0
@@ -131,11 +132,11 @@ class _TopicMap:
 
 
 class TopicCacheDB:
-    """Per-topic hash maps from content digests to one record each, plus one
+    """Per-topic hash maps from content keys to one record each, plus one
     pending index from request header key to the (topic, slot) of its record.
     The DB is built with its topics, one map each, and adds none later.
 
-    Caching parks one record per digest, under the digest: repeats coalesce
+    Caching parks one record per content key, under that key: repeats coalesce
     on it, and its answer stays in ``entries``.  With ``stores=False``
     (transparency mode) each exchange parks its own record under its header
     key: every lookup misses and each answer wakes only its own requester.
@@ -159,7 +160,7 @@ class TopicCacheDB:
     def topic_names(self) -> tuple[str, ...]:
         return tuple(self._maps)
 
-    def lookup(self, name: str, digest: str) -> CachedValue | None:
+    def lookup(self, name: str, digest: bytes) -> CachedValue | None:
         return self._maps[name].entries.get(digest)
 
     def pending(self, key: tuple[str, int]) -> tuple[str, Slot] | None:
@@ -167,7 +168,7 @@ class TopicCacheDB:
         :meth:`fill`."""
         return self._pending.get(key)
 
-    def add_waiter(self, name: str, digest: str, header: Header, now: float) -> bool:
+    def add_waiter(self, name: str, digest: bytes, header: Header, now: float) -> bool:
         """Queue ``header`` on its pending record, parked at ``now`` if new;
         return whether it joined a request in flight, which only a caching DB
         has.  Each header arrives once (only vehicles upload, and no edge
@@ -264,15 +265,16 @@ class TopicCacheDB:
 
 
 class DedupFilter:
-    """Keeps the first message per content digest; repeats inside the window
-    are discarded, and the same digest is accepted again once the window has
-    passed since the last accepted copy.
+    """Keeps the first message per content key (``model.content_key``, so
+    equal topic and content); repeats inside the window are discarded, and
+    the same key is accepted again once the window has passed since the
+    last accepted copy.
 
     Callers pass a nondecreasing ``now`` (``ConsumerNode`` passes the fabric
-    clock).  ``_last_accept`` is then in accept-time order, and digests whose
+    clock).  ``_last_accept`` is then in accept-time order, and keys whose
     window has passed, which would be accepted again anyway, are dropped
-    from its front, in place, on each accept: it holds only digests accepted
-    within the last window.  The window is non-negative, so the digest just
+    from its front, in place, on each accept: it holds only keys accepted
+    within the last window.  The window is non-negative, so the key just
     accepted is always live and ends the walk.
     """
 
@@ -280,7 +282,7 @@ class DedupFilter:
         if not window_ms >= 0:
             raise ValueError(f"dedup window must be non-negative: {window_ms}")
         self.window_ms = window_ms
-        self._last_accept: dict[str, float] = {}
+        self._last_accept: dict[bytes, float] = {}
         self.accepted = 0
         self.discarded = 0
 

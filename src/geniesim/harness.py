@@ -272,7 +272,7 @@ def _detect_all(trace: Trace, params: ObjectMapParams) -> dict[str, ObjectList]:
 
 def _replay(scenario: Scenario) -> None:
     """Turn every trace frame into a request on its car's image topic.  Frames
-    of one image share one ``ImageRef``, so its digest is computed once."""
+    of one image share one ``ImageRef``, so its content key is built once."""
     publish = scenario.fabric.publish
     names = {car: (f"{car}/camera", f"VN-{car}") for car in scenario.trace.cars}  # (origin, network)
     topic, wire = IMAGE_TOPIC, IMAGE_TOPIC.name

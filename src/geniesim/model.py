@@ -4,7 +4,8 @@ Messages, topics, headers, poses and detected objects are immutable after
 construction and safe to share across threads.  Content identity (the cache
 key space) is separate from header identity (the in-flight request space):
 two messages with the same payload content on the same topic are "the same"
-to a cache, no matter who sent them or when.
+to a cache, no matter who sent them or when: ``content_key`` gives them one
+key, the canonical bytes of that content, with no hash in between.
 
 ``Header``, ``Message`` and ``DetectedObject`` are built on every hop, so
 each has a hand-written ``__init__`` that validates and then fills its slots
@@ -22,7 +23,6 @@ the package to this rule.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -181,7 +181,7 @@ _set_location = DetectedObject.location.__set__
 _set_extent = DetectedObject.extent.__set__
 _set_from_map = DetectedObject.from_map.__set__
 _new_object = object.__new__
-# the canonical order of objects: content digests and map answers sort by it
+# the canonical order of objects: map answers sort by it
 OBJECT_SORT_KEY = attrgetter("label", "location", "confidence", "extent")
 
 
@@ -191,14 +191,14 @@ class ImageRef:
 
     content_id: str
     kind: ClassVar[PayloadKind] = PayloadKind.IMAGE
-    _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
+    _digest: tuple[str, bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
 class ObjectList:
     objects: tuple[DetectedObject, ...]
     kind: ClassVar[PayloadKind] = PayloadKind.OBJECTS
-    _digest: tuple[str, str] | None = field(default=None, init=False, repr=False, compare=False)
+    _digest: tuple[str, bytes] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 Payload = Union[ImageRef, ObjectList]
@@ -236,51 +236,48 @@ _set_payload = Message.payload.__set__
 _set_via = Message.via.__set__
 
 
-def core_objects(payload: ObjectList) -> tuple[DetectedObject, ...]:
-    """Objects produced by a detector, excluding map-appended ones."""
-    return tuple(o for o in payload.objects if not o.from_map)
-
-
 # confidence, location and extent of one object, as IEEE-754 doubles
 _OBJECT_FLOATS = struct.Struct("<7d")
 
 
-def content_key(message: Message) -> str:
-    """Stable digest of (the message's topic name, payload content identity).
+def content_key(message: Message) -> bytes:
+    """Canonical bytes of (the message's topic name, payload content
+    identity), used as the cache key itself.
 
-    Header and ``via`` never participate.  Object lists are canonically
-    sorted by (label, location) first, so object order does not matter,
-    and map-appended objects are excluded so an augmented answer digests
-    the same as the plain one.  Each object is hashed as its length-prefixed
-    UTF-8 label and the packed IEEE-754 bits of its seven floats, so two
-    lists digest equal exactly when, once sorted, they pair up object for
-    object with equal labels and the same ``repr`` of each confidence,
-    location and extent value: ``repr`` is injective on doubles, and both it
-    and the bits tell ``0.0`` from ``-0.0``.  Only NaN's many bit patterns
-    share one ``repr``; the trace loader refuses non-finite numbers, so no
-    NaN reaches a payload.
+    Header and ``via`` never participate.  An image keys as its topic name
+    and content id.  An object list keys as its topic name and one token per
+    object a detector produced, sorted as bytes: map-appended objects are
+    excluded, so an augmented answer keys as the plain one.  A token is the
+    object's 4-byte label length, UTF-8 label and the packed IEEE-754 bits
+    of its seven floats, so it delimits itself, and two lists on one topic
+    key equal exactly when their objects are equal multisets of (label,
+    float bits), in any order: equal labels and the same ``repr`` of each
+    confidence, location and extent value.  ``repr`` is injective on
+    doubles, and both it and the bits tell ``0.0`` from ``-0.0``.  Only
+    NaN's many bit patterns share one ``repr``; the trace loader refuses
+    non-finite numbers, so no NaN reaches a payload.
 
-    Payloads are immutable, so the digest is memoized with its topic name
-    in the payload's own ``_digest`` slot, which no identity check sees; the
+    Payloads are immutable, so the key is memoized with its topic name in
+    the payload's own ``_digest`` slot, which no identity check sees; the
     name is checked, since one payload object may travel under two topics.
     A table keyed by payload equality would not do: ``0.0`` and ``-0.0``
-    locations compare equal but digest differently.
+    locations compare equal but key differently.
     """
     name = message.topic.name
     payload = message.payload
     memo = payload._digest
     if memo is not None and memo[0] == name:
         return memo[1]
-    prefix = f"{name}\x1f{payload.kind.value}"
     if isinstance(payload, ImageRef):
-        body = f"{prefix}|{payload.content_id}".encode()
+        key = f"{name}\x1fimage|{payload.content_id}".encode()
     else:
-        parts = [prefix.encode()]
         pack = _OBJECT_FLOATS.pack
-        for o in sorted(core_objects(payload), key=OBJECT_SORT_KEY):
-            label = o.label.encode()
-            parts += (len(label).to_bytes(4, "little"), label, pack(o.confidence, *o.location, *o.extent))
-        body = b"".join(parts)
-    digest = hashlib.sha256(body).hexdigest()
-    object.__setattr__(payload, "_digest", (name, digest))
-    return digest
+        tokens = []
+        for o in payload.objects:
+            if not o.from_map:
+                label = o.label.encode()
+                tokens.append(len(label).to_bytes(4, "little") + label + pack(o.confidence, *o.location, *o.extent))
+        tokens.sort()
+        key = f"{name}\x1fobjects".encode() + b"".join(tokens)
+    object.__setattr__(payload, "_digest", (name, key))
+    return key

@@ -261,7 +261,7 @@ class ObjectMapStore:
         self.hits += hits
         additions.sort(key=OBJECT_SORT_KEY)
         answer = ObjectList(objects + tuple(additions))
-        # every addition is from_map, so the answer digests as the payload
+        # every addition is from_map, so the answer keys as the payload
         object.__setattr__(answer, "_digest", payload._digest)
         self._answers[id(payload)] = (payload, answer, hits)
         return answer

@@ -806,8 +806,8 @@ class TestHitDigest:
             assert content_key(under(served, name)) != memo_digest
         self.assert_fresh_digests(served)
         forged = objects_message((obj("car", 0.7, (3.2, 0.2, 0.2)),))
-        object.__setattr__(forged.payload, "_digest", ("/other", "forged"))
-        assert content_key(forged) != "forged"
+        object.__setattr__(forged.payload, "_digest", ("/other", b"forged"))
+        assert content_key(forged) != b"forged"
 
 
 class TestHitMemo:

@@ -1,24 +1,32 @@
 """Counted work: how often the object map's read path runs, and how often it
-rescans, on the bench's seed-7 workloads; and how many receivers the fabric
-examines and admits per frame as the fleet grows.
+rescans, and how many content keys are encoded, on the bench's seed-7
+workloads; and how many receivers the fabric examines and admits per frame
+as the fleet grows.
 
 Operation counts do not move with the host or the run order, so they pin a
 cut that wall-clock numbers show only as noise.  ``augment`` is called once
 per object-list hit; ``_cells_near`` runs only for a payload not scanned
-since the map last gained a cell.
-A change to either count is a change to the hot path's work and is argued
-in CHANGES.md.
+since the map last gained a cell.  ``content_key`` encodes a payload once
+per topic name and keeps the key on the payload.  A change to any of these
+counts is a change to the hot path's work and is argued in CHANGES.md.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from geniesim import genie, model
 from geniesim.harness import build_scenario, run_built_scenario
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric
 
 from test_golden import BENCH, _config
+
+
+def bench_config(name):
+    ((_, route, cars, frames, edges, overlap, edge_latency_ms),) = [w for w in BENCH if w[0] == name]
+    return replace(_config(route, cars, edges, frames=frames, overlap=overlap), edge_latency_ms=edge_latency_ms)
+
 
 # bench workload -> (augment calls, _cells_near scans) over all stores, seed 7
 EXPECTED = {"corridor": (300, 144), "disjoint": (0, 0), "loop": (1350, 152)}
@@ -26,8 +34,7 @@ EXPECTED = {"corridor": (300, 144), "disjoint": (0, 0), "loop": (1350, 152)}
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_augment_calls_and_scans_on_bench_workloads(name, monkeypatch):
-    ((_, route, cars, frames, edges, overlap, edge_latency_ms),) = [w for w in BENCH if w[0] == name]
-    config = replace(_config(route, cars, edges, frames=frames, overlap=overlap), edge_latency_ms=edge_latency_ms)
+    config = bench_config(name)
     counts = {"augment": 0, "_cells_near": 0}
     for method in counts:
         original = getattr(ObjectMapStore, method)
@@ -39,6 +46,30 @@ def test_augment_calls_and_scans_on_bench_workloads(name, monkeypatch):
         monkeypatch.setattr(ObjectMapStore, method, counted)
     run_built_scenario(build_scenario(config), "DG")
     assert (counts["augment"], counts["_cells_near"]) == EXPECTED[name]
+
+
+# bench workload -> content keys encoded (image, object list), seed 7: a
+# call encodes when it leaves a new memo on the payload.  The rest of the
+# calls are memo hits.
+ENCODED = {"corridor": (250, 250), "disjoint": (240, 240), "loop": (150, 150)}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODED))
+def test_content_keys_encoded_on_bench_workloads(name, monkeypatch):
+    counts = {model.ImageRef: 0, model.ObjectList: 0}
+    original = model.content_key
+
+    def counted(message):
+        memo = message.payload._digest
+        key = original(message)
+        if message.payload._digest is not memo:
+            counts[type(message.payload)] += 1
+        return key
+
+    for site in (model, genie):  # genie imports it by name
+        monkeypatch.setattr(site, "content_key", counted)
+    run_built_scenario(build_scenario(bench_config(name)), "DG")
+    assert (counts[model.ImageRef], counts[model.ObjectList]) == ENCODED[name]
 
 
 # cars -> fabric receivers (examined, admitted) per frame on disjoint, 200
