@@ -160,9 +160,6 @@ class TopicCacheDB:
     def topic_names(self) -> tuple[str, ...]:
         return tuple(self._maps)
 
-    def lookup(self, name: str, digest: bytes) -> CachedValue | None:
-        return self._maps[name].entries.get(digest)
-
     def pending(self, key: tuple[str, int]) -> tuple[str, Slot] | None:
         """(topic, slot) the header key is queued on, if any; pass both to
         :meth:`fill`."""
@@ -242,9 +239,6 @@ class TopicCacheDB:
 
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def entry_count(self, name: str) -> int:
-        return len(self._maps[name].entries)
 
     def _evict(self, m: _TopicMap) -> None:
         """Drop filled records down to the bound; called only when there is one."""

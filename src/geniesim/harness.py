@@ -310,8 +310,9 @@ def build_scenario(config: ScenarioConfig, trace: Trace | None = None, mode: str
 
     Every refusal comes first: ``validate``'s, R with no edge device, a device
     or model not in the table, a trace without ``n_cars`` cars, a phantom not in
-    it or an object the object map cannot place.  A trace's own rules are
-    ``Trace.build``'s, which every trace, a passed one included, has kept.
+    it, in DG a car named like an edge node (``edge<j>``) or an object the
+    object map cannot place.  A trace's own rules are ``Trace.build``'s,
+    which every trace, a passed one included, has kept.
     Each distinct image is detected once, into one table that every detector shares.
 
     The fabric counts deliveries but records none: no output reads the
@@ -337,6 +338,10 @@ def _prepare(
     unknown = set(config.phantom_cars) - set(trace.cars)
     if unknown:  # in every mode, though only DG wires phantoms
         raise ConfigError(f"config.phantom_cars: {sorted(unknown)} not in the trace")
+    if "DG" in modes:  # DG names edge device j's nodes edge<j>/genie and edge<j>/detector
+        for car in (f"edge{j}" for j in range(1, len(config.edge_devices) + 1)):
+            if car in trace.by_car:
+                raise ConfigError(f"car {car!r} is named like a DG edge node: {car}/genie")
     return profiles, trace, _detect_all(trace, config.object_map)
 
 

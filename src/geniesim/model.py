@@ -160,9 +160,6 @@ class DetectedObject:
         _set_extent(self, extent)
         _set_from_map(self, from_map)
 
-    def sort_key(self) -> tuple:
-        return OBJECT_SORT_KEY(self)
-
     def with_confidence(self, confidence: float, from_map: bool) -> DetectedObject:
         """A copy with ``confidence`` and ``from_map`` set, filled as ``__init__``
         fills it but unchecked: only for a confidence known to be in [0, 1]."""

@@ -10,8 +10,9 @@ a device-dependent latency.  Traces are JSON lines, one frame per line:
      "truths": [{"label": str, "conf": f, "loc": [x, y, z],
                  "extent": [dx, dy, dz]}]}
 
-Each rule about one frame is :func:`_check_frame`'s, which ``Trace.build``
-runs on every trace; the loader adds only JSON types and line numbers.
+Every rule of a trace is checked by ``Trace.build``, once per frame: each
+rule about one frame is :func:`_check_frame`'s.  The loader checks JSON types
+only, and names the line of a frame that ``Trace.build`` refuses.
 
 ``loc`` is relative to the vehicle; the detector translates it to absolute
 coordinates through the frame pose.  Real datasets (e.g. KITTI) can be
@@ -46,7 +47,7 @@ from .simnet import Fabric, SimNode
 
 
 class TraceError(ValueError):
-    pass
+    index: int | None = None  # the refused frame's position in the input, when one frame is at fault
 
 
 class OomError(RuntimeError):
@@ -105,10 +106,10 @@ def _check_frame(f: TraceFrame, content: bool = True) -> None:
 
 @dataclass(frozen=True)
 class Trace:
-    """Frames globally sorted by time, with per-car views and an exact-replay
-    index from image id to frame content.  ``build`` holds every frame to the
-    loader's rules, :func:`_check_frame`, so ``save_trace`` writes a file that
-    ``load_trace`` reads back; then each car's stamps must strictly increase."""
+    """Frames sorted by time, per-car views, and each image id's earliest frame.
+    ``build`` checks each frame once, a repeat as an exact replay of its first
+    sighting, and tags a one-frame refusal with its input ``index``; then each
+    car's stamps must strictly increase.  So ``load_trace`` reads what ``save_trace`` writes."""
 
     frames: tuple[TraceFrame, ...]
     by_car: dict[str, tuple[TraceFrame, ...]]
@@ -117,26 +118,26 @@ class Trace:
     @staticmethod
     def build(frames: Iterable[TraceFrame]) -> "Trace":
         frames, firsts = tuple(frames), {}
-        for f in frames:  # a repeat's content is compared equal to its first below
-            _check_frame(f, firsts.setdefault(f.image_id, f) is f)
+        try:
+            for i, f in enumerate(frames):
+                first = firsts.setdefault(f.image_id, f)
+                _check_frame(f, first is f)  # a repeat's content is checked as equal to its first's
+                if first is not f and (first.pose, first.truths) != (f.pose, f.truths):
+                    raise TraceError(
+                        f"image_id {f.image_id!r} reused with different content; repeated ids must be exact replays"
+                    )
+        except TraceError as exc:
+            exc.index = i
+            raise
         ordered = tuple(sorted(frames, key=lambda f: (f.t_ms, f.car)))
         by_car: dict[str, list[TraceFrame]] = {}
         by_image: dict[str, TraceFrame] = {}
         for f in ordered:
-            by_car.setdefault(f.car, []).append(f)
-            seen = by_image.setdefault(f.image_id, f)
-            if seen is not f and (seen.pose, seen.truths) != (f.pose, f.truths):
-                raise TraceError(
-                    f"image_id {f.image_id!r} reused with different content; "
-                    "repeated ids must be exact replays"
-                )
-        for car, lst in by_car.items():
-            for a, b in zip(lst, lst[1:]):
-                if b.t_ms <= a.t_ms:
-                    raise TraceError(
-                        f"timestamps for car {car!r} not strictly increasing "
-                        f"at t_ms={b.t_ms}"
-                    )
+            own = by_car.setdefault(f.car, [])
+            if own and own[-1].t_ms == f.t_ms:  # sorted, so a car's stamps can fail only by a tie
+                raise TraceError(f"timestamps for car {f.car!r} not strictly increasing at t_ms={f.t_ms}")
+            own.append(f)
+            by_image.setdefault(f.image_id, f)
         return Trace(ordered, {c: tuple(v) for c, v in by_car.items()}, by_image)
 
     @property
@@ -198,23 +199,19 @@ def _frame_from_dict(d: dict, lineno: int) -> TraceFrame:
             )
             for t in d["truths"]
         )
-        frame = TraceFrame(
+        return TraceFrame(
             car=_text(d["car"], "car"),
-            t_ms=d["t_ms"],
+            t_ms=d["t_ms"],  # its rules are Trace.build's
             pose=Pose(*(_number(pose[axis], f"pose.{axis}") for axis in ("x", "y", "z", "yaw"))),
             image_id=_text(d["image_id"], "image_id"),
             truths=truths,
         )
-        _check_frame(frame)  # each field had its JSON type; the rules are Trace.build's
-    except TraceError as exc:
-        raise TraceError(f"line {lineno}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceError(f"line {lineno}: malformed frame: {exc}") from exc
-    return frame
 
 
 def load_trace(path: str | Path) -> Trace:
-    frames = []
+    frames, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -225,7 +222,13 @@ def load_trace(path: str | Path) -> Trace:
             except json.JSONDecodeError as exc:
                 raise TraceError(f"line {lineno}: invalid JSON: {exc}") from exc
             frames.append(_frame_from_dict(d, lineno))
-    return Trace.build(frames)
+            linenos.append(lineno)
+    try:
+        return Trace.build(frames)
+    except TraceError as exc:
+        if exc.index is None:
+            raise
+        raise TraceError(f"line {linenos[exc.index]}: {exc}") from exc
 
 
 def save_trace(trace: Trace, path: str | Path) -> None:

@@ -9,7 +9,7 @@ goes through the cache, object-map, harness or workload code it checks
 import hashlib
 from dataclasses import replace
 
-from geniesim.model import DetectedObject, ImageRef, Message, ObjectList, PayloadKind, content_key
+from geniesim.model import OBJECT_SORT_KEY, DetectedObject, ImageRef, Message, ObjectList, PayloadKind, content_key
 
 
 def strip_map_objects(message: Message) -> Message:
@@ -65,8 +65,8 @@ def state_digest(store) -> str:
     h = hashlib.sha256()
     for cell in sorted(store.cells):
         h.update(repr(cell).encode())
-        for o in sorted(store.cells[cell], key=DetectedObject.sort_key):
-            h.update(repr(o.sort_key()).encode())
+        for o in sorted(store.cells[cell], key=OBJECT_SORT_KEY):
+            h.update(repr(OBJECT_SORT_KEY(o)).encode())
     return h.hexdigest()
 
 

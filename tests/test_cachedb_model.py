@@ -106,7 +106,7 @@ def as_model(record):
 def assert_agree(db, model):
     for t in TOPICS:
         m = db.topic_map(t.name)
-        assert db.entry_count(t.name) == len(model.entries[t.name])
+        assert len(db.topic_map(t.name).entries) == len(model.entries[t.name])
         assert list(m.entries) == list(model.entries[t.name])
         for digest, record in m.entries.items():
             assert as_model(record) == model.entries[t.name][digest]
@@ -135,7 +135,7 @@ def run_sequence(rng, max_entries, stores, ttl_ms, steps=80):
         op = rng.random()
         if op < 0.45:
             digest = rng.choice(DIGESTS)
-            entry = db.lookup(name, digest)
+            entry = db.topic_map(name).entries.get(digest)
             assert as_model(entry) == model.lookup(name, digest)
             if entry is not None and entry.result is not None:
                 # a hit, as GenieNode serves it

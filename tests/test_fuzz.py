@@ -155,7 +155,7 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
         if config.max_cache_entries is not None:
             for name in db.topic_names():
                 # pending records are never evicted, so they alone may exceed the bound
-                assert db.entry_count(name) <= max(config.max_cache_entries, len(pending[name]))
+                assert len(db.topic_map(name).entries) <= max(config.max_cache_entries, len(pending[name]))
         # an answer is never parked or cached as if it were a request
         assert not {t.name for t in genie.spec.publishes} & set(db.topic_names()), genie.name
         # every answer the inner node gave is accounted for

@@ -102,7 +102,7 @@ class TestTopicCacheDB:
         db.add_waiter("/image", content_key(msg_a), Header("a", 0, 0.0), 0.0)
         db.fill("/image", content_key(msg_a), objects_message(()))
         # same digest string under the second topic is still a miss
-        assert db.lookup("/image2", content_key(msg_a)) is None
+        assert db.topic_map("/image2").entries.get(content_key(msg_a)) is None
 
     def test_pending_expiry_removes_empty_entry(self):
         db = TopicCacheDB((IMAGE,))
@@ -110,7 +110,7 @@ class TestTopicCacheDB:
         assert db.pending_count() == 1
         db.purge_expired(now=5001.0, ttl_ms=5000.0)
         assert db.pending_count() == 0
-        assert db.entry_count("/image") == 0
+        assert len(db.topic_map("/image").entries) == 0
 
     def test_fill_detaches_all_waiters(self):
         db = TopicCacheDB((IMAGE,))
@@ -128,7 +128,7 @@ class TestTopicCacheDB:
         net.run_until(10.0)
         net.publish("inner", objects_message(()), wire_topic="/objects-local", network="VN1", at=10.0)
         net.run_until(20.0)
-        record = genie.db.lookup("/image", content_key(request))
+        record = genie.db.topic_map("/image").entries.get(content_key(request))
         assert record.waiters == () and record.result is not None
         net.publish("camera", image_message("f0", seq=1, stamp=30.0), wire_topic="/image", network="VN1", at=30.0)
         net.run_until(100.0)
@@ -140,7 +140,7 @@ class TestTopicCacheDB:
         first = objects_message((obj("car", 0.5, (0.2, 0.2, 0.2)),))
         db.fill("/image", "d1", first)
         db.fill("/image", "d1", objects_message(()))
-        assert db.lookup("/image", "d1").result is first
+        assert db.topic_map("/image").entries.get("d1").result is first
 
     def test_lru_bound_evicts_least_recently_hit(self):
         db = TopicCacheDB((IMAGE,), max_entries=2)
@@ -148,10 +148,10 @@ class TestTopicCacheDB:
             db.add_waiter("/image", digest, Header("a", i, 0.0), float(i))
             db.fill("/image", digest, objects_message((), seq=i))
             if digest == "d1":
-                db.lookup("/image", "d1").last_hit_ms = 100.0  # keep d1 warm
-        assert db.entry_count("/image") == 2
-        assert db.lookup("/image", "d2") is None
-        assert db.lookup("/image", "d1") is not None
+                db.topic_map("/image").entries.get("d1").last_hit_ms = 100.0  # keep d1 warm
+        assert len(db.topic_map("/image").entries) == 2
+        assert db.topic_map("/image").entries.get("d2") is None
+        assert db.topic_map("/image").entries.get("d1") is not None
 
     def test_lru_tie_evicts_the_first_parked(self):
         db = TopicCacheDB((IMAGE,), max_entries=2)
@@ -159,9 +159,9 @@ class TestTopicCacheDB:
             db.add_waiter("/image", digest, Header("a", i, 0.0), 5.0)
             db.fill("/image", digest, objects_message((), seq=i))
         db.add_waiter("/image", "d3", Header("a", 2, 0.0), 6.0)  # pending, survives
-        assert db.lookup("/image", "d1") is None
-        assert db.lookup("/image", "d2") is not None
-        assert db.lookup("/image", "d3").result is None
+        assert db.topic_map("/image").entries.get("d1") is None
+        assert db.topic_map("/image").entries.get("d2") is not None
+        assert db.topic_map("/image").entries.get("d3").result is None
 
     def test_fill_can_evict_the_answer_it_just_stored(self):
         db = TopicCacheDB((IMAGE,), max_entries=1)
@@ -171,11 +171,11 @@ class TestTopicCacheDB:
         # d1 is still pending, so the only stored answer is the LRU victim
         woken = db.fill("/image", "d2", objects_message((), seq=1))
         assert [w.seq for w in woken] == [1, 2]
-        assert db.lookup("/image", "d2") is None
-        assert db.entry_count("/image") == 1
+        assert db.topic_map("/image").entries.get("d2") is None
+        assert len(db.topic_map("/image").entries) == 1
         db.fill("/image", "d1", objects_message((), seq=0))
-        assert db.entry_count("/image") == 1
-        assert db.lookup("/image", "d1").result is not None
+        assert len(db.topic_map("/image").entries) == 1
+        assert db.topic_map("/image").entries.get("d1").result is not None
 
     @pytest.mark.parametrize("stores", [True, False])
     def test_repeat_joins_the_request_in_flight_only_with_storage(self, stores):
@@ -189,8 +189,8 @@ class TestTopicCacheDB:
         db.add_waiter("/image", "d1", Header("car1/camera", 0, 0.0), 0.0)
         pend = db.pending(("car1/camera", 0))
         assert [w.seq for w in db.fill(*pend, objects_message(()))] == [0]
-        assert db.lookup("/image", "d1") is None
-        assert db.entry_count("/image") == 0
+        assert db.topic_map("/image").entries.get("d1") is None
+        assert len(db.topic_map("/image").entries) == 0
 
 
 class TestPendingExpiryOrder:
@@ -386,8 +386,8 @@ class TestArrivalProcedure:
         assert len(inner.received) == 1  # shared with the wrapped node
         assert len(spy.received) == 1  # shared with remote peers
         assert genie.counters.misses == 1
-        assert genie.db.entry_count("/image") == 1
-        assert genie.db.lookup("/image", content_key(msg)).result is None
+        assert len(genie.db.topic_map("/image").entries) == 1
+        assert genie.db.topic_map("/image").entries.get(content_key(msg)).result is None
 
     def test_miss_answer_relayed_to_consumer_and_cached(self):
         net, genie, inner, consumer, spy = wire_local_genie()
@@ -400,7 +400,7 @@ class TestArrivalProcedure:
         assert len(consumer.received) == 1
         assert consumer.received[0][2].via == "answer"
         assert genie.counters.local_answers == 1
-        assert genie.db.lookup("/image", content_key(msg)).result is not None
+        assert genie.db.topic_map("/image").entries.get(content_key(msg)).result is not None
 
     def test_hit_publishes_stored_result_without_recompute(self):
         net, genie, inner, consumer, spy = wire_local_genie(
@@ -433,7 +433,7 @@ class TestArrivalProcedure:
         repeat = image_message("f0", seq=1, stamp=30.0)
         net.publish("camera", repeat, wire_topic="/image", network="VN1", at=30.0)
         net.run_until(100.0)
-        assert genie.db.lookup("/image", content_key(repeat)).result is relayed  # stored as received
+        assert genie.db.topic_map("/image").entries.get(content_key(repeat)).result is relayed  # stored as received
         _, wire, hit = consumer.received[-1]
         assert (wire, hit.via, hit.header, hit.topic) == ("/objects", "hit", repeat.header, OBJECTS)
         assert hit.payload == relayed.payload
@@ -588,7 +588,7 @@ class TestArrivalProcedure:
                 at=float(seq * 1000),
             )
             net.run_until(seq * 1000 + 999.0)
-        assert genie.db.entry_count("/image") == len(set(contents))
+        assert len(genie.db.topic_map("/image").entries) == len(set(contents))
 
 
 def wire_remote_genie(**genie_kwargs):
@@ -660,7 +660,7 @@ class TestRemoteRole:
         assert genie.counters.remote_answers == 1
         from geniesim.model import content_key as ck
 
-        assert genie.db.lookup("/image", ck(request)).result is not None
+        assert genie.db.topic_map("/image").entries.get(ck(request)).result is not None
         assert requester.received == []  # no duplicate echo back onto the edge
 
 

@@ -129,6 +129,22 @@ class TestConfig:
             compare_baselines(small_loop(edge_devices=()))
         assert ran == []
 
+    def test_car_named_like_an_edge_node_rejected_before_any_mode_is_wired(self, tmp_path, monkeypatch):
+        # DG names edge device 2's nodes edge2/genie and edge2/detector
+        path = tmp_path / "trace.jsonl"
+        frames = synth_trace(2, "loop", 5, seed=1).frames
+        save_trace(Trace.build(replace(f, car="edge2") if f.car == "car2" else f for f in frames), path)
+        config = ScenarioConfig(n_cars=2, trace_file=str(path), edge_devices=("AGX", "A4500"))
+        for mode in ("L", "R"):
+            build_scenario(config, mode=mode)
+        wired = []
+        monkeypatch.setattr(harness, "_wire", lambda config, *prepared: wired.append(prepared[-1]))
+        with pytest.raises(ConfigError, match=r"^car 'edge2' is named like a DG edge node: edge2/genie$"):
+            compare_baselines(config)
+        with pytest.raises(ConfigError, match=r"^car 'edge2' is named like a DG edge node"):
+            build_scenario(config)
+        assert wired == []
+
     def test_compare_checks_and_reads_its_inputs_once(self, tmp_path, monkeypatch):
         profiles = tmp_path / "profiles.json"
         profiles.write_text(

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from geniesim import harness, model
 from geniesim.model import (
+    OBJECT_SORT_KEY,
     DetectedObject,
     Header,
     Message,
@@ -347,7 +348,7 @@ class TestHandWrittenInit:
                 checked = DetectedObject(source.label, confidence, source.location, source.extent, from_map)
                 assert type(copy) is DetectedObject and copy is not source
                 assert copy == checked and hash(copy) == hash(checked) and repr(copy) == repr(checked)
-                assert copy.sort_key() == checked.sort_key() and copy.from_map is from_map
+                assert OBJECT_SORT_KEY(copy) == OBJECT_SORT_KEY(checked) and copy.from_map is from_map
                 with pytest.raises(FrozenInstanceError):
                     copy.confidence = confidence
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from geniesim.model import DetectedObject, ObjectList, content_key
+from geniesim.model import OBJECT_SORT_KEY, DetectedObject, ObjectList, content_key
 from geniesim import harness
 from geniesim.objectmap import (
     ObjectMapParams,
@@ -580,7 +580,7 @@ def per_point_augment(store, payload):
         store.requests += 1
         if found:
             store.hits += 1
-    additions.sort(key=DetectedObject.sort_key)
+    additions.sort(key=OBJECT_SORT_KEY)
     return ObjectList(payload.objects + tuple(additions))
 
 

@@ -1,7 +1,7 @@
 """Counted work: how often the object map's read path runs, and how often it
 rescans, and how many content keys are encoded, on the bench's seed-7
-workloads; and how many receivers the fabric examines and admits per frame
-as the fleet grows.
+workloads; how many receivers the fabric examines and admits per frame
+as the fleet grows; and how often a loaded trace's frames are checked.
 
 Operation counts do not move with the host or the run order, so they pin a
 cut that wall-clock numbers show only as noise.  ``augment`` is called once
@@ -15,10 +15,11 @@ from dataclasses import replace
 
 import pytest
 
-from geniesim import genie, model
+from geniesim import genie, model, workload
 from geniesim.harness import build_scenario, run_built_scenario
 from geniesim.objectmap import ObjectMapStore
 from geniesim.simnet import Fabric
+from geniesim.workload import load_trace, save_trace, synth_trace
 
 from test_golden import BENCH, _config
 
@@ -96,3 +97,23 @@ def test_fabric_receivers_examined_and_admitted_per_frame_on_disjoint(cars, monk
     run_built_scenario(build_scenario(config), "DG")
     frames = cars * 200
     assert (counts["examined"] / frames, counts["admitted"] / frames) == RECEIVERS_PER_FRAME[cars]
+
+
+def test_a_loaded_trace_checks_each_frame_once(tmp_path, monkeypatch):
+    # 1 car x 40 frames at overlap 0.5: 20 images, each seen twice.  Trace.build
+    # checks each frame once, and a repeat's content only as equal to its first
+    # sighting's; the loader checks JSON types alone.
+    path = tmp_path / "loop.jsonl"
+    trace = synth_trace(1, "loop", 40, overlap_fraction=0.5, seed=7)
+    save_trace(trace, path)
+    calls = []
+    original = workload._check_frame
+
+    def counted(f, content=True):
+        calls.append(content)
+        original(f, content)
+
+    monkeypatch.setattr(workload, "_check_frame", counted)
+    assert load_trace(path) == trace
+    assert len(trace.by_image) == 20
+    assert (len(calls), calls.count(True)) == (40, 20)

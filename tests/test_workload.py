@@ -351,6 +351,41 @@ class TestTraceIO:
         assert str(loaded.value) == f"line 2: {built.value}"
 
 
+    @pytest.mark.parametrize("conf", [0.25, 1.5], ids=["valid", "out-of-range"])
+    def test_a_loaded_replay_mismatch_names_its_line(self, tmp_path, conf):
+        # a repeat is checked only as an exact replay of its first sighting,
+        # so even a confidence no truth may hold is refused as a mismatch
+        path = tmp_path / "trace.jsonl"
+        save_trace(synth_trace(1, "loop", 6, overlap_fraction=0.5, seed=1), path)
+        lines = path.read_text().splitlines()
+        seen = [json.loads(line)["image_id"] for line in lines]
+        lineno = next(i for i, image_id in enumerate(seen, start=1) if image_id in seen[: i - 1])
+        d = json.loads(lines[lineno - 1])
+        assert d["truths"][0]["conf"] != conf
+        d["truths"][0]["conf"] = conf
+        lines[lineno - 1] = json.dumps(d)
+        path.write_text("\n".join(lines) + "\n")
+        message = f"image_id '{d['image_id']}' reused with different content; repeated ids must be exact replays"
+        with pytest.raises(TraceError, match=f"^line {lineno}: {message}$"):
+            load_trace(path)
+
+    def test_a_files_line_order_does_not_matter(self, tmp_path):
+        trace = synth_trace(2, "shared-corridor", 20, overlap_fraction=0.5, seed=3)
+        cars_by_image = {}
+        for f in trace.frames:
+            cars_by_image.setdefault(f.image_id, set()).add(f.car)
+        assert any(len(cars) == 2 for cars in cars_by_image.values())  # shared ids, seen by both cars
+        path = tmp_path / "trace.jsonl"
+        save_trace(trace, path)
+        path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
+        loaded = load_trace(path)
+        assert loaded == trace
+        earliest = {}
+        for f in sorted(loaded.frames, key=lambda f: (f.t_ms, f.car)):
+            earliest.setdefault(f.image_id, f)
+        assert loaded.by_image == earliest
+
+
 class TestDetectorNode:
     def _wire(self, profile_name="A4500"):
         trace = synth_trace(1, "loop", 3, seed=0)
