@@ -125,9 +125,11 @@ class ObjectMapStore:
     pairs of its :meth:`_cells_near` scan, until the map gains a cell.
     Cells are only ever added and never move, so only a new cell, from
     ``ingest`` or a direct write, can change a neighbourhood; an answer
-    rebuilt from a kept one reads the cells' current objects.  The store
-    holds at most one neighbourhood per distinct payload object augmented
-    since the map last gained a cell, and each entry holds that payload.
+    rebuilt from a kept one reads the cells' current objects.  ``_indexed``
+    is the one count of cells seen; a new cell past it drops every kept
+    neighbourhood.  The store holds at most one neighbourhood per distinct
+    payload object augmented since the map last gained a cell, and each
+    entry holds that payload.
 
     ``boost_records`` holds one ``(time_ms, delta)`` pair per re-sighting,
     in ingest order, where delta is the confidence after minus before.
@@ -161,9 +163,8 @@ class ObjectMapStore:
         # last object-list ingest; the entry keeps the payload, and so its id
         self._answers: dict[int, tuple[ObjectList, ObjectList, int]] = {}
         # id(payload) -> (payload, pairs) of each payload's _cells_near scan
-        # while the map has held _near_cells cells
+        # since _index_new_cells last indexed a cell
         self._near: dict[int, tuple[ObjectList, list]] = {}
-        self._near_cells = 0
         self.boost_records: list[tuple[float, float]] = []
 
     def __len__(self) -> int:
@@ -239,9 +240,7 @@ class ObjectMapStore:
         threshold = self.confidence_threshold
         additions: list[DetectedObject] = []
         found = [False] * len(objects)
-        if len(self.cells) != self._near_cells:  # a new cell may lie in any neighbourhood
-            self._near.clear()
-            self._near_cells = len(self.cells)
+        self._index_new_cells()  # a new cell may lie in any kept neighbourhood
         near = self._near.get(id(payload))
         if near is None or near[0] is not payload:
             near = (payload, self._cells_near([o.location for o in objects]))
@@ -324,10 +323,11 @@ class ObjectMapStore:
 
         Cells are only ever added (``ingest`` and direct writes to
         ``cells`` alike), so the unindexed ones are the insertion-ordered
-        tail of the dict."""
+        tail of the dict.  Indexing one drops every kept neighbourhood."""
         new = len(self.cells) - self._indexed
         if not new:
             return
+        self._near.clear()
         k = self._bucket_edge
         res = self.resolution_m
         for cell in islice(reversed(self.cells), new):
