@@ -27,6 +27,10 @@ counts every delivery; the fabric records each one only through its
 (``Fabric.deliveries``).
 ``harness.build_scenario`` disconnects it, so a caller that wants a built
 scenario's log calls ``scenario.fabric.record_deliveries()`` before the run.
+
+The fabric owns the run's one random stream, seeded by ``Fabric(seed)``, and
+makes both kinds of draw from it in event order: a link's jitter in
+``publish``, and a detector run's latency in :meth:`Fabric.detector_latency`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .model import Message
+
+
+LATENCY_JITTER = 0.05  # a detector run takes its device's mean latency scaled by U(1 - f, 1 + f)
 
 
 class UnknownNodeError(KeyError):
@@ -52,8 +59,9 @@ class TopologyError(ValueError):
 class Link:
     """Delivery delay inside one network.
 
-    Latency is fixed; jitter adds a seeded U(0, jitter_ms) draw per
-    delivery.  Defaults are zero: co-located nodes exchange messages
+    Latency is fixed; jitter adds a seeded U(0, jitter_ms) draw for each
+    receiver ``publish`` examines, one its origin filter then skips
+    included.  Defaults are zero: co-located nodes exchange messages
     instantaneously unless a scenario says otherwise.
     """
 
@@ -164,7 +172,7 @@ class Fabric:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self.rng = random.Random(seed)
+        self._rng = random.Random(seed)
         self.queue = EventQueue()
         self._links: dict[str, Link] = {}  # per network
         self._nodes: dict[str, SimNode] = {}
@@ -263,10 +271,14 @@ class Fabric:
         for _, node, prefix in receivers:
             delay = latency
             if jitter > 0:
-                delay += self.rng.uniform(0.0, jitter)
+                delay += self._rng.uniform(0.0, jitter)
             if prefix and not origin.startswith(prefix):
                 continue
             push(at + delay, (node, sender, network, wire_topic, message, at))
+
+    def detector_latency(self, mean_ms: float) -> float:
+        """``mean_ms`` scaled by a draw of U(1 - LATENCY_JITTER, 1 + LATENCY_JITTER)."""
+        return mean_ms * (1.0 + self._rng.uniform(-LATENCY_JITTER, LATENCY_JITTER))
 
     def run_until(self, t_end: float) -> None:
         """Process every event due at or before ``t_end`` in deterministic

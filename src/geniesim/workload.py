@@ -411,9 +411,6 @@ def synth_trace(n_cars: int, route: str, n_frames: int, **params) -> Trace:
 
 # -- device profiles -----------------------------------------------------------
 
-# a detector run takes its device's mean latency scaled by U(1 - f, 1 + f)
-LATENCY_JITTER = 0.05
-
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -432,18 +429,15 @@ class DeviceProfile:
     def models(self) -> set[str]:
         return set(self.mean_latency_ms) | set(self.oom_models)
 
-    def latency_ms(self, model: str, rng: random.Random | None = None) -> float:
-        """Mean latency with a uniform +/- ``LATENCY_JITTER`` draw when an
-        rng is supplied; raises OomError for models flagged out-of-memory."""
+    def latency_ms(self, model: str) -> float:
+        """The model's mean latency; raises OomError for a model flagged
+        out-of-memory and UnknownModelError for one the device lacks."""
         if model in self.oom_models:
             raise OomError(f"{model} does not fit on {self.device}")
         try:
-            mean = self.mean_latency_ms[model]
+            return self.mean_latency_ms[model]
         except KeyError:
             raise UnknownModelError(f"{self.device} has no entry for {model}") from None
-        if rng is None:
-            return mean
-        return mean * (1.0 + rng.uniform(-LATENCY_JITTER, LATENCY_JITTER))
 
 
 def _profiles_from_dict(table: dict) -> dict[str, DeviceProfile]:
@@ -497,27 +491,23 @@ def detect(truths: tuple[GroundTruth, ...], pose: Pose) -> ObjectList:
 
 
 def detector_stub(
-    image_id: str,
-    truths: tuple[GroundTruth, ...],
-    pose: Pose,
-    profile: DeviceProfile,
-    model: str,
-    rng: random.Random | None = None,
+    image_id: str, truths: tuple[GroundTruth, ...], pose: Pose, profile: DeviceProfile, model: str
 ) -> tuple[ObjectList, float]:
     """The reference detector for one frame: :func:`detect`'s fresh
-    ``ObjectList`` and a sampled latency.  ``image_id`` only names the frame.
-    An out-of-memory model raises before anything is detected."""
-    latency = profile.latency_ms(model, rng)
+    ``ObjectList`` and the model's mean latency.  ``image_id`` only names the
+    frame.  An out-of-memory model raises before anything is detected."""
+    latency = profile.latency_ms(model)
     return detect(truths, pose), latency
 
 
 class DetectorNode(SimNode):
     """A detection service on the fabric, modeled as a pure delay station.
 
-    Requests are answered independently after the sampled model latency;
-    there is no queueing or contention, which keeps per-request latency a
-    function of the device profile alone.  The answer reuses the request
-    header so callers can correlate it.  Each image's ``ObjectList`` is read
+    Each request is answered independently, after the fabric's draw of the
+    model's mean latency (:meth:`Fabric.detector_latency`); there is no
+    queueing or contention.  The mean is resolved when built: ``None`` for an
+    out-of-memory model, and a model the device lacks raises there.  The
+    answer reuses the request header.  Each image's ``ObjectList`` is read
     from a ``detections`` table built once, which ``build_scenario`` shares among
     every detector of a run; given none, a detector detects ``frame_index`` when built.
     """
@@ -535,8 +525,7 @@ class DetectorNode(SimNode):
         detections: dict[str, ObjectList] | None = None,
     ) -> None:
         super().__init__(name, home_network)
-        self.profile = profile
-        self.model = model
+        self.mean_ms = None if model in profile.oom_models else profile.latency_ms(model)
         self.request_wire = request_wire
         self.answer_wire = answer_wire
         self.answer_topic = answer_topic
@@ -552,11 +541,9 @@ class DetectorNode(SimNode):
         if payload is None:
             self.unknown_frames += 1
             return
-        try:
-            latency = self.profile.latency_ms(self.model, net.rng)
-        except OomError:
+        if self.mean_ms is None:
             self.oom_failures += 1
             return
         self.invocations += 1
         answer = Message(message.header, self.answer_topic, payload)
-        net.publish(self.name, answer, self.answer_wire, self.home_network, at + latency)
+        net.publish(self.name, answer, self.answer_wire, self.home_network, at + net.detector_latency(self.mean_ms))

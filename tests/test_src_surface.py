@@ -142,3 +142,26 @@ def test_every_import_is_loaded_in_its_module():
                     if name != "annotations" and name not in used:
                         unused.append((path.name, name))
     assert unused == []
+
+
+def random_builders(tree, scope):
+    """The qualified name of the scope of each ``random.Random`` built in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("random.Random", "Random"):
+            yield scope
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from random_builders(node, f"{scope}.{node.name}" if named else scope)
+
+
+def test_only_the_fabric_touches_the_runs_random_stream():
+    # the fabric owns the run's one stream: no other module reads an ``rng``,
+    # and the only other streams are synth_trace's, which exist before a run
+    readers, builders = set(), set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = parse(path)
+        builders.update(random_builders(tree, path.stem))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in ("rng", "_rng"):
+                readers.add(path.name if path.stem == "simnet" else f"{path.name}:{node.lineno}")
+    assert readers == {"simnet.py"}
+    assert builders == {"simnet.Fabric.__init__", "workload.synth_trace"}

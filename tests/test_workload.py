@@ -54,10 +54,10 @@ class TestDeviceProfiles:
             DEFAULT_PROFILES["Nano"].latency_ms("SSD")
 
     def test_jitter_envelope(self):
-        rng = random.Random(0)
-        profile = DEFAULT_PROFILES["Nano"]
+        net = Fabric(seed=0)
+        mean = DEFAULT_PROFILES["Nano"].latency_ms("YOLOv8s")
         for _ in range(200):
-            latency = profile.latency_ms("YOLOv8s", rng)
+            latency = net.detector_latency(mean)
             assert 27.60 * 0.95 <= latency <= 27.60 * 1.05
 
     def test_positive_latency_required(self):
@@ -432,11 +432,20 @@ class TestDetectorNode:
         assert detector.invocations == 0
         assert sink == []
 
+    def test_a_model_the_device_lacks_is_refused_when_built(self):
+        # before any delivery runs, not from inside run_until at its first request
+        trace = synth_trace(1, "loop", 3, seed=0)
+        with pytest.raises(UnknownModelError, match="Nano has no entry for SSD"):
+            DetectorNode(
+                "detector", "VN1", DEFAULT_PROFILES["Nano"], "SSD", trace.by_image,
+                request_wire="/image-local", answer_wire="/objects-local", answer_topic=OBJECTS,
+            )
+
     def test_a_detector_given_no_table_detects_every_frame_when_built(self):
         trace, net, detector, sink = self._wire()
         assert detector.detections.keys() == trace.by_image.keys()
         for image_id, f in trace.by_image.items():
-            oracle, _ = detector_stub(image_id, f.truths, f.pose, detector.profile, detector.model)
+            oracle, _ = detector_stub(image_id, f.truths, f.pose, DEFAULT_PROFILES["A4500"], "DETR-ResNet-50")
             assert payload_bytes(detector.detections[image_id]) == payload_bytes(oracle)
 
     MODEL = "DETR-ResNet-101-DC5"  # fits on A4500 and AGX, not on Nano
@@ -488,9 +497,9 @@ class TestDetectorNode:
         trace, net, detectors, table, sink = self._pair(("A4500", "A4500"))
         net.publish("camera", image_message(trace.frames[0].image_id), wire_topic="/image-local", network="VN1", at=0.0)
         net.run_until(10_000.0)
-        replica = random.Random(5)  # the fabric's rng; the network has no jitter
-        profile = DEFAULT_PROFILES["A4500"]
-        expected = sorted(profile.latency_ms(self.MODEL, replica) for _ in detectors)
+        replica = random.Random(5)  # the fabric's seed; the network has no jitter, so only detectors draw
+        mean = DEFAULT_PROFILES["A4500"].latency_ms(self.MODEL)
+        expected = sorted(mean * (1 + replica.uniform(-0.05, 0.05)) for _ in detectors)  # README's +/-5%
         assert expected[0] != expected[1]
         assert [at for at, _ in sink] == expected
 
