@@ -105,17 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="run local/remote/cached modes on one trace")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.set_defaults(fn=cmd_compare)
+    for name, fn, text in (
+        ("run", cmd_run, "run one scenario"),
+        ("compare", cmd_compare, "run local/remote/cached modes on one trace"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=fn)
 
     spec = SynthSpec()  # a trace's defaults, shared with the config's synth section
     p_syn = sub.add_parser("synth", help="generate a synthetic trace")

@@ -340,7 +340,6 @@ class GenieNode(SimNode):
         max_entries: int | None = None,
     ) -> None:
         super().__init__(name, home_network)
-        self.spec = spec
         self.role = role
         self.edge_network = edge_network
         self.object_map = ObjectMapStore() if object_map is None else object_map

@@ -273,36 +273,28 @@ class ObjectMapStore:
         point whose sphere holds it, sorted: the order in which scanning each
         point's sorted neighbourhood in turn first reaches each cell.
 
-        Each occupied column overlapping some point's bounding box is read
-        once, and its cells are tested against those points in index order,
-        so the cost does not grow with the map."""
+        Each column some point's bounding box overlaps is read once; each
+        cell is tested against every point in index order, so the cost does
+        not grow with the map."""
         r = self.relevance_radius_m
         res = self.resolution_m
         r2 = r * r
         k = self._bucket_edge
         self._index_new_cells()
-        # occupied column -> (index, point, bounding box in cells) of each
-        # point whose box overlaps it, in index order
-        columns: dict[tuple[int, int], list[tuple]] = {}
         floor = math.floor
-        buckets = self._buckets
+        boxes = []  # (index, point, bounding box in cells) of each point
+        columns = set()
         for i, (px, py, pz) in enumerate(points):
             # quantize() of the box corners, inlined
             lx, ly, lz = floor((px - r) / res), floor((py - r) / res), floor((pz - r) / res)
             hx, hy, hz = floor((px + r) / res), floor((py + r) / res), floor((pz + r) / res)
-            box = (i, px, py, pz, lx, ly, lz, hx, hy, hz)
-            for column in product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1)):
-                if column in buckets:  # an empty column has no cell to test
-                    near = columns.get(column)
-                    if near is None:
-                        columns[column] = [box]
-                    else:
-                        near.append(box)
+            boxes.append((i, px, py, pz, lx, ly, lz, hx, hy, hz))
+            columns.update(product(range(lx // k, hx // k + 1), range(ly // k, hy // k + 1)))
         out = []
-        for column, near in columns.items():
-            for cell, x0, x1, y0, y1, z0, z1 in buckets.get(column, ()):
+        for column in columns:
+            for cell, x0, x1, y0, y1, z0, z1 in self._buckets.get(column, ()):
                 ix, iy, iz = cell
-                for i, px, py, pz, lx, ly, lz, hx, hy, hz in near:
+                for i, px, py, pz, lx, ly, lz, hx, hy, hz in boxes:
                     if not (lx <= ix <= hx and ly <= iy <= hy and lz <= iz <= hz):
                         continue
                     # squared distance from the point to the cell's box,

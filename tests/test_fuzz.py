@@ -25,6 +25,7 @@ from pathlib import Path
 import geniesim
 from geniesim.genie import GenieNode, GenieRole, TopicCacheDB
 from geniesim.harness import (
+    DETECTOR_SERVICE,
     MODES,
     ObjectMapParams,
     ScenarioConfig,
@@ -156,8 +157,9 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
             for name in db.topic_names():
                 # pending records are never evicted, so they alone may exceed the bound
                 assert len(db.topic_map(name).entries) <= max(config.max_cache_entries, len(pending[name]))
-        # an answer is never parked or cached as if it were a request
-        assert not {t.name for t in genie.spec.publishes} & set(db.topic_names()), genie.name
+        # an answer is never parked or cached as if it were a request; every
+        # harness genie wraps DETECTOR_SERVICE
+        assert not {t.name for t in DETECTOR_SERVICE.publishes} & set(db.topic_names()), genie.name
         # every answer the inner node gave is accounted for
         if genie.role is not GenieRole.PHANTOM:
             detector = scenario.detectors[genie.name.replace("/genie", "/detector")]
@@ -166,7 +168,7 @@ def check_genies(config: ScenarioConfig, scenario, report) -> None:
 
     # only vehicles upload: an edge-resident genie publishes no request, so
     # no genie hears one request header twice
-    requests = {t.name for g in scenario.genies.values() for t in g.spec.subscribes}
+    requests = {t.name for t in DETECTOR_SERVICE.subscribes}
     requests |= {name + REMOTE_SUFFIX for name in requests}
     edge = {name for name, g in scenario.genies.items() if g.answers_on_edge}
     heard = set()

@@ -27,7 +27,6 @@ OUTSIDE_CALLERS = {
     "detector_stub": "criterion 2's oracle",
     "quantize": "criterion 6's oracle, and the reference for objectmap's four inlined copies",
     "share_filter": "criterion 6's oracle",
-    "GenieNode.spec": "the fuzz suite's invariants read a genie's wrapped surface",
     "Fabric.delivered": "tests count deliveries with it",
     "harness.build_genie_scenario": "the acceptance suite and the bench call it",
 }

@@ -1,7 +1,8 @@
 """Counted work: how often the object map's read path runs, and how often it
 rescans, and how many content keys are encoded, on the bench's seed-7
-workloads; how many receivers the fabric examines and admits per frame
-as the fleet grows; and how often a loaded trace's frames are checked.
+workloads; how many receivers the fabric examines and admits, and what the
+genies decide, per frame as the fleet grows; and how often a loaded
+trace's frames are checked.
 
 Operation counts do not move with the host or the run order, so they pin a
 cut that wall-clock numbers show only as noise.  ``augment`` is called once
@@ -27,6 +28,12 @@ from test_golden import BENCH, _config
 def bench_config(name):
     ((_, route, cars, frames, edges, overlap, edge_latency_ms),) = [w for w in BENCH if w[0] == name]
     return replace(_config(route, cars, edges, frames=frames, overlap=overlap), edge_latency_ms=edge_latency_ms)
+
+
+def disjoint_config(cars):
+    """``cars`` on disjoint, 200 frames each, edges AGX + A4500, 5 ms edge
+    latency, seed 7: the fleet-scaling rows' config."""
+    return replace(_config("disjoint", cars, ("AGX", "A4500"), frames=200), edge_latency_ms=5.0)
 
 
 # bench workload -> (augment calls, _cells_near scans) over all stores, seed 7
@@ -82,7 +89,7 @@ RECEIVERS_PER_FRAME = {1: (12, 12), 2: (13, 12), 4: (15, 12), 8: (19, 12)}
 
 @pytest.mark.parametrize("cars", sorted(RECEIVERS_PER_FRAME))
 def test_fabric_receivers_examined_and_admitted_per_frame_on_disjoint(cars, monkeypatch):
-    config = replace(_config("disjoint", cars, ("AGX", "A4500"), frames=200), edge_latency_ms=5.0)
+    config = disjoint_config(cars)
     counts = {"examined": 0, "admitted": 0}
     original = Fabric.publish
 
@@ -97,6 +104,30 @@ def test_fabric_receivers_examined_and_admitted_per_frame_on_disjoint(cars, monk
     run_built_scenario(build_scenario(config), "DG")
     frames = cars * 200
     assert (counts["examined"] / frames, counts["admitted"] / frames) == RECEIVERS_PER_FRAME[cars]
+
+
+# genie decisions per frame, summed over every genie, on the receivers row's
+# config.  Each frame is a miss at its car's genie and at both edge genies.
+# The A4500 edge genie takes its own detector's answer; the car's genie and
+# the AGX edge genie take the A4500 answer first (remote), and their own
+# detector's answer arrives late.  Every row is flat in the fleet's size.
+DECISIONS_PER_FRAME = {
+    "requests": 3, "hits": 0, "misses": 3,
+    "local_answers": 1, "remote_answers": 2, "late_answers": 2,
+    "echoes_ignored": 0, "expired": 0, "malformed_dropped": 0,
+}
+
+
+@pytest.mark.parametrize("cars", sorted(RECEIVERS_PER_FRAME))
+def test_genie_decisions_per_frame_on_disjoint(cars):
+    scenario = build_scenario(disjoint_config(cars))
+    run_built_scenario(scenario, "DG")
+    frames = cars * 200
+    got = {
+        decision: sum(getattr(g.counters, decision) for g in scenario.genies.values()) / frames
+        for decision in DECISIONS_PER_FRAME
+    }
+    assert got == DECISIONS_PER_FRAME
 
 
 def test_a_loaded_trace_checks_each_frame_once(tmp_path, monkeypatch):
